@@ -60,15 +60,9 @@ class StabilityVerdict:
     diagnostic: Optional[str] = None
 
 
-def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
-    """Vectorized G over rows of unit transverse vectors."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    th = sf.theta
-    t1 = th[0, 1:]
-    eta = points @ t1
-    Nsq = np.einsum("ni,ij,nj->n", points, th[1:, 1:], points)
+def _criterion(sf: ShockFront, eta, Nsq, norms=1.0):
+    """G from the two scalars it depends on, eta and Nsq (and |xi|^2)."""
     h2p = sf.h2_plus
-    norms = np.einsum("ni,ni->n", points, points)
     omega = sf.material.mu * norms + h2p * Nsq
     P = sf.theta11 * Nsq - eta**2
     zeta = omega - h2p**2 * eta**2 / sf.kappa2_plus
@@ -76,91 +70,196 @@ def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
     return (sz + sf.tau * eta) ** 2 - sf.rho * sf.kappa2_plus * P / (sf.speed**2 * sf.theta11)
 
 
-def _sphere_grid(k: int, resolution: int) -> np.ndarray:
-    """Deterministic covering of the unit sphere in R^k (both hemispheres)."""
+def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
+    """Vectorized G over rows of unit transverse vectors."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    th = sf.theta
+    eta = points @ th[0, 1:]
+    Nsq = np.einsum("ni,ij,nj->n", points, th[1:, 1:], points)
+    return _criterion(sf, eta, Nsq, np.einsum("ni,ni->n", points, points))
+
+
+# ---------------------------------------------------------------------------
+# exact sphere minimum
+#
+# On the unit sphere G depends on xi only through N = xi^T theta_TT xi and
+# eta = theta_1T . xi.  With w = sqrt(zeta) > 0, G = p w^2 + 2 tau eta w
+# + r eta^2 + C0, a quadratic with no stationary point at w > 0, so the
+# minimum lies where xi -> (N, eta) loses rank on the sphere:
+# (theta_TT - sigma I) xi = c theta_1T.  In the eigenbasis theta_TT =
+# V diag(lam) V^T, b = V^T theta_1T, that set is
+#   - the points v_j and theta_1T / |theta_1T|;
+#   - the curve y(sigma) = b / (lam - sigma) on each interval between
+#     consecutive eigenvalues that b reaches, and beyond the outer ones;
+#   - the whole eigenspace of a reached multiple eigenvalue;
+#   - the segments t w_c + e, w_c = (theta_TT - lam_c I)^+ theta_1T and e in
+#     the eigenspace, of an eigenvalue that b does not reach.
+# Each 1-D piece is sampled on a fixed grid in a parameter u in (0, 1), at
+# both signs of xi, and the lowest sampled local minima are refined by
+# repeatedly shrinking their brackets; refining only the best sample can
+# land in the wrong basin where a piece turns fast.
+
+ROUNDING_RTOL = 1.4e-14  # relative size of rounding noise in theta and its eigenvalues
+REACH_RTOL = 1e-10  # |b| share below which an eigenspace counts as unreached
+MAX_REFINED = 32  # lowest sampled local minima refined per kind of piece
+ZOOM_NODES = 17  # each refinement round shrinks a bracket 8-fold
+ZOOM_ROUNDS = 17
+
+
+def _curve_samples() -> np.ndarray:
+    """u in (0, 1), log-dense at both ends where the sigma-curve turns fast."""
+    ends = 10.0 ** np.linspace(-15.0, -1.0, 113)
+    return np.sort(np.concatenate([np.linspace(0.0, 1.0, 513)[1:-1], ends, 1.0 - ends]))
+
+
+def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
+    """The rank-deficient set in eigen-coordinates.
+
+    Returns its isolated points as rows, and its 1-D pieces grouped as
+    (y, count, samples): y(piece, u) gives rows y for arrays of piece
+    indices below count and parameters u.  A coupling b at rounding level
+    (|b| <= sqrt(theta11 lam_max) bounds it) counts as zero: then only the
+    eigenvectors remain.
+    """
+    k = lam.size
+    eye = np.eye(k)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm <= ROUNDING_RTOL * np.sqrt(theta11 * lam[-1]):
+        return eye, []
+    points = np.vstack([eye, b / bnorm])
+
+    # cluster (numerically) equal eigenvalues; snap each cluster to its first member
+    starts = np.flatnonzero(np.r_[True, np.diff(lam) > ROUNDING_RTOL * lam[-1]])
+    bounds = list(zip(starts, np.r_[starts[1:], k]))
+    snap = np.concatenate([np.full(hi - lo, lam[lo]) for lo, hi in bounds])
+    reached = [float(np.linalg.norm(b[lo:hi])) > REACH_RTOL * bnorm for lo, hi in bounds]
+    b_eff = b.copy()
+    for (lo, hi), r in zip(bounds, reached):
+        if not r:
+            b_eff[lo:hi] = 0.0
+
+    # sigma = anchor + gap * u between reached eigenvalues, anchor + gap * u / (1 - u)
+    # below the smallest (gap < 0) and above the largest
+    poles = np.array([lam[lo] for (lo, hi), r in zip(bounds, reached) if r])
+    scale = float(lam[-1])
+    anchor = np.r_[poles[0], poles]
+    gap = np.r_[-scale, np.diff(poles), scale]
+    infinite = np.r_[True, np.zeros(poles.size - 1, dtype=bool), True]
+
+    def curve(piece, u):
+        g = gap[piece]
+        off = np.where(infinite[piece], g * u / (1.0 - u), g * u)
+        D = (snap[None, :] - anchor[piece][:, None]) - off[:, None]
+        out = np.zeros_like(D)
+        np.divide(b_eff, D, out=out, where=(b_eff != 0.0)[None, :])
+        return out
+
+    pieces = [(curve, anchor.size, _curve_samples())]
+
+    # arcs cos(pi u / 2) y0 + sin(pi u / 2) y1 between orthonormal y0, y1
+    y0, y1 = [], []
+    for (lo, hi), r in zip(bounds, reached):
+        if r and hi - lo > 1:
+            # the whole eigenspace: its reached direction turning into one it misses
+            uc = np.zeros(k)
+            uc[lo:hi] = b[lo:hi] / np.linalg.norm(b[lo:hi])
+            j = lo + int(np.argmin(np.abs(uc[lo:hi])))
+            e = eye[j] - uc[j] * uc
+            y0.append(uc)
+            y1.append(e / np.linalg.norm(e))
+        elif not r:
+            w = np.zeros(k)
+            outside = np.r_[:lo, hi:k]
+            w[outside] = b_eff[outside] / (snap[outside] - lam[lo])
+            y0.append(w / np.linalg.norm(w))
+            y1.append(eye[lo])
+    if y0:
+        y0, y1 = np.array(y0), np.array(y1)
+
+        def arc(piece, u):
+            return (np.cos(0.5 * np.pi * u)[:, None] * y0[piece]
+                    + np.sin(0.5 * np.pi * u)[:, None] * y1[piece])
+
+        pieces.append((arc, len(y0), np.linspace(0.0, 1.0, 257)))
+    return points, pieces
+
+
+def _n_eta(lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
+    sq = Y * Y
+    norm2 = sq.sum(axis=1)
+    return sq @ lam / norm2, Y @ b / np.sqrt(norm2)
+
+
+def _piece_minimum(sf: ShockFront, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
+    """Lowest G on the pieces y(piece, u), either sign of xi: (value, piece, u)."""
+    n_u = us.size
+    piece = np.repeat(np.arange(n_pieces), n_u)
+    N, eta = _n_eta(lam, b, y(piece, np.tile(us, n_pieces)))
+    vals = np.stack([_criterion(sf, eta, N), _criterion(sf, -eta, N)]).reshape(-1, n_u)
+    # sampled local minima (leftmost point of a plateau), lowest first
+    left = np.c_[np.full(len(vals), np.inf), vals[:, :-1]]
+    right = np.c_[vals[:, 1:], np.full(len(vals), np.inf)]
+    row, i = np.nonzero((vals < left) & (vals <= right))
+    keep = np.argsort(vals[row, i], kind="stable")[:MAX_REFINED]
+    row, i = row[keep], i[keep]
+    sign = np.where(row < n_pieces, 1.0, -1.0)
+    piece = row % n_pieces
+    lo, hi = us[np.maximum(i - 1, 0)], us[np.minimum(i + 1, n_u - 1)]
+    n = row.size
+    zoom = np.linspace(0.0, 1.0, ZOOM_NODES)
+    for _ in range(ZOOM_ROUNDS):
+        u = lo[:, None] + (hi - lo)[:, None] * zoom[None, :]
+        N, eta = _n_eta(lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel()))
+        g = _criterion(sf, np.repeat(sign, ZOOM_NODES) * eta, N).reshape(n, -1)
+        j = np.argmin(g, axis=1)
+        lo = u[np.arange(n), np.maximum(j - 1, 0)]
+        hi = u[np.arange(n), np.minimum(j + 1, ZOOM_NODES - 1)]
+    best = int(np.argmin(g[np.arange(n), j]))
+    return float(g[best, j[best]]), piece[best], u[best, j[best]]
+
+
+def _sphere_minimum(sf: ShockFront) -> tuple:
+    """Unit transverse direction minimizing G, and G there.
+
+    Of the pair +/-xi the one whose first nonzero entry is negative is
+    reported when both give the same value, so the witness is
+    deterministic.
+    """
+    k = sf.dim - 1
     if k == 1:
-        return np.array([[-1.0], [1.0]])
-    if k == 2:
-        n = 64 * resolution
-        ang = 2.0 * np.pi * np.arange(n) / n
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if k == 3:
-        n = 64 * resolution
-        i = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / n)
-        golden = np.pi * (1.0 + np.sqrt(5.0))
-        theta = golden * i
-        return np.column_stack(
-            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
-        )
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((64 * resolution, k))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        xi = np.ones(1)
+    else:
+        lam, vecs = np.linalg.eigh(sf.theta[1:, 1:])
+        b = vecs.T @ sf.theta[0, 1:]
+        points, pieces = _critical_set(lam, b, sf.theta11)
+        N, eta = _n_eta(lam, b, points)
+        vals = np.minimum(_criterion(sf, eta, N), _criterion(sf, -eta, N))
+        i = int(np.argmin(vals))
+        best_val, y = vals[i], points[i]
+        for fn, count, us in pieces:
+            val, piece, u = _piece_minimum(sf, lam, b, fn, count, us)
+            if val < best_val:
+                best_val, y = val, fn(np.array([piece]), np.array([u]))[0]
+        xi = vecs @ y
+        xi /= np.linalg.norm(xi)
+    if xi[np.flatnonzero(xi)[0]] > 0:
+        xi = -xi
+    pair = np.array([xi, -xi])
+    vals = criterion_values(sf, pair)
+    i = int(np.argmin(vals))
+    return pair[i], float(vals[i])
 
 
-def _tangent_basis(x: np.ndarray) -> np.ndarray:
-    k = x.size
-    basis = []
-    for e in np.eye(k):
-        v = e - (e @ x) * x
-        for b in basis:
-            v -= (v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-    return np.array(basis[: k - 1])
-
-
-def _refine_minimum(sf: ShockFront, x0: np.ndarray) -> tuple:
-    """Nelder-Mead polish of G on a local chart of the sphere."""
-    from scipy.optimize import minimize
-
-    B = _tangent_basis(x0)
-    if B.size == 0:
-        return x0, float(criterion_values(sf, x0[None, :])[0])
-
-    def chart(t):
-        v = x0 + t @ B
-        return v / np.linalg.norm(v)
-
-    def gfun(t):
-        return float(criterion_values(sf, chart(t)[None, :])[0])
-
-    res = minimize(
-        gfun,
-        np.zeros(B.shape[0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-    )
-    x = chart(res.x)
-    val = float(criterion_values(sf, x[None, :])[0])
-    x0_val = float(criterion_values(sf, x0[None, :])[0])
-    if x0_val < val:
-        return x0, x0_val
-    return x, val
-
-
-def _lexicographic_argmin(points: np.ndarray, values: np.ndarray) -> int:
-    vmin = values.min()
-    ties = np.flatnonzero(values == vmin)
-    if ties.size == 1:
-        return int(ties[0])
-    order = np.lexsort(points[ties].T[::-1])
-    return int(ties[order[0]])
-
-
-def classify(
-    sf: ShockFront, sphere_resolution: int = 128, check_winding: bool = False
-) -> StabilityVerdict:
+def classify(sf: ShockFront, check_winding: bool = False) -> StabilityVerdict:
     """Decide uniform vs weak stability of a constructed Lax front.
 
     rho <= 0 short-circuits to Uniform with no sphere search.  For
     rho > 0 the criterion G is minimized over the unit sphere of
     transverse directions (exact two-point evaluation when the sphere is
-    {-1, +1}; otherwise a deterministic grid plus local Nelder-Mead
-    polish).  A minimum within +/-1e-10 of zero is reported Weak with
-    the ``marginal`` flag, since the exact threshold carries the root at
-    t = sqrt(zeta).  With ``check_winding`` and rho < 0, a nonzero
+    {-1, +1}; otherwise a search of the 1-D set where the minimum must
+    lie, from one eigendecomposition of theta_TT).  A minimum within
+    +/-1e-10 of zero is reported Weak with the ``marginal`` flag, since
+    the exact threshold carries the root at t = sqrt(zeta).  With ``check_winding`` and rho < 0, a nonzero
     winding count (impossible for a consistent model) yields an
     Inconsistent verdict instead of a stability claim.
     """
@@ -185,12 +284,7 @@ def classify(
                     )
         return StabilityVerdict(kind=UNIFORM, rho=sf.rho, min_criterion=None)
 
-    pts = _sphere_grid(sf.dim - 1, sphere_resolution)
-    vals = criterion_values(sf, pts)
-    idx = _lexicographic_argmin(pts, vals)
-    x_best, v_best = pts[idx], float(vals[idx])
-    if sf.dim > 2:
-        x_best, v_best = _refine_minimum(sf, x_best)
+    x_best, v_best = _sphere_minimum(sf)
 
     if v_best >= MARGINAL_BAND:
         return StabilityVerdict(kind=UNIFORM, rho=sf.rho, min_criterion=v_best)
@@ -226,7 +320,6 @@ def transition_alpha(
     alpha_lo: float,
     alpha_hi: float,
     tol: float = 1e-6,
-    sphere_resolution: int = 128,
 ) -> Optional[float]:
     """Bisect the intensity at which the verdict flips inside a bracket.
 
@@ -237,7 +330,7 @@ def transition_alpha(
 
     def verdict_at(alpha: float) -> str:
         sf = build(m, ElasticState(U_plus, v_plus), alpha)
-        return classify(sf, sphere_resolution=sphere_resolution).kind
+        return classify(sf).kind
 
     try:
         k_lo = verdict_at(alpha_lo)

@@ -5,20 +5,18 @@ Subcommands: ``material check``/``material list``, ``shock``,
 are JSON (17 significant digits), grids and sweeps are CSV (9
 significant digits); every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
-failure.  ``HADSHOCK_THREADS`` overrides the worker count used to fan
-out grid and sweep evaluations.
+failure.  Grid and sweep rows are evaluated one after another in this
+process; ``HADSHOCK_THREADS`` is ignored.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import classifier, lopatinskii, materials, oracle, shock
-from .errors import ConfigError, HadshockError
+from .errors import ConfigError, HadshockError, VerificationError
 
 __all__ = ["main"]
 
@@ -67,24 +65,30 @@ def _emit(text: str, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _thread_count() -> int:
-    env = os.environ.get("HADSHOCK_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # configuration parsing
+
+def _finite(values, what: str) -> np.ndarray:
+    """Float array of the given numbers; ConfigError if any is not a finite number."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be numbers: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite, got {values!r}")
+    return arr
+
+
+def _number(value, what: str) -> float:
+    arr = _finite(value, what)
+    if arr.ndim != 0:
+        raise ConfigError(f"{what} must be a single number, got {value!r}")
+    return float(arr)
+
+
+def _floats(text: str, what: str) -> np.ndarray:
+    return _finite([v for v in str(text).replace(";", ",").split(",") if v.strip()], what)
+
 
 def _material_from_spec(spec: dict) -> materials.MaterialModel:
     spec = dict(spec)
@@ -99,10 +103,17 @@ def _material_from_spec(spec: dict) -> materials.MaterialModel:
         name = form
     for key in ("dimension", "dim", "d"):
         if key in spec and spec[key] is not None:
-            params.setdefault("d", int(spec[key]))
+            params.setdefault("d", spec[key])
     for key in ("mu", "kappa", "b", "cbar", "c1"):
         if key in spec and spec[key] is not None:
             params.setdefault(key, spec[key])
+    for key in ("mu", "kappa", "b", "cbar", "c1", "d"):
+        if params.get(key) is not None:
+            params[key] = _number(params[key], f"material parameter {key}")
+    if "d" in params:
+        if params["d"] != int(params["d"]):
+            raise ConfigError(f"dimension must be an integer, got {params['d']!r}")
+        params["d"] = int(params["d"])
     return materials.catalog(name, params)
 
 
@@ -130,42 +141,46 @@ def _material_from_args(args) -> materials.MaterialModel:
 def _parse_matrix(text: str, d: int) -> np.ndarray:
     if text.strip().lower() == "identity":
         return np.eye(d)
-    vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    vals = _floats(text, "--Uplus")
     if len(vals) != d * d:
         raise ConfigError(f"--Uplus needs {d * d} entries (row-major), got {len(vals)}")
-    return np.array(vals).reshape(d, d)
+    return vals.reshape(d, d)
 
 
 def _parse_vector(text, d: int) -> np.ndarray:
     if text is None or (isinstance(text, str) and text.strip().lower() in ("", "zero", "zeros")):
         return np.zeros(d)
-    vals = [float(v) for v in str(text).split(",") if v.strip()]
+    vals = _floats(text, "vector")
     if len(vals) != d:
         raise ConfigError(f"vector needs {d} entries, got {len(vals)}")
-    return np.array(vals)
+    return vals
 
 
-def _scenario_from_args(args):
-    """Material, base state and intensity from --config or inline flags."""
+def _scenario_from_args(args, need_alpha: bool = True):
+    """Material, base state and intensity (None if not needed) from --config or inline flags."""
+    alpha = getattr(args, "alpha", None)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         m = _material_from_spec(cfg.get("material", cfg))
         d = m.dimension or 3
-        U = np.asarray(cfg.get("U_plus", np.eye(d).tolist()), dtype=float)
-        v = np.asarray(cfg.get("v_plus", np.zeros(U.shape[0]).tolist()), dtype=float)
-        alpha = cfg.get("alpha", getattr(args, "alpha", None))
-        if alpha is None:
-            raise ConfigError("scenario needs alpha")
-        return m, shock.ElasticState(U, v), float(alpha)
-    m = _material_from_args(args)
-    d = m.dimension or args.dim or 3
-    U = _parse_matrix(args.Uplus or "identity", d)
-    v = _parse_vector(getattr(args, "vplus", None), d)
-    alpha = getattr(args, "alpha", None)
-    if alpha is None:
+        U = _finite(cfg.get("U_plus", np.eye(d).tolist()), "U_plus")
+        if U.ndim != 2 or U.shape[0] != U.shape[1]:
+            raise ConfigError(f"U_plus must be a square matrix, got shape {U.shape}")
+        v = _finite(cfg.get("v_plus", np.zeros(U.shape[0]).tolist()), "v_plus")
+        if v.shape != (U.shape[0],):
+            raise ConfigError(f"v_plus needs {U.shape[0]} entries, got shape {v.shape}")
+        alpha = cfg.get("alpha", alpha)
+    else:
+        m = _material_from_args(args)
+        d = m.dimension or args.dim or 3
+        U = _parse_matrix(args.Uplus or "identity", d)
+        v = _parse_vector(getattr(args, "vplus", None), d)
+    if alpha is not None:
+        alpha = _number(alpha, "alpha")
+    elif need_alpha:
         raise ConfigError("scenario needs --alpha")
-    return m, shock.ElasticState(U, v), float(alpha)
+    return m, shock.ElasticState(U, v), alpha
 
 
 def _report_from_shock(sf: shock.ShockFront) -> dict:
@@ -198,7 +213,7 @@ def _report_from_shock(sf: shock.ShockFront) -> dict:
     }
 
 
-def _verdict_report(sf, verdict, *_unused) -> dict:
+def _verdict_report(sf, verdict) -> dict:
     lax = shock.lax_check(sf)
     rep = {
         "kind": verdict.kind,
@@ -260,25 +275,25 @@ def _cmd_shock(args) -> int:
 def _cmd_classify(args) -> int:
     m, state, alpha = _scenario_from_args(args)
     sf = shock.build(m, state, alpha)
-    verdict = classifier.classify(sf, sphere_resolution=args.sphere_resolution)
+    verdict = classifier.classify(sf)
     _emit(to_json(_verdict_report(sf, verdict)), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    m, state, _ = _scenario_from_args_sweep(args)
+    m, state, _ = _scenario_from_args(args, need_alpha=False)
     lo, hi = _parse_range(args.alpha_range)
     alphas = np.linspace(lo, hi, args.steps)
 
     def row(alpha):
         try:
             sf = shock.build(m, state, float(alpha))
-            verdict = classifier.classify(sf, sphere_resolution=args.sphere_resolution)
+            verdict = classifier.classify(sf)
             return (float(alpha), sf.rho, verdict.min_criterion, verdict.kind)
         except HadshockError as exc:
             return (float(alpha), None, None, f"error:{type(exc).__name__}")
 
-    rows = _parallel_map(row, alphas)
+    rows = [row(alpha) for alpha in alphas]
     if args.format == "json":
         payload = [
             {"alpha": a, "rho": r, "min_criterion": c, "verdict": v} for a, r, c, v in rows
@@ -291,22 +306,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _scenario_from_args_sweep(args):
-    if getattr(args, "config", None):
-        m, state, _ = _scenario_from_args(args)
-        return m, state, None
-    m = _material_from_args(args)
-    d = m.dimension or args.dim or 3
-    U = _parse_matrix(args.Uplus or "identity", d)
-    v = _parse_vector(getattr(args, "vplus", None), d)
-    return m, shock.ElasticState(U, v), None
-
-
 def _parse_range(text: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
+    vals = _floats(text, "range")
     if len(vals) != 2:
         raise ConfigError(f"range needs two comma-separated numbers, got {text!r}")
-    return vals[0], vals[1]
+    return float(vals[0]), float(vals[1])
 
 
 def _restricted_xi(sf, gamma: complex, direction: np.ndarray):
@@ -337,7 +341,10 @@ def _cmd_grid(args) -> int:
     sf = shock.build(m, state, alpha)
     re_lo, re_hi = _parse_range(args.grid_re)
     im_lo, im_hi = _parse_range(args.grid_im)
-    n_re, n_im = (int(v) for v in args.grid_n.split(","))
+    nodes = args.grid_n.split(",")
+    if len(nodes) != 2 or not all(v.strip().isdigit() for v in nodes):
+        raise ConfigError(f"--grid-n needs two comma-separated integers, got {args.grid_n!r}")
+    n_re, n_im = (int(v) for v in nodes)
     if n_re < 2 or n_im < 2:
         raise ConfigError("grid needs at least 2 nodes per axis")
     xi = _parse_vector(args.xi, sf.dim - 1) if args.xi else np.eye(sf.dim - 1)[0]
@@ -366,7 +373,7 @@ def _cmd_grid(args) -> int:
             vals.append(lopatinskii.delta_v1(sf, fp))
         return np.array(vals)
 
-    rows = _parallel_map(eval_row, ims)
+    rows = [eval_row(im) for im in ims]
     records = []
     for im, vals in zip(ims, rows):
         for re, v in zip(res, vals):
@@ -443,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_material_flags(cls)
     _add_state_flags(cls)
     cls.add_argument("--alpha", type=float, default=None)
-    cls.add_argument("--sphere-resolution", type=int, default=128)
     _add_common_out(cls)
 
     swp = sub.add_parser("sweep", help="verdict sweep over an intensity range")
@@ -451,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(swp)
     swp.add_argument("--alpha-range", required=True, help="lo,hi")
     swp.add_argument("--steps", type=int, default=100)
-    swp.add_argument("--sphere-resolution", type=int, default=128)
     _add_common_out(swp, default_format="csv")
 
     grd = sub.add_parser("grid", help="complex-plane grid of the stability function")
@@ -494,6 +499,9 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except HadshockError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContourThroughZero, RhoNotNegative, VerificationError
+from .linalg import quad_roots
 from .shock import FrequencyCoefficients, ShockFront, freq_coeffs
 
 __all__ = [
@@ -300,22 +301,12 @@ def evaluate(sf: ShockFront, fp: FrequencyPoint) -> LopatinskiiValue:
 # ---------------------------------------------------------------------------
 # imaginary-axis roots
 
-def _imag_axis_Y(sf: ShockFront, coeffs: FrequencyCoefficients, t: float) -> float:
-    """Real value of delta_v2 at gamma = i t for t >= sqrt(zeta)."""
-    s, k2, th11 = sf.speed, sf.kappa2_plus, sf.theta11
-    r = np.sqrt(max(t * t - coeffs.zeta, 0.0))
-    return float(
-        -((t - np.sqrt(k2) / s * r + sf.tau * coeffs.eta) ** 2)
-        + sf.rho * k2 * coeffs.P / (s * s * th11)
-    )
-
-
 def _imag_axis_Z(sf: ShockFront, coeffs: FrequencyCoefficients, u: float) -> float:
-    """Same restriction in the smooth variable u = sqrt(t^2 - zeta) >= 0.
+    """Real value of delta_v2 at gamma = i t, in the variable u = sqrt(t^2 - zeta) >= 0.
 
-    Root finding in t stalls at the branch point t = sqrt(zeta), where
-    Y has square-root sensitivity; in u the function is smooth with an
-    O(1) slope at the root.
+    In t the restriction has square-root sensitivity at the branch
+    point t = sqrt(zeta); in u it is smooth with an O(1) slope at the
+    root, so it measures the residual of the closed-form root.
     """
     s, k2, th11 = sf.speed, sf.kappa2_plus, sf.theta11
     t = np.sqrt(coeffs.zeta + u * u)
@@ -353,12 +344,15 @@ def imag_scan(sf: ShockFront, xi_t) -> ImagScanResult:
     if bv == 0.0:
         t_star = float(sz)
     else:
-        from scipy.optimize import brentq
-
-        hi = 4.0 * float(sz) if sz > 0 else 1.0
-        while _imag_axis_Z(sf, coeffs, hi) >= 0:
-            hi *= 2.0
-        u_star = float(brentq(lambda u: _imag_axis_Z(sf, coeffs, u), 0.0, hi, xtol=1e-15))
+        # the root solves t = sqrt(zeta + u^2) = a + c u with c = sqrt(kappa2+)/s
+        # < -1; squared, (c^2 - 1) u^2 + 2 a c u + a^2 - zeta = 0, whose other
+        # root has a + c u < 0
+        k2, s = sf.kappa2_plus, sf.speed
+        R = max(sf.rho * k2 * coeffs.P / (s * s * sf.theta11), 0.0)
+        a = float(np.sqrt(R)) - sf.tau * coeffs.eta
+        c = float(np.sqrt(k2)) / s
+        roots = [r.real for r in quad_roots(c * c - 1.0, 2.0 * a * c, a * a - coeffs.zeta)]
+        u_star = max(max(roots, key=lambda u: a + c * u), 0.0)
         if abs(_imag_axis_Z(sf, coeffs, u_star)) > 1e-10:
             raise VerificationError("imaginary-axis root refinement exceeded tolerance")
         t_star = float(np.sqrt(coeffs.zeta + u_star * u_star))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import criterion_values
 from .errors import CharacteristicSpeed, NoConvergence
 from .linalg import cofactor
 from .lopatinskii import (
@@ -49,6 +50,7 @@ __all__ = [
     "formula_left_eigenvector",
     "delta_hat_assembled",
     "hersh_counts",
+    "sphere_min_reference",
     "fd_check_suite",
     "random_material",
     "random_shock",
@@ -225,6 +227,74 @@ def hersh_counts(sf: ShockFront, fp: FrequencyPoint):
     others = vals[~in_cluster]
     stable = int(np.sum(others.real < 0))
     return stable, int(np.sum(in_cluster))
+
+
+# ---------------------------------------------------------------------------
+# sphere minimum by dense sampling plus local polish
+
+def _sphere_grid(k: int, resolution: int) -> np.ndarray:
+    """Deterministic covering of the unit sphere in R^k (both hemispheres)."""
+    if k == 1:
+        return np.array([[-1.0], [1.0]])
+    if k == 2:
+        n = 64 * resolution
+        ang = 2.0 * np.pi * np.arange(n) / n
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    if k == 3:
+        n = 64 * resolution
+        i = np.arange(n) + 0.5
+        phi = np.arccos(1.0 - 2.0 * i / n)
+        golden = np.pi * (1.0 + np.sqrt(5.0))
+        theta = golden * i
+        return np.column_stack(
+            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
+        )
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((64 * resolution, k))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _tangent_basis(x: np.ndarray) -> np.ndarray:
+    k = x.size
+    basis = []
+    for e in np.eye(k):
+        v = e - (e @ x) * x
+        for b in basis:
+            v -= (v @ b) * b
+        n = np.linalg.norm(v)
+        if n > 1e-8:
+            basis.append(v / n)
+    return np.array(basis[: k - 1])
+
+
+def sphere_min_reference(sf: ShockFront, resolution: int = 128) -> float:
+    """Minimum of the classifier criterion G over unit transverse vectors.
+
+    Independent of the classifier's exact search: the best of a dense
+    sphere covering (64 * resolution points; seeded random for k >= 4)
+    polished by Nelder-Mead on a local chart.  Imports scipy.
+    """
+    from scipy.optimize import minimize
+
+    pts = _sphere_grid(sf.dim - 1, resolution)
+    vals = criterion_values(sf, pts)
+    x0 = pts[int(np.argmin(vals))]
+    best = float(vals.min())
+    B = _tangent_basis(x0)
+    if B.size == 0:
+        return best
+
+    def chart(t):
+        v = x0 + t @ B
+        return v / np.linalg.norm(v)
+
+    res = minimize(
+        lambda t: float(criterion_values(sf, chart(t)[None, :])[0]),
+        np.zeros(B.shape[0]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
+    )
+    return min(best, float(criterion_values(sf, chart(res.x)[None, :])[0]))
 
 
 # ---------------------------------------------------------------------------

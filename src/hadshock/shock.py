@@ -224,7 +224,13 @@ def build(m: MaterialModel, plus: ElasticState, alpha: float) -> ShockFront:
             f"({min(Jp, Jm):.6g}, {max(Jp, Jm):.6g})"
         )
 
-    s_sq = m.mu + (float(m.h1(Jp)) - float(m.h1(Jm))) / alpha
+    try:
+        s_sq = m.mu + (float(m.h1(Jp)) - float(m.h1(Jm))) / alpha
+        h2_minus = float(m.h2(Jm))
+    except OverflowError:
+        raise AlphaOutOfRange(
+            f"alpha = {alpha} overflows the material law at J- = {Jm:.6g}"
+        ) from None
     s = -float(np.sqrt(s_sq))
     U_minus = U_plus - alpha * np.outer(v1, np.eye(d)[0])
     v_minus = plus.v + s * alpha * v1
@@ -234,7 +240,7 @@ def build(m: MaterialModel, plus: ElasticState, alpha: float) -> ShockFront:
     Theta = _theta_minors(theta)
     M = _m_matrix(U_plus, V)
     k2p = m.mu + float(m.h2(Jp)) * th11
-    k2m = m.mu + float(m.h2(Jm)) * th11  # first cofactor column is shared
+    k2m = m.mu + h2_minus * th11  # first cofactor column is shared
     rho_val = (s_sq - m.mu) * (1.0 / th11 - alpha / Jp) - float(m.h2(Jp))
     tau_val = -m.mu * np.sqrt(k2p - s_sq) / (s * np.sqrt(k2p) * th11)
 

@@ -13,6 +13,7 @@ from hadshock.classifier import (
 from hadshock.errors import BadParams, DegenerateModuli, InvalidBracket
 from hadshock.lopatinskii import TransformedFrequency, delta_v2
 from hadshock.materials import catalog
+from hadshock.oracle import random_shock, sphere_min_reference
 from hadshock.shock import ElasticState, build
 
 
@@ -119,6 +120,65 @@ def test_classify_min_matches_fine_grid(shock_pool):
         grid_min = float(criterion_values(sf, pts).min())
         assert v.min_criterion <= grid_min + 1e-9
         assert v.min_criterion == pytest.approx(grid_min, rel=1e-6, abs=1e-8)
+
+
+def _unit_sample(rng, k, n=200_000):
+    pts = rng.standard_normal((n, k))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _assert_global_minimum(sf, sample):
+    got = classify(sf).min_criterion
+    ref = sphere_min_reference(sf)
+    assert got <= ref + 1e-12 * max(1.0, abs(ref))
+    assert got <= float(criterion_values(sf, sample).min()) + 1e-12 * max(1.0, abs(got))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_classify_min_is_global(d):
+    # independent oracles: the dense-grid plus Nelder-Mead reference and a
+    # large random sample of the sphere; neither may beat the exact search
+    rng = np.random.default_rng(4100 + d)
+    sample = _unit_sample(rng, d - 1)
+    checked = 0
+    while checked < 15:
+        sf = random_shock(rng, d)
+        if sf.rho > 0:
+            _assert_global_minimum(sf, sample)
+            checked += 1
+
+
+def _block_diagonal_base():
+    # theta_1T misses the eigenspaces of the lower block entirely
+    U = np.eye(5)
+    U[:2, :2] = [[1.1, 0.3], [-0.25, 0.9]]
+    U[2:, 2:] = np.diag([0.85, 1.2, 1.05])
+    return U
+
+
+def _rotated_diagonal_base():
+    # U+ = Q diag(a): theta is diagonal, so theta_1T vanishes up to rounding
+    q, r = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))
+    q = q * np.sign(np.diag(r))[None, :]
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q * np.array([0.9, 1.3, 0.8, 1.1, 1.25])[None, :]
+
+
+@pytest.mark.parametrize("base", [_block_diagonal_base, _rotated_diagonal_base])
+def test_classify_min_structured_base(base):
+    m = catalog("simo-taylor", {"d": 5, "mu": 1.0, "kappa": 2.5})
+    sf = build(m, ElasticState(base()), -3.0)
+    assert sf.rho > 0
+    _assert_global_minimum(sf, _unit_sample(np.random.default_rng(5), 4))
+
+
+def test_classify_min_below_polished_grid_regression():
+    # the grid plus Nelder-Mead search stopped at 1.43872 on this front
+    sf = random_shock(np.random.default_rng(13), 6)
+    v = classify(sf)
+    assert v.min_criterion < 1.42428
+    assert v.min_criterion == pytest.approx(1.4242717246987688, rel=1e-12)
 
 
 def test_cg_alpha_star_value():

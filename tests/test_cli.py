@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hadshock
 from hadshock.classifier import reference_delta
 from hadshock.cli import main
+from hadshock.errors import VerificationError
 
 
 def run(capsys, *argv):
@@ -274,3 +279,72 @@ def test_out_file(capsys, tmp_path):
                   "--kappa", "2", "--dim", "2", "--alpha", "-0.3", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["J_minus"] == pytest.approx(1.3)
+
+
+CG2 = ("--material", "ciarlet-geymonat", "--mu", "1", "--kappa", "2", "--dim", "2")
+
+
+def test_grid_n_needs_two_integers(capsys):
+    code, _ = run(capsys, "grid", *CG2, "--alpha", "-1", "--grid-n", "10")
+    assert code == 2
+
+
+def test_non_finite_uplus_is_config_error(capsys):
+    code, _ = run(capsys, "shock", *CG2, "--alpha", "-1", "--Uplus=nan,0,0,1")
+    assert code == 2
+
+
+def test_non_finite_vplus_is_config_error(capsys):
+    code, _ = run(capsys, "shock", *CG2, "--alpha", "-1", "--vplus=0,inf")
+    assert code == 2
+
+
+def test_non_finite_alpha_is_config_error(capsys):
+    code, _ = run(capsys, "classify", *CG2, "--alpha=nan")
+    assert code == 2
+
+
+def test_non_finite_config_is_config_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"material": {"name": "ciarlet-geymonat", "dimension": 2, "mu": 1.0, "kappa": 2.0},'
+        ' "U_plus": [[1.0, NaN], [0.0, 1.0]], "alpha": -0.3}'
+    )
+    code, _ = run(capsys, "shock", "--config", str(path))
+    assert code == 2
+
+
+def test_overflowing_alpha_is_domain_error(capsys):
+    code, _ = run(capsys, "shock", *CG2, "--alpha=-1e300")
+    assert code == 3
+
+
+def test_verification_error_exits_4(capsys, monkeypatch):
+    import hadshock.cli as cli
+
+    def fail(*args, **kwargs):
+        raise VerificationError("forced")
+
+    monkeypatch.setattr(cli.shock, "build", fail)
+    code, _ = run(capsys, "shock", *CG2, "--alpha", "-1")
+    assert code == 4
+
+
+def test_verdict_path_imports_no_scipy():
+    # a weak d=4 verdict with theta_1T != 0 (sphere search plus imaginary-axis
+    # root) and a d=4 sweep, in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(hadshock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    d4 = ["--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
+          "--Uplus=1,0.3,0,0,0,1,0,0,0.2,0,1,0,0,0,0,1"]
+    code = (
+        "import json, sys\n"
+        "from hadshock.cli import main\n"
+        f"assert main(['classify', *{d4!r}, '--alpha=-3', '--out={os.devnull}']) == 0\n"
+        f"assert main(['sweep', *{d4!r}, '--alpha-range=-8,-0.1', '--steps=20',"
+        f" '--out={os.devnull}']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == []
