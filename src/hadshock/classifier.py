@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParams, DegenerateModuli, InvalidBracket
 from .lopatinskii import _sqrt_anchored, imag_scan, winding
 from .materials import MaterialModel
-from .shock import ElasticState, ShockFront, build, freq_coeffs, lax_check
+from .shock import ElasticState, ShockFront, _coeff_algebra, build, freq_coeffs, lax_check
 
 __all__ = [
     "UNIFORM",
@@ -62,10 +62,7 @@ class StabilityVerdict:
 
 def _criterion(sf: ShockFront, eta, Nsq, norms=1.0):
     """G from the two scalars it depends on, eta and Nsq (and |xi|^2)."""
-    h2p = sf.h2_plus
-    omega = sf.material.mu * norms + h2p * Nsq
-    P = sf.theta11 * Nsq - eta**2
-    zeta = omega - h2p**2 * eta**2 / sf.kappa2_plus
+    _, P, zeta = _coeff_algebra(sf, eta, Nsq, norms)
     sz = np.sqrt(np.maximum(zeta, 0.0))
     return (sz + sf.tau * eta) ** 2 - sf.rho * sf.kappa2_plus * P / (sf.speed**2 * sf.theta11)
 

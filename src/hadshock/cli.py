@@ -5,13 +5,15 @@ Subcommands: ``material check``/``material list``, ``shock``,
 are JSON (17 significant digits), grids and sweeps are CSV (9
 significant digits); every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
-failure.  Grid and sweep rows are evaluated one after another in this
-process; ``HADSHOCK_THREADS`` is ignored.
+failure.  A grid is evaluated as one array over all its nodes; sweep
+rows are evaluated one after another in this process;
+``HADSHOCK_THREADS`` is ignored.
 """
 
 import argparse
 import json
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -283,6 +285,8 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     m, state, _ = _scenario_from_args(args, need_alpha=False)
     lo, hi = _parse_range(args.alpha_range)
+    if args.steps < 0:
+        raise ConfigError(f"--steps must not be negative, got {args.steps}")
     alphas = np.linspace(lo, hi, args.steps)
 
     def row(alpha):
@@ -313,27 +317,57 @@ def _parse_range(text: str):
     return float(vals[0]), float(vals[1])
 
 
-def _restricted_xi(sf, gamma: complex, direction: np.ndarray):
-    """Transverse vector on the remapped hemisphere for a given gamma.
+def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Transverse vectors (..., k) on the remapped hemisphere for gamma values (...).
 
-    Solves |lambda(gamma, m*dir)|^2 + m^2 = 1 for the magnitude m >= 0;
-    returns None when gamma lies outside the hemisphere.
+    Solves |lambda(gamma, m*dir)|^2 + m^2 = 1 for the magnitude m >= 0
+    of every cell at once; cells where gamma lies outside the hemisphere
+    are NaN.
     """
     k2, s = sf.kappa2_plus, sf.speed
     eta_dir = float(sf.theta[0, 1:] @ direction)
-    w = np.sqrt((k2 - s * s) / k2) * gamma
+    w = np.sqrt((k2 - s * s) / k2) * gammas
     a = s * sf.h2_plus * eta_dir / k2
-    # m^2 (1 + a^2) - 2 a Im(w) m + |w|^2 - 1 = 0
+    # m^2 (1 + a^2) - 2 a Im(w) m + |w|^2 - 1 = 0; inside iff its larger root is >= 0
     A = 1.0 + a * a
     B = -2.0 * a * w.imag
-    C = abs(w) ** 2 - 1.0
-    disc = B * B - 4.0 * A * C
-    if disc < 0:
-        return None
-    for mroot in ((-B + np.sqrt(disc)) / (2 * A), (-B - np.sqrt(disc)) / (2 * A)):
-        if mroot >= 0:
-            return mroot * direction
-    return None
+    C = np.hypot(w.real, w.imag) ** 2 - 1.0
+    with np.errstate(invalid="ignore"):
+        m = (-B + np.sqrt(B * B - 4.0 * A * C)) / (2 * A)
+    m[~(m >= 0)] = np.nan
+    return m[..., None] * direction
+
+
+GRID_KEYS = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
+
+
+def _grid_text(records: np.ndarray, fmt: str) -> str:
+    """CSV or JSON of the (n, 6) grid records, one %-template per row.
+
+    Each pattern of finite columns has its own template, with an empty
+    CSV field or a JSON null where a value is not finite.
+    """
+    if fmt == "json":
+        cell, missing = "%.17g", "null"
+        records = records + 0.0  # no negative zeros, as in to_json
+    else:
+        cell, missing = "%.9g", ""
+    bits = [1 << i for i in range(len(GRID_KEYS))]
+    codes = (np.isfinite(records) @ bits).tolist()  # which columns are finite
+    templates = {}
+    for code in set(codes):
+        keep = [bool(code & b) for b in bits]
+        fields = [cell if k else missing for k in keep]
+        if fmt == "json":
+            fields = [f"{json.dumps(key)}: {f}" for key, f in zip(GRID_KEYS, fields)]
+            templates[code] = "{" + ", ".join(fields) + "}", keep
+        else:
+            templates[code] = ",".join(fields), keep
+    rows = [templates[c][0] % tuple(compress(row, templates[c][1]))
+            for row, c in zip(records.tolist(), codes)]
+    if fmt == "json":
+        return "[" + ", ".join(rows) + "]"
+    return "\n".join([",".join(GRID_KEYS)] + rows)
 
 
 def _cmd_grid(args) -> int:
@@ -350,52 +384,26 @@ def _cmd_grid(args) -> int:
     xi = _parse_vector(args.xi, sf.dim - 1) if args.xi else np.eye(sf.dim - 1)[0]
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
-
-    def eval_row(im):
-        gam = res + 1j * im
-        if args.var == "gamma":
-            if args.restrict_gamma_tilde:
-                direction = xi / np.linalg.norm(xi)
-                vals = []
-                for g in gam:
-                    xt = _restricted_xi(sf, complex(g), direction)
-                    if xt is None:
-                        vals.append(complex(np.nan, np.nan))
-                    else:
-                        vals.append(
-                            lopatinskii.delta_v2(sf, lopatinskii.TransformedFrequency(g, xt))
-                        )
-                return np.array(vals)
-            return lopatinskii.delta_v2_values(sf, gam, xi)
-        vals = []
-        for g in gam:
-            fp = lopatinskii.FrequencyPoint(complex(g), xi)
-            vals.append(lopatinskii.delta_v1(sf, fp))
-        return np.array(vals)
-
-    rows = [eval_row(im) for im in ims]
-    records = []
-    for im, vals in zip(ims, rows):
-        for re, v in zip(res, vals):
-            records.append(
-                (float(re), float(im), float(v.real), float(v.imag), float(abs(v)),
-                 float(np.angle(v)))
-            )
-    if args.format == "json":
-        payload = [
-            {"re": r, "im": i, "delta_re": dr, "delta_im": di, "delta_abs": da, "delta_arg": dg}
-            for r, i, dr, di, da, dg in records
-        ]
-        _emit(to_json(payload), args.out)
+    grid = res[None, :] + 1j * ims[:, None]  # row i holds Im = ims[i]
+    if args.var == "lambda":
+        vals = lopatinskii.delta_v1_values(sf, grid, xi)
     else:
-        lines = ["re,im,delta_re,delta_im,delta_abs,delta_arg"]
-        lines += [",".join(_csv_cell(x) for x in rec) for rec in records]
-        _emit("\n".join(lines), args.out)
+        if args.restrict_gamma_tilde:
+            xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
+        vals = lopatinskii.delta_v2_values(sf, grid, xi)
+    records = np.stack([
+        np.broadcast_to(res[None, :], grid.shape), np.broadcast_to(ims[:, None], grid.shape),
+        vals.real, vals.imag, np.hypot(vals.real, vals.imag), np.angle(vals),
+    ], axis=-1).reshape(-1, len(GRID_KEYS))
+    _emit(_grid_text(records, args.format), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    dims = tuple(int(v) for v in args.dims.split(","))
+    try:
+        dims = tuple(int(v) for v in args.dims.split(","))
+    except ValueError:
+        raise ConfigError(f"--dims needs comma-separated integers, got {args.dims!r}") from None
     report = oracle.verify_suite(seed=args.seed, scenarios=args.scenarios, dims=dims)
     _emit(to_json(report), args.out)
     return 0 if report["ok"] else 4

@@ -7,6 +7,7 @@ asymptotics.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,15 +34,17 @@ class ComplexScalarPair:
         return iter((self.root_minus, self.root_plus))
 
 
+@lru_cache(maxsize=None)
+def _minor_index(d: int) -> tuple:
+    """Index arrays picking all d^2 minors of a d x d matrix, and their signs."""
+    keep = np.array([[r for r in range(d) if r != i] for i in range(d)])
+    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    return keep[:, None, :, None], keep[None, :, None, :], sign
+
+
 def _minor_expansion(a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    rows = np.arange(d)
-    cof = np.empty_like(a)
-    for i in range(d):
-        for j in range(d):
-            sub = a[np.ix_(rows != i, rows != j)]
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(sub)
-    return cof
+    rows, cols, sign = _minor_index(a.shape[0])
+    return sign * np.linalg.det(a[rows, cols])
 
 
 def cofactor(a: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ __all__ = [
     "freq_map",
     "freq_unmap",
     "delta_v1",
+    "delta_v1_values",
     "delta_v2",
     "delta_v2_values",
     "delta_v3",
@@ -142,6 +143,33 @@ def _beta_from_gamma(sf: ShockFront, gamma, coeffs: FrequencyCoefficients):
     return pref * (gamma + shift - np.sqrt(k2) / s * root)
 
 
+# numpy's vectorised complex arithmetic rounds differently from Python's
+# complex type: its product fuses multiply-adds and its quotient multiplies
+# by a rounded reciprocal.  The lambda map and delta_v1 square and divide
+# through the helpers below, which round as Python does, so delta_v1 and
+# delta_v1_values agree bit for bit.  delta_v2_values keeps numpy's product,
+# as the gamma grids always have; it can differ from the scalar delta_v2 in
+# the last bits.
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _square(z) -> np.ndarray:
+    """z**2 formed as (re^2 - im^2) + i (re im + im re), as Python does."""
+    re, im = np.real(z), np.imag(z)
+    return _complex(re * re - im * im, re * im + im * re)
+
+
+def _gamma_from_lambda(sf: ShockFront, lam, eta) -> np.ndarray:
+    k2, s = sf.kappa2_plus, sf.speed
+    num = lam * np.sqrt(k2) + 1j * s * sf.h2_plus * eta / np.sqrt(k2)
+    d = np.sqrt(k2 - s * s)
+    return _complex(np.real(num) / d, np.imag(num) / d)
+
+
 def freq_map(sf: ShockFront, fp: FrequencyPoint) -> TransformedFrequency:
     """Inject lambda into the gamma frequency where the root simplifies.
 
@@ -150,11 +178,7 @@ def freq_map(sf: ShockFront, fp: FrequencyPoint) -> TransformedFrequency:
     lambda with Re gamma > 0 iff Re lambda > 0.
     """
     coeffs = freq_coeffs(sf, fp.xi_t)
-    k2, s = sf.kappa2_plus, sf.speed
-    gamma = (fp.lam * np.sqrt(k2) + 1j * s * sf.h2_plus * coeffs.eta / np.sqrt(k2)) / np.sqrt(
-        k2 - s * s
-    )
-    return TransformedFrequency(gamma, fp.xi_t)
+    return TransformedFrequency(complex(_gamma_from_lambda(sf, fp.lam, coeffs.eta)), fp.xi_t)
 
 
 def freq_unmap(sf: ShockFront, tf: TransformedFrequency) -> FrequencyPoint:
@@ -212,7 +236,7 @@ def delta_v1(sf: ShockFront, fp: FrequencyPoint, form: str = "completed") -> com
     beta = stable_beta(sf, fp)
     k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
     if form == "completed":
-        return (k2 - s * s) * th11 * (beta - 1j * coeffs.eta / th11) ** 2 + sf.rho * coeffs.P
+        return complex(_delta_v1_from_parts(sf, beta, coeffs))
     if form == "raw":
         xi = fp.xi_t
         ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * float(
@@ -220,6 +244,26 @@ def delta_v1(sf: ShockFront, fp: FrequencyPoint, form: str = "completed") -> com
         )
         return (k2 - s * s) * th11 * beta * beta - 2j * beta * (k2 - s * s) * coeffs.eta - ssum
     raise ValueError(f"unknown form {form!r}")
+
+
+def _delta_v1_from_parts(sf, beta, coeffs):
+    k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
+    return (k2 - s * s) * th11 * _square(beta - 1j * coeffs.eta / th11) + sf.rho * coeffs.P
+
+
+def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
+    """Vectorized completed-form delta_v1 over lambda values (...).
+
+    xi_t is one transverse vector or a stack (..., k) that broadcasts
+    against lams.  The zero frequency (lambda = 0 with xi_t = 0), where
+    the stability function is undefined, gives NaN.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    xi_t = np.asarray(xi_t, dtype=float)
+    coeffs = freq_coeffs(sf, xi_t)
+    beta = _beta_from_gamma(sf, _gamma_from_lambda(sf, lams, coeffs.eta), coeffs)
+    vals = np.asarray(_delta_v1_from_parts(sf, beta, coeffs))
+    return np.where((lams == 0) & ~np.any(xi_t, axis=-1), complex(np.nan, np.nan), vals)
 
 
 def _delta_v2_from_parts(sf, gamma, coeffs):
@@ -241,7 +285,11 @@ def delta_v2(sf: ShockFront, tf: TransformedFrequency) -> complex:
 
 
 def delta_v2_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
-    """Vectorized delta_v2 over an array of gamma values at fixed xi_t."""
+    """Vectorized delta_v2 over gamma values (...).
+
+    xi_t is one transverse vector or a stack (..., k) that broadcasts
+    against gammas.
+    """
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     return np.asarray(_delta_v2_from_parts(sf, np.asarray(gammas, dtype=complex), coeffs))
 

@@ -23,6 +23,7 @@ from .errors import (
     AlphaOutOfRange,
     HtripleSignChange,
     NonPositiveJacobian,
+    VerificationError,
     WrongSignForMaterial,
 )
 from .linalg import cofactor
@@ -73,7 +74,7 @@ class ElasticState:
 
 @dataclass
 class FrequencyCoefficients:
-    """Scalar coefficients of a transverse frequency on a given shock.
+    """Coefficients of a transverse frequency (or a stack of them) on a given shock.
 
     eta couples the front-normal cofactor column to the transverse ones,
     Nsq is the squared transverse cofactor image, omega the transverse
@@ -148,7 +149,8 @@ def _h3_interval_sign(m: MaterialModel, Jlo: float, Jhi: float) -> int:
     raises HtripleSignChange when both strict signs occur.
     """
     J = np.linspace(Jlo, Jhi, H3_SAMPLES + 2)
-    vals = np.asarray(m.h3(J), dtype=float)
+    with np.errstate(over="ignore"):  # an infinite sample still has a sign
+        vals = np.asarray(m.h3(J), dtype=float)
     has_pos = bool(np.any(vals > 0))
     has_neg = bool(np.any(vals < 0))
     if has_pos and has_neg:
@@ -263,7 +265,7 @@ def _validate(sf: ShockFront) -> None:
     sig_m = piola_kirchhoff(sf.material, sf.minus.U)
     r2 = np.linalg.norm(-sf.speed * jump_v - (sig_p[:, 0] - sig_m[:, 0]))
     if max(r1, r2) > 1e-11 * scale:
-        raise AssertionError(
+        raise VerificationError(
             f"jump-condition residuals {r1:.3e}, {r2:.3e} exceed 1e-11*{scale:.3e}"
         )
     report = lax_check(sf)
@@ -307,18 +309,36 @@ def geometry(sf: ShockFront) -> dict:
     return {"theta": sf.theta, "Theta": sf.Theta, "M": sf.M}
 
 
-def freq_coeffs(sf: ShockFront, xi_t) -> FrequencyCoefficients:
-    """Scalar frequency coefficients of a transverse wave vector."""
-    xi_t = np.asarray(xi_t, dtype=float)
-    if xi_t.shape != (sf.dim - 1,):
-        raise ValueError(f"xi_t must have length {sf.dim - 1}")
-    th = sf.theta
-    eta = float(th[0, 1:] @ xi_t)
-    Nsq = float(xi_t @ th[1:, 1:] @ xi_t)
+def _coeff_algebra(sf: ShockFront, eta, Nsq, norms):
+    """omega, P and zeta from eta, Nsq and |xi_t|^2; floats or broadcasting arrays."""
     h2p = sf.h2_plus
-    omega = sf.material.mu * float(xi_t @ xi_t) + h2p * Nsq
+    omega = sf.material.mu * norms + h2p * Nsq
+    # for Python floats eta * eta and eta**2 can differ in the last bit; each
+    # form is kept where it has always been used
     P = sf.theta11 * Nsq - eta * eta
     zeta = omega - h2p**2 * eta**2 / sf.kappa2_plus
+    return omega, P, zeta
+
+
+def freq_coeffs(sf: ShockFront, xi_t) -> FrequencyCoefficients:
+    """Frequency coefficients of transverse wave vectors xi_t of shape (..., k).
+
+    One vector gives Python floats; a stack gives arrays of shape (...).
+    Each vector of a stack goes through the same row-times-matrix products
+    as a single one, so eta, Nsq and |xi_t|^2 match the single-vector
+    values exactly.
+    """
+    xi_t = np.asarray(xi_t, dtype=float)
+    if xi_t.ndim == 0 or xi_t.shape[-1] != sf.dim - 1:
+        raise ValueError(f"xi_t must have length {sf.dim - 1}")
+    th = sf.theta
+    row, col = xi_t[..., None, :], xi_t[..., :, None]
+    eta = (row @ th[0, 1:, None])[..., 0, 0]
+    Nsq = (row @ th[1:, 1:] @ col)[..., 0, 0]
+    norms = (row @ col)[..., 0, 0]
+    if xi_t.ndim == 1:
+        eta, Nsq, norms = float(eta), float(Nsq), float(norms)
+    omega, P, zeta = _coeff_algebra(sf, eta, Nsq, norms)
     return FrequencyCoefficients(eta=eta, omega=omega, Nsq=Nsq, P=P, zeta=zeta)
 
 

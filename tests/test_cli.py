@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hadshock
+from hadshock import lopatinskii, materials, shock
 from hadshock.classifier import reference_delta
-from hadshock.cli import main
+from hadshock.cli import _csv_cell, main, to_json
 from hadshock.errors import VerificationError
 
 
@@ -348,3 +350,154 @@ def test_verdict_path_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_jump_residual_exits_4(capsys, monkeypatch):
+    def skewed(m, U):
+        return materials.piola_kirchhoff(m, U) + 1e-6 * U
+
+    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    code, _ = run(capsys, "shock", *CG2, "--alpha", "-1")
+    assert code == 4
+
+
+def test_negative_sweep_steps_is_config_error(capsys):
+    code, _ = run(capsys, "sweep", *CG2, "--alpha-range=-1,-0.5", "--steps=-1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("dims", ["abc", "", "1", "2,,3"])
+def test_bad_verify_dims_is_config_error(capsys, dims):
+    code, _ = run(capsys, "verify", f"--dims={dims}", "--scenarios=1")
+    assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the array grids against the per-cell loop they replaced
+
+def _restricted_xi(sf, gamma, direction):
+    """Transverse vector on the remapped hemisphere for one gamma, or None outside it."""
+    k2, s = sf.kappa2_plus, sf.speed
+    eta_dir = float(sf.theta[0, 1:] @ direction)
+    w = np.sqrt((k2 - s * s) / k2) * gamma
+    a = s * sf.h2_plus * eta_dir / k2
+    A = 1.0 + a * a
+    B = -2.0 * a * w.imag
+    C = abs(w) ** 2 - 1.0
+    disc = B * B - 4.0 * A * C
+    if disc < 0:
+        return None
+    for mroot in ((-B + np.sqrt(disc)) / (2 * A), (-B - np.sqrt(disc)) / (2 * A)):
+        if mroot >= 0:
+            return mroot * direction
+    return None
+
+
+def _reference_grid(sf, var, restrict, xi, res, ims, fmt):
+    """Grid text from scalar delta_v1 / delta_v2 evaluated one node at a time."""
+    nan = complex(np.nan, np.nan)
+    records = []
+    for im in ims:
+        for re, g in zip(res, res + 1j * im):
+            if var == "lambda":
+                try:
+                    v = lopatinskii.delta_v1(sf, lopatinskii.FrequencyPoint(complex(g), xi))
+                except ValueError:  # the zero frequency is an empty cell
+                    v = nan
+            elif restrict:
+                xt = _restricted_xi(sf, complex(g), xi / np.linalg.norm(xi))
+                v = nan if xt is None else lopatinskii.delta_v2(
+                    sf, lopatinskii.TransformedFrequency(g, xt))
+            else:
+                v = lopatinskii.delta_v2(sf, lopatinskii.TransformedFrequency(g, xi))
+            records.append((float(re), float(im), v.real, v.imag, abs(v), float(np.angle(v))))
+    keys = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
+    if fmt == "json":
+        return to_json([dict(zip(keys, r)) for r in records]) + "\n"
+    return "\n".join([",".join(keys)] + [",".join(_csv_cell(x) for x in r) for r in records]) + "\n"
+
+
+FOAM4 = ("--material=ogden-foam", "--mu=1", "--c1=2", "--dim=4",
+         "--Uplus=1,0.3,0,0,0,1,0,0,0.2,0,1,0,0,0,0,1", "--alpha=-2")
+BLATZ3 = ("--material=blatz", "--mu=1", "--kappa=1", "--dim=3", "--alpha=-5")
+
+
+def _grid_case(capsys, scenario, var, restrict, xi, re, im, n, fmt):
+    argv = ["grid", *scenario, f"--var={var}", f"--xi={xi}", f"--grid-re={re}",
+            f"--grid-im={im}", f"--grid-n={n}", f"--format={fmt}"]
+    if restrict:
+        argv.append("--restrict-gamma-tilde")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    args = hadshock.cli.build_parser().parse_args(argv)
+    m, state, alpha = hadshock.cli._scenario_from_args(args)
+    sf = shock.build(m, state, alpha)
+    (r0, r1), (i0, i1) = hadshock.cli._parse_range(re), hadshock.cli._parse_range(im)
+    n_re, n_im = (int(v) for v in n.split(","))
+    xi_vec = np.array([float(v) for v in xi.split(",")])
+    ref = _reference_grid(sf, var, restrict, xi_vec, np.linspace(r0, r1, n_re),
+                          np.linspace(i0, i1, n_im), fmt)
+    return out, ref
+
+
+LAMBDA_CASES = [
+    # the grid starts at Re = -0.0 (CSV "-0", JSON 0) and has a node at lambda = 0
+    (CG2 + ("--alpha=-3",), "0.7", "-0,1", "-1,1", "7,5"),
+    (CG2 + ("--alpha=-1",), "0", "-0,1", "-1,1", "3,3"),
+    (FOAM4, "0.3,-0.2,0.5", "0,1", "-1,1", "6,6"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", LAMBDA_CASES)
+def test_lambda_grid_equals_per_cell_loop(capsys, case, fmt):
+    scenario, xi, re, im, n = case
+    out, ref = _grid_case(capsys, scenario, "lambda", False, xi, re, im, n, fmt)
+    assert out == ref
+
+
+RESTRICTED_CASES = [
+    # the window reaches past the hemisphere, so some cells are empty; in the
+    # sheared d=3 case some of them have a real but negative magnitude root
+    (BLATZ3, "1,0", "0,1.5", "-1.5,1.5", "9,9"),
+    (FOAM4, "0.3,-0.2,0.5", "-1,1", "-1,1", "11,11"),
+    (("--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=3",
+      "--Uplus=1,0.9,0,0,1,0,0,0,1", "--alpha=-2"), "1,0", "0,3", "-3,3", "13,13"),
+]
+
+
+@pytest.mark.parametrize("case", RESTRICTED_CASES)
+def test_restricted_grid_equals_per_cell_loop(capsys, case):
+    scenario, xi, re, im, n = case
+    out, ref = _grid_case(capsys, scenario, "gamma", True, xi, re, im, n, "csv")
+    assert out == ref
+    # in JSON's 17 digits the squares in delta_v2 show: numpy's array product
+    # (the one the plain gamma grid has always used) and Python's complex one
+    # round differently, by at most a few units in the last place
+    out, ref = _grid_case(capsys, scenario, "gamma", True, xi, re, im, n, "json")
+    rows, ref_rows = json.loads(out), json.loads(ref)
+    assert [list(r) for r in rows] == [list(r) for r in ref_rows]
+    assert any(r["delta_abs"] is None for r in ref_rows)
+    for row, want in zip(rows, ref_rows):
+        assert (row["re"], row["im"]) == (want["re"], want["im"])
+        if want["delta_abs"] is None:
+            assert all(row[k] is None for k in list(row)[2:])
+            continue
+        scale = max(1.0, want["delta_abs"])
+        for key in list(row)[2:]:
+            assert row[key] == pytest.approx(want[key], rel=0, abs=1e-14 * scale)
+
+
+def test_lambda_grid_zero_frequency_is_empty_cell(capsys):
+    code, out = run(capsys, "grid", *CG2, "--alpha=-1", "--var=lambda", "--xi=0",
+                    "--grid-re=0,1", "--grid-im=-1,1", "--grid-n=3,3")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert rows[3] == "0,0,,,,"
+    assert all(",," not in r for i, r in enumerate(rows) if i != 3)
+    code, out = run(capsys, "grid", *CG2, "--alpha=-1", "--var=lambda", "--xi=0",
+                    "--grid-re=0,1", "--grid-im=-1,1", "--grid-n=3,3", "--format=json")
+    assert code == 0
+    cell = json.loads(out)[3]
+    assert cell == {"re": 0, "im": 0, "delta_re": None, "delta_im": None,
+                    "delta_abs": None, "delta_arg": None}

@@ -111,3 +111,27 @@ def test_sqrt_principal_squares_back(z):
     w = sqrt_principal(z)
     assert w.real >= 0.0
     assert abs(w * w - z) <= 1e-14 * max(1e-30, abs(z))
+
+
+def _loop_minor_expansion(a):
+    """One np.linalg.det call per minor: the expansion the stacked form replaced."""
+    d = a.shape[0]
+    rows = np.arange(d)
+    cof = np.empty_like(a)
+    for i in range(d):
+        for j in range(d):
+            cof[i, j] = (-1) ** (i + j) * np.linalg.det(a[np.ix_(rows != i, rows != j)])
+    return cof
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cofactor_stacked_minors_match_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for k in range(300):
+        A = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 1:  # rank deficient: two proportional columns
+            A[:, 0] = rng.uniform(-2.0, 2.0) * A[:, 1]
+        elif k % 3 == 2:  # a zero row, so some minors are exact zeros
+            A[rng.integers(d)] = 0.0
+        got, want = cofactor(A), _loop_minor_expansion(A)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

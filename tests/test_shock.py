@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hadshock.errors import AlphaOutOfRange, HtripleSignChange, NonPositiveJacobian, WrongSignForMaterial
+import warnings
+
+from hadshock import shock
+from hadshock.errors import (
+    AlphaOutOfRange,
+    HtripleSignChange,
+    NonPositiveJacobian,
+    VerificationError,
+    WrongSignForMaterial,
+)
 from hadshock.linalg import cofactor
 from hadshock.materials import catalog, piola_kirchhoff
 from hadshock.shock import (
@@ -215,6 +224,23 @@ def test_freq_coeffs_identity_base(cg2_shock):
     assert c.zeta == pytest.approx(3.0 * 0.49, rel=1e-14)  # (mu + h''(1)) |xi|^2
 
 
+def test_freq_coeffs_stack_matches_single_vectors(shock_pool):
+    rng = np.random.default_rng(11)
+    for d, pool in shock_pool.items():
+        for sf in pool[:4]:
+            xi = rng.standard_normal((3, 5, d - 1))
+            stack = freq_coeffs(sf, xi)
+            assert stack.eta.shape == stack.zeta.shape == (3, 5)
+            for idx in np.ndindex(3, 5):
+                one = freq_coeffs(sf, xi[idx])
+                assert isinstance(one.eta, float) and isinstance(one.zeta, float)
+                # the same products per vector; only Python's eta**2 in zeta may
+                # round differently from numpy's square
+                assert (stack.eta[idx], stack.Nsq[idx], stack.omega[idx], stack.P[idx]) == (
+                    one.eta, one.Nsq, one.omega, one.P)
+                assert stack.zeta[idx] == pytest.approx(one.zeta, rel=1e-15)
+
+
 def test_zeta_tau_margin_closed_form(shock_pool):
     rng = np.random.default_rng(6)
     for d, pool in shock_pool.items():
@@ -294,3 +320,20 @@ def test_amplitude_scaling(shock_pool):
             amp = np.linalg.norm(sf.plus.U - sf.minus.U)
             expect = abs(sf.alpha) * np.linalg.norm(sf.V[:, 0])
             assert amp == pytest.approx(expect, rel=1e-13)
+
+
+def test_jump_residual_is_verification_error(cg2, monkeypatch):
+    def skewed(m, U):
+        return piola_kirchhoff(m, U) + 1e-6 * U
+
+    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    with pytest.raises(VerificationError, match="jump-condition residuals"):
+        build(cg2, ElasticState(np.eye(2)), -0.3)
+
+
+def test_huge_alpha_raises_without_warning(cg2):
+    # h''' overflows on the sampled jump interval, but its sign still decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlphaOutOfRange):
+            build(cg2, ElasticState(np.eye(2)), -1e300)
