@@ -44,7 +44,6 @@ from .shock import (
     build,
     freq_coeffs,
     genuine_nonlinearity,
-    geometry,
     lax_check,
 )
 
@@ -89,6 +88,5 @@ __all__ = [
     "build",
     "freq_coeffs",
     "genuine_nonlinearity",
-    "geometry",
     "lax_check",
 ]

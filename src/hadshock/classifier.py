@@ -19,7 +19,8 @@ import numpy as np
 from .errors import BadParams, DegenerateModuli, InvalidBracket
 from .lopatinskii import _sqrt_anchored, imag_scan, winding
 from .materials import MaterialModel
-from .shock import ElasticState, ShockFront, _coeff_algebra, build, freq_coeffs, lax_check
+from .shock import (ElasticState, ShockFront, _coeff_algebra, _criterion, build, freq_coeffs,
+                    lax_check)
 
 __all__ = [
     "UNIFORM",
@@ -60,20 +61,10 @@ class StabilityVerdict:
     diagnostic: Optional[str] = None
 
 
-def _criterion(sf: ShockFront, eta, Nsq, norms=1.0):
-    """G from the two scalars it depends on, eta and Nsq (and |xi|^2)."""
-    _, P, zeta = _coeff_algebra(sf, eta, Nsq, norms)
-    sz = np.sqrt(np.maximum(zeta, 0.0))
-    return (sz + sf.tau * eta) ** 2 - sf.rho * sf.kappa2_plus * P / (sf.speed**2 * sf.theta11)
-
-
 def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
     """Vectorized G over rows of unit transverse vectors."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    th = sf.theta
-    eta = points @ th[0, 1:]
-    Nsq = np.einsum("ni,ij,nj->n", points, th[1:, 1:], points)
-    return _criterion(sf, eta, Nsq, np.einsum("ni,ni->n", points, points))
+    c = freq_coeffs(sf, np.atleast_2d(np.asarray(points, dtype=float)))
+    return _criterion(sf, c.eta, c.P, c.zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +172,21 @@ def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
     return points, pieces
 
 
-def _n_eta(lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
+def _sphere_coeffs(sf: ShockFront, lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
+    """eta, P and zeta of the unit directions along the eigen-coordinate rows Y."""
     sq = Y * Y
     norm2 = sq.sum(axis=1)
-    return sq @ lam / norm2, Y @ b / np.sqrt(norm2)
+    eta = Y @ b / np.sqrt(norm2)
+    _, P, zeta = _coeff_algebra(sf, eta, sq @ lam / norm2, 1.0)
+    return eta, P, zeta
 
 
 def _piece_minimum(sf: ShockFront, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
     """Lowest G on the pieces y(piece, u), either sign of xi: (value, piece, u)."""
     n_u = us.size
     piece = np.repeat(np.arange(n_pieces), n_u)
-    N, eta = _n_eta(lam, b, y(piece, np.tile(us, n_pieces)))
-    vals = np.stack([_criterion(sf, eta, N), _criterion(sf, -eta, N)]).reshape(-1, n_u)
+    eta, P, zeta = _sphere_coeffs(sf, lam, b, y(piece, np.tile(us, n_pieces)))
+    vals = np.stack([_criterion(sf, eta, P, zeta), _criterion(sf, -eta, P, zeta)]).reshape(-1, n_u)
     # sampled local minima (leftmost point of a plateau), lowest first
     left = np.c_[np.full(len(vals), np.inf), vals[:, :-1]]
     right = np.c_[vals[:, 1:], np.full(len(vals), np.inf)]
@@ -206,8 +200,8 @@ def _piece_minimum(sf: ShockFront, lam, b, y, n_pieces: int, us: np.ndarray) -> 
     zoom = np.linspace(0.0, 1.0, ZOOM_NODES)
     for _ in range(ZOOM_ROUNDS):
         u = lo[:, None] + (hi - lo)[:, None] * zoom[None, :]
-        N, eta = _n_eta(lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel()))
-        g = _criterion(sf, np.repeat(sign, ZOOM_NODES) * eta, N).reshape(n, -1)
+        eta, P, zeta = _sphere_coeffs(sf, lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel()))
+        g = _criterion(sf, np.repeat(sign, ZOOM_NODES) * eta, P, zeta).reshape(n, -1)
         j = np.argmin(g, axis=1)
         lo = u[np.arange(n), np.maximum(j - 1, 0)]
         hi = u[np.arange(n), np.minimum(j + 1, ZOOM_NODES - 1)]
@@ -229,8 +223,8 @@ def _sphere_minimum(sf: ShockFront) -> tuple:
         lam, vecs = np.linalg.eigh(sf.theta[1:, 1:])
         b = vecs.T @ sf.theta[0, 1:]
         points, pieces = _critical_set(lam, b, sf.theta11)
-        N, eta = _n_eta(lam, b, points)
-        vals = np.minimum(_criterion(sf, eta, N), _criterion(sf, -eta, N))
+        eta, P, zeta = _sphere_coeffs(sf, lam, b, points)
+        vals = np.minimum(_criterion(sf, eta, P, zeta), _criterion(sf, -eta, P, zeta))
         i = int(np.argmin(vals))
         best_val, y = vals[i], points[i]
         for fn, count, us in pieces:
@@ -368,7 +362,7 @@ def reference_delta(example: str, params: dict, gamma: complex, xi_t=None) -> co
         k2 = mu + kappa
         c = np.sqrt(k2 / s_sq)  # -sqrt(kappa2+)/s with s < 0
         zeta = k2 * xi2 * xi2
-        root = _sqrt_anchored(gamma, zeta)
+        root = complex(_sqrt_anchored(gamma, zeta))
         return complex((gamma + c * root) ** 2 - alpha * (kappa**2 - mu**2) * xi2 * xi2 / s_sq)
     if example == "Blatz3D":
         if not (kappa > 2.0 * mu / 3.0) or not (mu > 0):
@@ -382,6 +376,6 @@ def reference_delta(example: str, params: dict, gamma: complex, xi_t=None) -> co
         if xi_sq < -1e-12:
             raise BadParams(f"gamma = {gamma} lies outside the remapped hemisphere")
         zeta = k2 * max(xi_sq, 0.0)
-        root = _sqrt_anchored(gamma, zeta)
+        root = complex(_sqrt_anchored(gamma, zeta))
         return complex((gamma + c1 * root) ** 2)
     raise BadParams(f"unknown reference example {example!r}")

@@ -12,6 +12,7 @@ rows are evaluated one after another in this process;
 
 import argparse
 import json
+import re
 import sys
 from itertools import compress
 
@@ -404,6 +405,8 @@ def _cmd_verify(args) -> int:
         dims = tuple(int(v) for v in args.dims.split(","))
     except ValueError:
         raise ConfigError(f"--dims needs comma-separated integers, got {args.dims!r}") from None
+    if args.seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {args.seed}")
     report = oracle.verify_suite(seed=args.seed, scenarios=args.scenarios, dims=dims)
     _emit(to_json(report), args.out)
     return 0 if report["ok"] else 4
@@ -436,8 +439,18 @@ def _add_common_out(p, default_format="json"):
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a token starting -<digit> or -.<digit> as a value, so
+    exponent forms and lists (``--alpha -1e-2``, ``--grid-im -1,1``) parse as
+    ``--alpha=-1e-2`` does; no option here looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hadshock", description=__doc__)
+    ap = _Parser(prog="hadshock", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     mat = sub.add_parser("material", help="material inspection")

@@ -38,10 +38,7 @@ __all__ = [
     "build",
     "lax_check",
     "genuine_nonlinearity",
-    "geometry",
     "freq_coeffs",
-    "rho",
-    "tau",
 ]
 
 H3_SAMPLES = 256
@@ -164,15 +161,6 @@ def _h3_interval_sign(m: MaterialModel, Jlo: float, Jhi: float) -> int:
     return 0
 
 
-def _theta_minors(theta: np.ndarray) -> np.ndarray:
-    d = theta.shape[0]
-    Theta = np.empty_like(theta)
-    for i in range(d):
-        for j in range(d):
-            Theta[i, j] = theta[0, 0] * theta[i, j] - theta[i, 0] * theta[0, j]
-    return Theta
-
-
 def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cofactor-jump matrix: signed minors of (V1, U2, ..., Ud), first column zero."""
     d = U_plus.shape[0]
@@ -239,7 +227,7 @@ def build(m: MaterialModel, plus: ElasticState, alpha: float) -> ShockFront:
     minus = ElasticState(U_minus, v_minus)
 
     theta = V.T @ V
-    Theta = _theta_minors(theta)
+    Theta = theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :])
     M = _m_matrix(U_plus, V)
     k2p = m.mu + float(m.h2(Jp)) * th11
     k2m = m.mu + h2_minus * th11  # first cofactor column is shared
@@ -304,20 +292,25 @@ def genuine_nonlinearity(m: MaterialModel, U: np.ndarray, direction=None) -> flo
     return -0.5 / a1_sq * wsq**2 * float(m.h3(J))
 
 
-def geometry(sf: ShockFront) -> dict:
-    """The cached tensor geometry: Gram matrix, its minors, cofactor jump."""
-    return {"theta": sf.theta, "Theta": sf.Theta, "M": sf.M}
-
-
 def _coeff_algebra(sf: ShockFront, eta, Nsq, norms):
     """omega, P and zeta from eta, Nsq and |xi_t|^2; floats or broadcasting arrays."""
     h2p = sf.h2_plus
+    eta2 = eta * eta
     omega = sf.material.mu * norms + h2p * Nsq
-    # for Python floats eta * eta and eta**2 can differ in the last bit; each
-    # form is kept where it has always been used
-    P = sf.theta11 * Nsq - eta * eta
-    zeta = omega - h2p**2 * eta**2 / sf.kappa2_plus
+    P = sf.theta11 * Nsq - eta2
+    zeta = omega - h2p**2 * eta2 / sf.kappa2_plus
     return omega, P, zeta
+
+
+def _surface_term(sf: ShockFront, P):
+    """rho kappa2+ P / (s^2 theta11): added in delta_v2, subtracted in the criterion G."""
+    return sf.rho * sf.kappa2_plus * P / (sf.speed * sf.speed * sf.theta11)
+
+
+def _criterion(sf: ShockFront, eta, P, zeta):
+    """The classifier criterion G = (sqrt(zeta) + tau eta)^2 - rho kappa2+ P / (s^2 theta11)."""
+    a = np.sqrt(np.maximum(zeta, 0.0)) + sf.tau * eta
+    return a * a - _surface_term(sf, P)
 
 
 def freq_coeffs(sf: ShockFront, xi_t) -> FrequencyCoefficients:
@@ -340,13 +333,3 @@ def freq_coeffs(sf: ShockFront, xi_t) -> FrequencyCoefficients:
         eta, Nsq, norms = float(eta), float(Nsq), float(norms)
     omega, P, zeta = _coeff_algebra(sf, eta, Nsq, norms)
     return FrequencyCoefficients(eta=eta, omega=omega, Nsq=Nsq, P=P, zeta=zeta)
-
-
-def rho(sf: ShockFront) -> float:
-    """Material stability parameter (s^2 - mu)(1/theta11 - alpha/J+) - h''(J+)."""
-    return sf.rho
-
-
-def tau(sf: ShockFront) -> float:
-    """Positive constant -mu sqrt(kappa2+ - s^2) / (s sqrt(kappa2+) theta11)."""
-    return sf.tau

@@ -8,18 +8,25 @@ from hadshock.lopatinskii import (
     TransformedFrequency,
     beta_residual,
     delta_v1,
+    delta_v1_values,
     delta_v2,
     delta_v2_values,
     delta_v3,
+    delta_v3_values,
     freq_map,
+    freq_map_values,
     freq_unmap,
+    freq_unmap_values,
     imag_scan,
     stable_beta,
+    stable_beta_values,
     v3_factors,
+    v3_factors_values,
     winding,
     winding_number,
 )
 from hadshock.materials import catalog
+from hadshock.oracle import delta_v1_raw, sample_frequency
 from hadshock.shock import ElasticState, build, freq_coeffs
 
 
@@ -50,7 +57,7 @@ def test_stable_beta_boundary_extension(cg2_weak_shock):
     for t in (0.3, 1.0, 2.2, -1.4):
         fp = FrequencyPoint(complex(0.0, t), [np.sqrt(max(0.0, 1 - t * t))] if abs(t) < 1 else [0.0])
         closed = stable_beta(cg2_weak_shock, fp)
-        offset = stable_beta(cg2_weak_shock, fp, boundary="offset")
+        offset = stable_beta(cg2_weak_shock, FrequencyPoint(fp.lam + 1e-8, fp.xi_t))
         assert abs(closed - offset) <= 1e-6 * max(1.0, abs(closed))
 
 
@@ -104,8 +111,8 @@ def test_delta_v1_raw_equals_completed(shock_pool, frequency_sampler):
         sample = frequency_sampler(300 + d, d)
         for sf in pool[:6]:
             fp = sample()
-            a = delta_v1(sf, fp, form="completed")
-            b = delta_v1(sf, fp, form="raw")
+            a = delta_v1(sf, fp)
+            b = delta_v1_raw(sf, fp)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
@@ -213,19 +220,55 @@ def test_v3_factorization(shock_pool, frequency_sampler):
     assert checked >= 3
 
 
-def test_evaluate_bundle(cg2_shock, foam_shock, frequency_sampler):
-    from hadshock.lopatinskii import evaluate
+# --------------------------------------------------------------------------
+# scalar entry points are batches of one
 
-    sample = frequency_sampler(61, 2)
-    for sf in (cg2_shock, foam_shock):
-        fp = sample()
-        val = evaluate(sf, fp)
-        assert val.beta.real < 0
-        assert val.residual_beta <= 1e-11
-        assert abs(fp.lam + val.beta * sf.speed) > 0
-        assert (val.delta_v3 is not None) == (sf.rho < 0)
-        factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
-        assert abs(val.delta_v1 - factor * val.delta_v2) <= 1e-11 * (1 + abs(val.delta_v1))
+SCALAR_AND_STACK = {
+    "stable_beta": (lambda sf, z, xi: stable_beta(sf, FrequencyPoint(z, xi)), stable_beta_values),
+    "freq_map": (lambda sf, z, xi: freq_map(sf, FrequencyPoint(z, xi)).gamma, freq_map_values),
+    "freq_unmap": (
+        lambda sf, z, xi: freq_unmap(sf, TransformedFrequency(z, xi)).lam, freq_unmap_values
+    ),
+    "delta_v1": (lambda sf, z, xi: delta_v1(sf, FrequencyPoint(z, xi)), delta_v1_values),
+    "delta_v2": (lambda sf, z, xi: delta_v2(sf, TransformedFrequency(z, xi)), delta_v2_values),
+    "delta_v3": (lambda sf, z, xi: delta_v3(sf, TransformedFrequency(z, xi)), delta_v3_values),
+    "v3_factors_minus": (
+        lambda sf, z, xi: v3_factors(sf, TransformedFrequency(z, xi))[0],
+        lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[0],
+    ),
+    "v3_factors_plus": (
+        lambda sf, z, xi: v3_factors(sf, TransformedFrequency(z, xi))[1],
+        lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[1],
+    ),
+}
+
+
+def _stacked_frequencies(rng, d, n=48):
+    """Hemisphere samples, 8 points on the axis Re = 0 and 8 with xi_t = 0."""
+    pts = [sample_frequency(rng, d) for _ in range(n)]
+    zs = np.array([fp.lam for fp in pts])
+    xis = np.array([fp.xi_t for fp in pts])
+    zs[:8] = 1j * zs[:8].imag
+    xis[8:16] = 0.0
+    return zs, xis
+
+
+@pytest.mark.parametrize("name", list(SCALAR_AND_STACK))
+def test_scalar_equals_stacked_element_bit_for_bit(shock_pool, name):
+    scalar, stacked = SCALAR_AND_STACK[name]
+    rng = np.random.default_rng(97)
+    checked = 0
+    for d, pool in shock_pool.items():
+        for sf in pool:
+            if name.startswith(("delta_v3", "v3_")) and sf.rho >= 0:
+                continue
+            zs, xis = _stacked_frequencies(rng, d)
+            values = stacked(sf, zs, xis)
+            singles = np.array([scalar(sf, z, xi) for z, xi in zip(zs, xis)])
+            assert values.shape == zs.shape
+            assert np.array_equal(singles.view(np.uint64), values.view(np.uint64))
+            checked += 1
+    assert checked >= 6
 
 
 # --------------------------------------------------------------------------
@@ -286,6 +329,23 @@ def test_winding_quadratic_zeros():
 def test_winding_zero_on_contour_raises():
     with pytest.raises(ContourThroughZero):
         winding_number(lambda w: w - 1j, 2.0, initial_nodes=256)
+
+
+def test_winding_calls_f_on_arrays(foam_shock):
+    sizes = []
+
+    def counted(f):
+        def wrapped(w):
+            sizes.append(w.shape)
+            return f(w)
+        return wrapped
+
+    assert winding_number(counted(lambda w: delta_v3_values(foam_shock, w, [1.0])), 20.0) == 0
+    assert sizes[0] == (4096,) and len(sizes) <= 33
+    # a zero just right of the imaginary axis forces bisection rounds
+    sizes.clear()
+    assert winding_number(counted(lambda w: w - (1e-3 + 0.5j)), 2.0) == 1
+    assert 1 < len(sizes) <= 33
 
 
 def test_winding_foam_shock(foam_shock):

@@ -4,7 +4,7 @@ import pytest
 from hadshock.errors import CharacteristicSpeed
 from hadshock.linalg import quad_roots
 from hadshock.lopatinskii import FrequencyPoint, delta_v1, stable_beta
-from hadshock.materials import b_tensor
+from hadshock.materials import b_tensor, catalog
 from hadshock.oracle import (
     assemble_Aj,
     assemble_calA,
@@ -15,11 +15,12 @@ from hadshock.oracle import (
     formula_left_eigenvector,
     hersh_counts,
     jump_vector,
+    left_eigvec_residual,
     random_shock,
     sample_frequency,
     verify_suite,
 )
-from hadshock.shock import freq_coeffs
+from hadshock.shock import ElasticState, build, freq_coeffs
 
 
 def test_assemble_Aj_block_structure(cg2):
@@ -123,6 +124,49 @@ def test_left_eigenvector_and_jump_identities(shock_pool, frequency_sampler):
             # and the closed form v1 equals (i/alpha) * assembled value
             v1 = delta_v1(sf, fp)
             assert abs(v1 - 1j / sf.alpha * hat) <= 1e-10 * (1.0 + abs(v1))
+
+
+# Two d=4 ogden-foam fronts of the verify suite (seeds 1263816536 and
+# 653669084) where ||l calA - beta l|| / ||l|| exceeded 1e-10 only through
+# the solve with A^1 - s I inside calA (cond ~ 3e4, ||calA|| ~ 1e4).
+FOAM_D4_CASES = [
+    (
+        {"d": 4, "mu": 1.0145024509992584, "c1": 2.9535550822722048},
+        [[1.431238969928463, 0.2242328141129245, -0.37603557477342076, 0.46432650428833333],
+         [0.19055492057159307, 1.3335347514881768, 0.08955386839242951, 0.08764108772599521],
+         [0.43758731263057404, -0.10323712736959767, 1.35685349779397, -0.1807245303231494],
+         [0.3557586011275833, -0.2781279805608614, -0.10121215802598293, 1.2897338218211392]],
+        [0.8959590276921596, -0.36926454423734123, 0.6412529174655277, 0.8568984164984055],
+        -2.0305871374272337,
+        0.18226843676349747 - 0.5847201287085126j,
+        [0.7326371816088206, -0.29277520875380275, -0.049051251832573584],
+    ),
+    (
+        {"d": 4, "mu": 1.8026471974476184, "c1": 2.8476048397613165},
+        [[1.2634509755497483, 0.47956152204523583, -0.02888185368501406, -0.41604278121803184],
+         [-0.4476152065930141, 1.2600383158685404, -0.09710342711328546, -0.26606150138061646],
+         [-0.23413605220868672, -0.438996155575177, 1.3443270670096479, -0.4703143490994498],
+         [-0.0057975109303004535, 0.396043440662888, 0.1713953619129519, 1.3716933312085131]],
+        [0.4741570533541093, -0.4206826024330752, 0.4139396016132115, 0.9709380586348682],
+        -1.7763604732373293,
+        0.7785702631298115 - 0.48096417764550536j,
+        [-0.02689886157806843, 0.3455688368936105, 0.20581650906951068],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", FOAM_D4_CASES)
+def test_left_eigvec_residual_is_rounding_level_and_catches_perturbation(case):
+    params, U, v, alpha, lam, xi = case
+    sf = build(catalog("ogden-foam", params), ElasticState(U, v), alpha)
+    fp = FrequencyPoint(lam, xi)
+    beta = stable_beta(sf, fp)
+    l = formula_left_eigenvector(sf, fp, beta)
+    assert left_eigvec_residual(sf, fp, l, beta) <= 1e-12
+    # a 1e-8 ||l|| change of any one component fails the 1e-10 check by far
+    step = 1e-8 * np.linalg.norm(l)
+    for e in np.eye(l.size):
+        assert left_eigvec_residual(sf, fp, l + step * e, beta) >= 1e-7
 
 
 def test_hersh_counts(shock_pool, frequency_sampler):

@@ -19,7 +19,6 @@ from hadshock.shock import (
     build,
     freq_coeffs,
     genuine_nonlinearity,
-    geometry,
     lax_check,
 )
 
@@ -166,10 +165,9 @@ def test_genuine_nonlinearity_matches_fd(cg2):
 # geometry
 
 def test_geometry_identity_base(cg2_shock):
-    g = geometry(cg2_shock)
-    assert np.array_equal(g["theta"], np.eye(2))
-    assert np.array_equal(g["Theta"], np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(g["M"], np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(cg2_shock.theta, np.eye(2))
+    assert np.array_equal(cg2_shock.Theta, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(cg2_shock.M, np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def test_geometry_d3_cross_product_form(shock_pool):
@@ -261,15 +259,13 @@ def test_zeta_tau_margin_closed_form(shock_pool):
 
 
 def test_rho_and_tau_values(cg2, cg2_weak_shock, foam_shock):
-    from hadshock.shock import rho, tau
-
-    assert rho(cg2_weak_shock) == pytest.approx(8.0, rel=1e-13)
-    assert rho(foam_shock) == pytest.approx(-3.0625, rel=1e-14)
-    assert tau(cg2_weak_shock) > 0
-    assert tau(foam_shock) > 0
+    assert cg2_weak_shock.rho == pytest.approx(8.0, rel=1e-13)
+    assert foam_shock.rho == pytest.approx(-3.0625, rel=1e-14)
+    assert cg2_weak_shock.tau > 0
+    assert foam_shock.tau > 0
     k2, s, th11 = foam_shock.kappa2_plus, foam_shock.speed, foam_shock.theta11
     mu = foam_shock.material.mu
-    assert tau(foam_shock) == pytest.approx(
+    assert foam_shock.tau == pytest.approx(
         -mu * np.sqrt(k2 - s * s) / (s * np.sqrt(k2) * th11), rel=1e-14
     )
 
