@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: ``material check``/``material list``, ``shock``,
-``classify``, ``sweep``, ``grid`` and ``verify``.  Structured reports
-are JSON (17 significant digits), grids and sweeps are CSV (9
-significant digits); every number printed comes from a library call.
+``classify``, ``sweep``, ``grid`` and ``verify``.  Reports are JSON (17
+significant digits); grids and sweeps are CSV (9 significant digits) or,
+with --format=json, JSON.  Every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
 failure.  A grid is evaluated as one array over all its nodes; sweep
 rows are evaluated one after another in this process;
@@ -407,6 +407,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--dims needs comma-separated integers, got {args.dims!r}") from None
     if args.seed < 0:
         raise ConfigError(f"--seed must not be negative, got {args.seed}")
+    if args.scenarios < 1:
+        raise ConfigError(f"--scenarios must be positive, got {args.scenarios}")
     report = oracle.verify_suite(seed=args.seed, scenarios=args.scenarios, dims=dims)
     _emit(to_json(report), args.out)
     return 0 if report["ok"] else 4
@@ -434,9 +436,11 @@ def _add_state_flags(p):
     p.add_argument("--vplus", default=None, help="base velocity, comma list or 'zero'")
 
 
-def _add_common_out(p, default_format="json"):
+def _add_out(p, tabular=False):
+    """--out, plus --format for the commands that write CSV or JSON tables."""
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    if tabular:
+        p.add_argument("--format", choices=("json", "csv"), default="csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,28 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
     msub = mat.add_subparsers(dest="material_cmd", required=True)
     mchk = msub.add_parser("check", help="verify the material hypotheses")
     _add_material_flags(mchk, with_name_flag=True)
-    _add_common_out(mchk)
+    _add_out(mchk)
     mlist = msub.add_parser("list", help="list catalog models")
-    _add_common_out(mlist)
+    _add_out(mlist)
 
     shk = sub.add_parser("shock", help="build a Lax front and report it")
     _add_material_flags(shk)
     _add_state_flags(shk)
     shk.add_argument("--alpha", type=float, default=None, help="shock intensity")
-    _add_common_out(shk)
+    _add_out(shk)
 
     cls = sub.add_parser("classify", help="uniform/weak stability verdict")
     _add_material_flags(cls)
     _add_state_flags(cls)
     cls.add_argument("--alpha", type=float, default=None)
-    _add_common_out(cls)
+    _add_out(cls)
 
     swp = sub.add_parser("sweep", help="verdict sweep over an intensity range")
     _add_material_flags(swp)
     _add_state_flags(swp)
     swp.add_argument("--alpha-range", required=True, help="lo,hi")
     swp.add_argument("--steps", type=int, default=100)
-    _add_common_out(swp, default_format="csv")
+    _add_out(swp, tabular=True)
 
     grd = sub.add_parser("grid", help="complex-plane grid of the stability function")
     _add_material_flags(grd)
@@ -491,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--xi", default=None, help="transverse frequency direction")
     grd.add_argument("--restrict-gamma-tilde", action="store_true",
                      help="eliminate |xi|^2 through the remapped hemisphere constraint")
-    _add_common_out(grd, default_format="csv")
+    _add_out(grd, tabular=True)
 
     ver = sub.add_parser("verify", help="run the oracle identity suite")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--scenarios", type=int, default=50)
     ver.add_argument("--dims", default="2,3,4")
-    _add_common_out(ver)
+    _add_out(ver)
     return ap
 
 

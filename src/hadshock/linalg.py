@@ -42,18 +42,11 @@ def _minor_index(d: int) -> tuple:
     return keep[:, None, :, None], keep[None, :, None, :], sign
 
 
-def _minor_expansion(a: np.ndarray) -> np.ndarray:
-    rows, cols, sign = _minor_index(a.shape[0])
-    return sign * np.linalg.det(a[rows, cols])
-
-
 def cofactor(a: np.ndarray) -> np.ndarray:
     """Cofactor matrix C with C[i, j] the signed (d-1)-minor of a.
 
-    Satisfies C^T a = a C^T = det(a) I, also for singular a.  Dimensions
-    up to 4 use direct minor expansion; larger ones use the adjugate
-    computed from an LU factorization, falling back to minors when a is
-    close to singular.
+    Satisfies C^T a = a C^T = det(a) I, also for singular a.  Dimension 2
+    is written out; larger ones take all d^2 minors in one stacked det.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
@@ -61,14 +54,9 @@ def cofactor(a: np.ndarray) -> np.ndarray:
         raise ValueError("cofactor expects a square matrix with dim >= 2")
     if d == 2:
         return np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
+    rows, cols, sign = _minor_index(d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if d <= 4:
-            return _minor_expansion(a)
-        det = np.linalg.det(a)
-        scale = np.linalg.norm(a, ord=np.inf) ** d
-        if abs(det) > 1e-10 * max(scale, ABS_FLOOR):
-            return det * np.linalg.inv(a).T
-        return _minor_expansion(a)
+        return sign * np.linalg.det(a[rows, cols])
 
 
 def quad_roots(a: complex, b: complex, c: complex) -> ComplexScalarPair:

@@ -13,6 +13,7 @@ deformation, which is what the shock machinery relies on.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,17 +39,6 @@ __all__ = [
     "strain_invariants",
     "default_J_grid",
 ]
-
-CATALOG_NAMES = (
-    "ciarlet-geymonat",
-    "blatz",
-    "ogden-foam",
-    "levinson-burgess",
-    "simo-taylor",
-    "ogden-hill",
-    "simo-miehe",
-    "bischoff-arruda-grosh",
-)
 
 
 @dataclass
@@ -115,143 +105,117 @@ class AcousticSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# catalog h-forms (module level so models stay picklable)
+# the catalog as a table of volumetric terms (module level so models stay picklable)
 
-def _h_cg(J, mu, c2, d):
-    return -0.5 * d * mu - mu * np.log(J) + c2 * (J - 1.0) ** 2
+def _log(J, n, c):
+    """c log J, or its n-th derivative c (-1)^(n-1) (n-1)! / J^n."""
+    if n == 0:
+        return c * np.log(J)
+    return c * (-1) ** (n - 1) * math.factorial(n - 1) / J**n
 
 
-def _h1_cg(J, mu, c2, d):
-    return -mu / J + 2.0 * c2 * (J - 1.0)
+def _power(J, n, c, a, p):
+    """c (J - a)^p, or its n-th derivative c p (p-1) ... (p-n+1) (J - a)^(p-n)."""
+    k = c * math.prod(p - i for i in range(n))
+    return k * (J - a) ** (p - n) if k else 0.0 * J
 
 
-def _h2_cg(J, mu, c2, d):
-    return mu / J**2 + 2.0 * c2
+def _cosh(J, n, c, b):
+    """c cosh b(J - 1), or its n-th derivative c b^n (cosh or sinh) b(J - 1)."""
+    return c * b**n * (np.sinh if n % 2 else np.cosh)(b * (J - 1.0))
 
 
-def _h3_cg(J, mu, c2, d):
-    return -2.0 * mu / J**3
-
-
-def _h_blatz(J, mu, lin, logc, d):
-    return -0.5 * d * mu + lin * (J - 1.0) - logc * np.log(J)
-
-
-def _h1_blatz(J, mu, lin, logc, d):
-    return lin - logc / J
-
-
-def _h2_blatz(J, mu, lin, logc, d):
-    return logc / J**2
-
-
-def _h3_blatz(J, mu, lin, logc, d):
-    return -2.0 * logc / J**3
-
-
-def _h_foam(J, mu, c1, d):
-    return -0.5 * d * mu + 0.5 * mu / c1 * (J ** (-2.0 * c1) - 1.0)
-
-
-def _h1_foam(J, mu, c1, d):
-    return -mu * J ** (-2.0 * c1 - 1.0)
-
-
-def _h2_foam(J, mu, c1, d):
-    return mu * (2.0 * c1 + 1.0) * J ** (-2.0 * c1 - 2.0)
-
-
-def _h3_foam(J, mu, c1, d):
-    return -mu * (2.0 * c1 + 1.0) * (2.0 * c1 + 2.0) * J ** (-2.0 * c1 - 3.0)
-
-
-def _h_lb(J, mu, cbar, d):
-    return -0.5 * d * mu + 0.5 * mu * (cbar * (J**2 - 1.0) + 2.0 * (cbar + 1.0) * (1.0 - J))
-
-
-def _h1_lb(J, mu, cbar, d):
-    return mu * (cbar * J - cbar - 1.0)
-
-
-def _h2_lb(J, mu, cbar, d):
-    return mu * cbar * np.ones_like(np.asarray(J, dtype=float))
-
-
-def _h3_lb(J, mu, cbar, d):
-    return np.zeros_like(np.asarray(J, dtype=float))
-
-
-def _h_st(J, mu, lam, d):
-    return -0.5 * d * mu - mu * np.log(J) + 0.5 * lam * (0.5 * J**2 - np.log(J) - 0.5)
-
-
-def _h1_st(J, mu, lam, d):
-    return -mu / J + 0.5 * lam * (J - 1.0 / J)
-
-
-def _h2_st(J, mu, lam, d):
-    return mu / J**2 + 0.5 * lam * (1.0 + 1.0 / J**2)
-
-
-def _h3_st(J, mu, lam, d):
-    return -(2.0 * mu + lam) / J**3
-
-
-def _h_oh(J, mu, b, d):
-    return -0.5 * d * mu + (J - 1.0) ** 2 / b
-
-
-def _h1_oh(J, mu, b, d):
-    return 2.0 * (J - 1.0) / b
-
-
-def _h2_oh(J, mu, b, d):
-    return 2.0 / b * np.ones_like(np.asarray(J, dtype=float))
-
-
-def _h3_oh(J, mu, b, d):
-    return np.zeros_like(np.asarray(J, dtype=float))
-
-
-def _h_sm(J, mu, kap, d):
-    return -0.5 * d * mu + 0.25 * kap * (J**2 - 1.0 - 2.0 * np.log(J))
-
-
-def _h1_sm(J, mu, kap, d):
-    return 0.5 * kap * (J - 1.0 / J)
-
-
-def _h2_sm(J, mu, kap, d):
-    return 0.5 * kap * (1.0 + 1.0 / J**2)
-
-
-def _h3_sm(J, mu, kap, d):
-    return -kap / J**3
-
-
-def _h_bag(J, mu, cbar, b, d):
-    return -0.5 * d * mu + cbar / b**2 * (np.cosh(b * (J - 1.0)) - 1.0)
-
-
-def _h1_bag(J, mu, cbar, b, d):
-    return cbar / b * np.sinh(b * (J - 1.0))
-
-
-def _h2_bag(J, mu, cbar, b, d):
-    return cbar * np.cosh(b * (J - 1.0))
-
-
-def _h3_bag(J, mu, cbar, b, d):
-    return cbar * b * np.sinh(b * (J - 1.0))
-
-
-def _bind(fns, **coeffs):
-    return tuple(functools.partial(f, **coeffs) for f in fns)
+def _law(J, n, const, rows):
+    """const plus the n-th derivatives of c phi(J) over the rows (phi, c, *args)."""
+    out = const
+    for phi, c, *args in rows:
+        out = out + phi(J, n, c, *args)
+    return out
 
 
 def _require_poisson_positive(name, mu, kappa, d):
+    if kappa is None:
+        raise BadModuli(f"{name} requires kappa")
     if not (kappa > 2.0 * mu / d):
         raise BadModuli(f"{name} requires kappa > 2*mu/d, got kappa={kappa}, mu={mu}, d={d}")
+
+
+# Each law validates its moduli and maps (mu, kappa, d, params) to (declared
+# bulk modulus, constant, rows); h is -d mu/2 + constant + the rows, as
+# written in catalog().
+
+def _ciarlet_geymonat(mu, kappa, d, params):
+    _require_poisson_positive("ciarlet-geymonat", mu, kappa, d)
+    return kappa, 0.0, ((_log, -mu), (_power, 0.5 * kappa - mu / d, 1.0, 2.0))
+
+
+def _blatz(mu, kappa, d, params):
+    _require_poisson_positive("blatz", mu, kappa, d)
+    lin, logc = kappa - 2.0 * mu / d, kappa + (d - 2.0) * mu / d
+    return kappa, 0.0, ((_power, lin, 1.0, 1.0), (_log, -logc))
+
+
+def _ogden_foam(mu, kappa, d, params):
+    c1 = params.get("c1")
+    if c1 is None:
+        if kappa is None:
+            raise BadModuli("ogden-foam requires c1 or kappa")
+        _require_poisson_positive("ogden-foam", mu, kappa, d)
+        c1 = (d * kappa - 2.0 * mu) / (2.0 * d * mu)
+    c1 = float(c1)
+    if not (c1 > 0):
+        raise BadModuli(f"ogden-foam requires c1 > 0, got {c1}")
+    if kappa is None:
+        kappa = mu * (2.0 * c1 * d + 2.0) / d  # invert c1 = (d k - 2 mu)/(2 d mu)
+    c = 0.5 * mu / c1
+    return kappa, -c, ((_power, c, 0.0, -2.0 * c1),)
+
+
+def _levinson_burgess(mu, kappa, d, params):
+    _require_poisson_positive("levinson-burgess", mu, kappa, d)
+    cbar = kappa / mu - 2.0 / d + 1.0
+    return kappa, 0.0, ((_power, 0.5 * mu * cbar, 1.0, 2.0), (_power, -mu, 1.0, 1.0))
+
+
+def _simo_taylor(mu, kappa, d, params):
+    _require_poisson_positive("simo-taylor", mu, kappa, d)
+    lam = kappa - 2.0 * mu / d
+    return kappa, -0.25 * lam, ((_log, -(mu + 0.5 * lam)), (_power, 0.25 * lam, 0.0, 2.0))
+
+
+def _ogden_hill(mu, kappa, d, params):
+    b = float(params.get("b", 0.0))
+    if not (b > 0):
+        raise BadModuli(f"ogden-hill requires b > 0, got {b}")
+    # b is an empirical coefficient, not a declared bulk modulus
+    return None, 0.0, ((_power, 1.0 / b, 1.0, 2.0),)
+
+
+def _simo_miehe(mu, kappa, d, params):
+    if kappa is None or not (kappa > 0):
+        raise BadModuli("simo-miehe requires kappa > 0")
+    return kappa, -0.25 * kappa, ((_power, 0.25 * kappa, 0.0, 2.0), (_log, -0.5 * kappa))
+
+
+def _bischoff_arruda_grosh(mu, kappa, d, params):
+    cbar, b = float(params.get("cbar", 0.0)), float(params.get("b", 0.0))
+    if not (cbar > 0 and b > 0):
+        raise BadModuli(f"bischoff-arruda-grosh requires cbar, b > 0, got {cbar}, {b}")
+    c = cbar / b**2
+    return None, -c, ((_cosh, c, b),)
+
+
+_LAWS = {
+    "ciarlet-geymonat": _ciarlet_geymonat,
+    "blatz": _blatz,
+    "ogden-foam": _ogden_foam,
+    "levinson-burgess": _levinson_burgess,
+    "simo-taylor": _simo_taylor,
+    "ogden-hill": _ogden_hill,
+    "simo-miehe": _simo_miehe,
+    "bischoff-arruda-grosh": _bischoff_arruda_grosh,
+}
+CATALOG_NAMES = tuple(_LAWS)
 
 
 def _ensure_vectorized(f):
@@ -288,10 +252,25 @@ def catalog(name: str, params: dict) -> MaterialModel:
     ``params`` carries the dimension ``d`` plus the moduli the requested
     form needs: ``mu`` always; ``kappa`` for the nearly incompressible
     forms; ``c1`` (or ``kappa``) for the Ogden foam; ``b`` for
-    Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  For
-    ``custom``, params supply callables ``h`` and optionally
-    ``h1, h2, h3``; missing derivatives are synthesized by high-order
-    central differences and flagged via ``derivatives_synthesized``.
+    Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  Each catalog
+    law is h(J) = -d mu/2 plus
+
+        ciarlet-geymonat       -mu log J + c2 (J-1)^2                  c2 = kappa/2 - mu/d
+        blatz                  lin (J-1) - logc log J                  lin = kappa - 2mu/d,
+                                                                       logc = kappa + (d-2)mu/d
+        ogden-foam             (mu/2c1) (J^(-2c1) - 1)
+        levinson-burgess       (mu cbar/2) (J-1)^2 - mu (J-1)          cbar = kappa/mu - 2/d + 1
+        simo-taylor            -(mu + lam/2) log J + (lam/4) (J^2 - 1) lam = kappa - 2mu/d
+        ogden-hill             (J-1)^2 / b
+        simo-miehe             (kappa/4) (J^2 - 1) - (kappa/2) log J
+        bischoff-arruda-grosh  (cbar/b^2) (cosh b(J-1) - 1)
+
+    held in ``_LAWS`` as a constant plus rows c phi(J) of three term
+    kinds, ``log J``, ``(J - a)^p`` and ``cosh b(J - 1)``, each of which
+    writes its value and derivatives once.  For ``custom``, params supply
+    callables ``h`` and optionally ``h1, h2, h3``; missing derivatives are
+    synthesized by high-order central differences and flagged via
+    ``derivatives_synthesized``.
     """
     params = dict(params)
     d = int(params.get("d", params.get("dimension", 3)))
@@ -321,64 +300,14 @@ def catalog(name: str, params: dict) -> MaterialModel:
             derivatives_synthesized=synthesized,
         )
 
-    if name == "ciarlet-geymonat":
-        if kappa is None:
-            raise BadModuli("ciarlet-geymonat requires kappa")
-        _require_poisson_positive(name, mu, kappa, d)
-        c2 = 0.5 * kappa - mu / d
-        h, h1, h2, h3 = _bind((_h_cg, _h1_cg, _h2_cg, _h3_cg), mu=mu, c2=c2, d=d)
-    elif name == "blatz":
-        if kappa is None:
-            raise BadModuli("blatz requires kappa")
-        _require_poisson_positive(name, mu, kappa, d)
-        lin = kappa - 2.0 * mu / d
-        logc = kappa + (d - 2.0) * mu / d
-        h, h1, h2, h3 = _bind((_h_blatz, _h1_blatz, _h2_blatz, _h3_blatz), mu=mu, lin=lin, logc=logc, d=d)
-    elif name == "ogden-foam":
-        c1 = params.get("c1")
-        if c1 is None:
-            if kappa is None:
-                raise BadModuli("ogden-foam requires c1 or kappa")
-            _require_poisson_positive(name, mu, kappa, d)
-            c1 = (d * kappa - 2.0 * mu) / (2.0 * d * mu)
-        c1 = float(c1)
-        if not (c1 > 0):
-            raise BadModuli(f"ogden-foam requires c1 > 0, got {c1}")
-        if kappa is None:
-            kappa = mu * (2.0 * c1 * d + 2.0) / d  # invert c1 = (d k - 2 mu)/(2 d mu)
-        h, h1, h2, h3 = _bind((_h_foam, _h1_foam, _h2_foam, _h3_foam), mu=mu, c1=c1, d=d)
-    elif name == "levinson-burgess":
-        if kappa is None:
-            raise BadModuli("levinson-burgess requires kappa")
-        _require_poisson_positive(name, mu, kappa, d)
-        cbar = kappa / mu - 2.0 / d + 1.0
-        h, h1, h2, h3 = _bind((_h_lb, _h1_lb, _h2_lb, _h3_lb), mu=mu, cbar=cbar, d=d)
-    elif name == "simo-taylor":
-        if kappa is None:
-            raise BadModuli("simo-taylor requires kappa")
-        _require_poisson_positive(name, mu, kappa, d)
-        lam = kappa - 2.0 * mu / d
-        h, h1, h2, h3 = _bind((_h_st, _h1_st, _h2_st, _h3_st), mu=mu, lam=lam, d=d)
-    elif name == "ogden-hill":
-        b = float(params.get("b", 0.0))
-        if not (b > 0):
-            raise BadModuli(f"ogden-hill requires b > 0, got {b}")
-        h, h1, h2, h3 = _bind((_h_oh, _h1_oh, _h2_oh, _h3_oh), mu=mu, b=b, d=d)
-        kappa = None  # b is an empirical coefficient, not a declared bulk modulus
-    elif name == "simo-miehe":
-        if kappa is None or not (kappa > 0):
-            raise BadModuli("simo-miehe requires kappa > 0")
-        h, h1, h2, h3 = _bind((_h_sm, _h1_sm, _h2_sm, _h3_sm), mu=mu, kap=kappa, d=d)
-    elif name == "bischoff-arruda-grosh":
-        cbar = float(params.get("cbar", 0.0))
-        b = float(params.get("b", 0.0))
-        if not (cbar > 0 and b > 0):
-            raise BadModuli(f"bischoff-arruda-grosh requires cbar, b > 0, got {cbar}, {b}")
-        h, h1, h2, h3 = _bind((_h_bag, _h1_bag, _h2_bag, _h3_bag), mu=mu, cbar=cbar, b=b, d=d)
-        kappa = None
-    else:
+    law = _LAWS.get(name)
+    if law is None:
         raise UnknownModel(f"unknown material model {name!r}")
-
+    kappa, const, rows = law(mu, kappa, d, params)
+    h, h1, h2, h3 = (
+        functools.partial(_law, n=n, const=-0.5 * d * mu + const if n == 0 else 0.0, rows=rows)
+        for n in range(4)
+    )
     return MaterialModel(name=name, mu=mu, h=h, h1=h1, h2=h2, h3=h3,
                          declared_bulk=kappa, dimension=d)
 

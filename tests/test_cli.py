@@ -375,6 +375,46 @@ def test_negative_verify_seed_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scenarios", ["0", "-1"])
+def test_nonpositive_verify_scenarios_is_config_error(capsys, scenarios):
+    # no scenario would run, and an empty check list would read as verified
+    code, out = run(capsys, "verify", f"--scenarios={scenarios}", "--dims=2")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("material", "list"),
+    ("material", "check", "--name=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=2"),
+    ("shock", *CG2, "--alpha=-0.3"),
+    ("classify", *CG2, "--alpha=-0.3"),
+    ("verify", "--scenarios=1", "--dims=2"),
+])
+def test_format_is_only_taken_by_sweep_and_grid(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the unknown option
+        main([*argv, "--format=csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("alpha", [-1e4, -1e8, -1e12])
+def test_strong_cg_shock_exits_0_with_closed_form_speed(capsys, alpha):
+    code, out = run(capsys, "shock", *CG2, f"--alpha={alpha!r}")
+    assert code == 0
+    # identity base, mu = 1, kappa = 2: s^2 = kappa + mu / (1 - alpha)
+    expect = 2.0 + 1.0 / (1.0 - alpha)
+    assert json.loads(out)["speed"] ** 2 == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["ciarlet-geymonat", "blatz", "simo-taylor", "simo-miehe"])
+@pytest.mark.parametrize("alpha", ["-1e8", "-1e12", "-1e30", "-1e100"])
+def test_strong_shocks_never_fail_the_jump_check(capsys, name, alpha):
+    # the jump check is relative to the terms it differences, which grow
+    # with |alpha|; a Lax margin below rounding is a domain error (exit 3)
+    code, _ = run(capsys, "shock", f"--material={name}", "--mu=1", "--kappa=2", "--dim=2",
+                  "--Uplus=1.1,0.2,-0.1,0.9", f"--alpha={alpha}")
+    assert code in (0, 3)
+
+
 @pytest.mark.parametrize("dims", ["abc", "", "1", "2,,3"])
 def test_bad_verify_dims_is_config_error(capsys, dims):
     code, _ = run(capsys, "verify", f"--dims={dims}", "--scenarios=1")
@@ -523,7 +563,8 @@ FUZZ_FLAGS = {  # mostly admissible values, some out of range, a few malformed
     "--kappa": ("2", "1", "0.5", "5", "-2"),
     "--c1": ("1", "2", "-1"),
     "--b": ("0.5", "1", "-1"),
-    "--alpha": ("-0.3", "-1e-2", "-8", "-2", "0.5", "-1e-14", "-1e300", "nan", "abc"),
+    "--alpha": ("-0.3", "-1e-2", "-8", "-2", "0.5", "-1e-14", "-1e8", "-1e12", "-1e300", "nan",
+                "abc"),
     "--Uplus": ("identity", "1,0,0,1", "1,0.3,0,1", "0,0,0,0", "-1,0,0,1", "1,2",
                 "1,0,0,0,1,0,0,0,1"),
     "--vplus": ("zero", "1,0", "0.5,-0.2", "x,y"),
@@ -536,24 +577,25 @@ FUZZ_FLAGS = {  # mostly admissible values, some out of range, a few malformed
     "--var": ("gamma", "lambda"),
     "--format": ("json", "csv", "xml"),
     "--seed": ("0", "3", "-1"),
-    "--scenarios": ("0", "1", "-1"),
+    "--scenarios": ("0", "1", "-1", "-7"),
     "--dims": ("2", "3", "2,3", "1", "abc"),
 }
 FUZZ_FLAGS["--name"] = FUZZ_FLAGS["--material"]
-MATERIAL = ("--material", "--dim", "--mu", "--kappa", "--c1", "--b", "--format")
+MATERIAL = ("--material", "--dim", "--mu", "--kappa", "--c1", "--b")
 STATE = MATERIAL + ("--Uplus", "--vplus")
 SCENARIO = ("--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=2", "--alpha=-0.5")
 FUZZ_COMMANDS = {  # a valid command and the flags it takes; fuzzed flags come after and win
     ("material", "check"): (("--name=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=2"),
                             ("--name",) + MATERIAL[1:]),
-    ("material", "list"): ((), ("--format",)),
+    ("material", "list"): ((), ()),
     ("shock",): (SCENARIO, STATE + ("--alpha",)),
     ("classify",): (SCENARIO, STATE + ("--alpha",)),
     ("sweep",): (SCENARIO[:-1] + ("--alpha-range=-3,-0.1", "--steps=3"),
-                 STATE + ("--alpha-range", "--steps")),
+                 STATE + ("--alpha-range", "--steps", "--format")),
     ("grid",): (SCENARIO + ("--grid-n=3,3",),
-                STATE + ("--alpha", "--var", "--grid-re", "--grid-im", "--grid-n", "--xi")),
-    ("verify",): (("--scenarios=1", "--dims=2"), ("--seed", "--scenarios", "--dims", "--format")),
+                STATE + ("--alpha", "--var", "--grid-re", "--grid-im", "--grid-n", "--xi",
+                         "--format")),
+    ("verify",): (("--scenarios=1", "--dims=2"), ("--seed", "--scenarios", "--dims")),
 }
 
 
@@ -562,7 +604,7 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     base, flags = FUZZ_COMMANDS[command]
     argv = [*command, *base]
-    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)) if flags else ():
         value = draw(st.sampled_from(FUZZ_FLAGS[flag]))
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     extra = draw(st.sampled_from([None] * 5 + ["--restrict-gamma-tilde", "--bogus", "-x", "-1"]))

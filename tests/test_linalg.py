@@ -125,7 +125,7 @@ def _loop_minor_expansion(a):
     return cof
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_cofactor_stacked_minors_match_loop_bit_for_bit(d):
     rng = np.random.default_rng(d)
     for k in range(300):

@@ -74,6 +74,64 @@ def test_every_catalog_model_builds_and_is_convex():
         assert rep.fd_consistent, (name, rep.fd_max_rel_err)
 
 
+FORM_PARAMS = {
+    "ciarlet-geymonat": {"mu": 1.3, "kappa": 2.4},
+    "blatz": {"mu": 1.3, "kappa": 2.4},
+    "ogden-foam": {"mu": 1.3, "c1": 1.5},
+    "levinson-burgess": {"mu": 1.3, "kappa": 2.4},
+    "simo-taylor": {"mu": 1.3, "kappa": 2.4},
+    "ogden-hill": {"mu": 1.3, "b": 0.7},
+    "simo-miehe": {"mu": 1.3, "kappa": 2.4},
+    "bischoff-arruda-grosh": {"mu": 1.3, "cbar": 1.2, "b": 0.5},
+}
+
+
+def closed_form_h(name, J, d, mu, kappa=None, c1=None, b=None, cbar=None):
+    """The catalog docstring's h(J), one line per law."""
+    log = np.log
+    if name == "ciarlet-geymonat":
+        law = -mu * log(J) + (kappa / 2 - mu / d) * (J - 1) ** 2
+    elif name == "blatz":
+        law = (kappa - 2 * mu / d) * (J - 1) - (kappa + (d - 2) * mu / d) * log(J)
+    elif name == "ogden-foam":
+        law = mu / (2 * c1) * (J ** (-2 * c1) - 1)
+    elif name == "levinson-burgess":
+        law = mu * (kappa / mu - 2 / d + 1) / 2 * (J - 1) ** 2 - mu * (J - 1)
+    elif name == "simo-taylor":
+        lam = kappa - 2 * mu / d
+        law = -(mu + lam / 2) * log(J) + lam / 4 * (J**2 - 1)
+    elif name == "ogden-hill":
+        law = (J - 1) ** 2 / b
+    elif name == "simo-miehe":
+        law = kappa / 4 * (J**2 - 1) - kappa / 2 * log(J)
+    else:
+        law = cbar / b**2 * (np.cosh(b * (J - 1)) - 1)
+    return -d * mu / 2 + law
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_term_table_matches_closed_form(name, d):
+    m = catalog(name, {"d": d, **FORM_PARAMS[name]})
+    J = np.array([1e-3, 0.5, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0, 1e3])
+    np.testing.assert_allclose(m.h(J), closed_form_h(name, J, d, **FORM_PARAMS[name]), rtol=4e-15)
+    for n, f in enumerate((m.h, m.h1, m.h2, m.h3)):
+        assert isinstance(f(2.0), float), (name, n)
+        assert f(J).shape == J.shape
+        assert f(2.0) == f(J)[5]
+    assert check_hypotheses(m, d).fd_consistent
+
+
+@pytest.mark.parametrize("name", ["levinson-burgess", "ogden-hill"])
+def test_quadratic_laws_have_exactly_zero_h3(name):
+    m = catalog(name, {"d": 3, **FORM_PARAMS[name]})
+    J = np.geomspace(0.01, 100, 12).reshape(3, 4)
+    h3 = m.h3(J)
+    assert h3.shape == J.shape and h3.dtype == float
+    assert np.all(h3 == 0.0)
+    assert m.h3(1.0) == 0.0 and isinstance(m.h3(1.0), float)
+
+
 def test_nearly_incompressible_models_satisfy_small_strain_relations():
     for name in ("ciarlet-geymonat", "blatz", "ogden-foam", "levinson-burgess", "simo-taylor"):
         m = catalog(name, {"d": 3, "mu": 1.1, "kappa": 2.3})

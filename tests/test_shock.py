@@ -1,7 +1,8 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
-
-import warnings
 
 from hadshock import shock
 from hadshock.errors import (
@@ -325,6 +326,32 @@ def test_jump_residual_is_verification_error(cg2, monkeypatch):
     monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
     with pytest.raises(VerificationError, match="jump-condition residuals"):
         build(cg2, ElasticState(np.eye(2)), -0.3)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, -1e8])
+@pytest.mark.parametrize("case", ["cg2-identity", "blatz3-sheared"])
+def test_jump_check_catches_1e9_relative_changes(cg2, monkeypatch, case, alpha):
+    if case == "cg2-identity":
+        m, plus = cg2, ElasticState(np.eye(2))
+    else:
+        U = np.eye(3) + 0.3 * np.random.default_rng(3).uniform(-1, 1, (3, 3))
+        m = catalog("blatz", {"d": 3, "mu": 1.0, "kappa": 2.0})
+        plus = ElasticState(U, [0.2, -0.1, 0.4])
+    sf = build(m, plus, alpha)
+    with pytest.raises(VerificationError):
+        shock._validate(dataclasses.replace(sf, speed=sf.speed * (1 + 1e-9)))
+
+    k = int(np.argmax(np.abs(piola_kirchhoff(m, sf.minus.U)[:, 0])))
+
+    def skewed(material, U):  # one entry of sigma- moved by 1e-9 relative
+        sig = piola_kirchhoff(material, U)
+        if U is sf.minus.U:
+            sig[k, 0] *= 1 + 1e-9
+        return sig
+
+    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    with pytest.raises(VerificationError):
+        shock._validate(sf)
 
 
 def test_huge_alpha_raises_without_warning(cg2):
