@@ -36,7 +36,6 @@ from .materials import (
     check_hypotheses,
     piola_kirchhoff,
 )
-from .oracle import dense_eig, fd_check_suite, verify_suite
 from .shock import (
     ElasticState,
     ShockFront,
@@ -79,9 +78,6 @@ __all__ = [
     "char_speeds",
     "check_hypotheses",
     "piola_kirchhoff",
-    "dense_eig",
-    "fd_check_suite",
-    "verify_suite",
     "ElasticState",
     "ShockFront",
     "alpha_max",

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParams, DegenerateModuli, InvalidBracket
-from .lopatinskii import _sqrt_anchored, imag_scan, winding
+from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored, winding
 from .materials import MaterialModel
-from .shock import (ElasticState, ShockFront, _coeff_algebra, _criterion, build, freq_coeffs,
-                    lax_check)
+from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
+                    _live, build, freq_coeffs)
 
 __all__ = [
     "UNIFORM",
@@ -29,6 +29,7 @@ __all__ = [
     "Witness",
     "StabilityVerdict",
     "classify",
+    "classify_stack",
     "criterion_values",
     "cg_alpha_star",
     "transition_alpha",
@@ -92,6 +93,7 @@ REACH_RTOL = 1e-10  # |b| share below which an eigenspace counts as unreached
 MAX_REFINED = 32  # lowest sampled local minima refined per kind of piece
 ZOOM_NODES = 17  # each refinement round shrinks a bracket 8-fold
 ZOOM_ROUNDS = 17
+SEARCH_ROWS = 32  # fronts searched together
 
 
 def _curve_samples() -> np.ndarray:
@@ -172,7 +174,7 @@ def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
     return points, pieces
 
 
-def _sphere_coeffs(sf: ShockFront, lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
+def _sphere_coeffs(sf, lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
     """eta, P and zeta of the unit directions along the eigen-coordinate rows Y."""
     sq = Y * Y
     norm2 = sq.sum(axis=1)
@@ -181,117 +183,134 @@ def _sphere_coeffs(sf: ShockFront, lam: np.ndarray, b: np.ndarray, Y: np.ndarray
     return eta, P, zeta
 
 
-def _piece_minimum(sf: ShockFront, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
-    """Lowest G on the pieces y(piece, u), either sign of xi: (value, piece, u)."""
-    n_u = us.size
+def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
+    """Lowest G of each front on the pieces y(piece, u), either sign of xi: (value, piece, u).
+    The samples do not move with alpha, so G is one (fronts x samples) array, and the
+    lowest brackets of every front are refined together."""
+    n, n_u = fr.rho.shape[0], us.size
     piece = np.repeat(np.arange(n_pieces), n_u)
-    eta, P, zeta = _sphere_coeffs(sf, lam, b, y(piece, np.tile(us, n_pieces)))
-    vals = np.stack([_criterion(sf, eta, P, zeta), _criterion(sf, -eta, P, zeta)]).reshape(-1, n_u)
+    eta, P, zeta = _sphere_coeffs(fr, lam, b, y(piece, np.tile(us, n_pieces)))
+    vals = np.stack([_criterion(fr, eta, P, zeta), _criterion(fr, -eta, P, zeta)], axis=1)
+    vals = vals.reshape(n, 2 * n_pieces, n_u)
     # sampled local minima (leftmost point of a plateau), lowest first
-    left = np.c_[np.full(len(vals), np.inf), vals[:, :-1]]
-    right = np.c_[vals[:, 1:], np.full(len(vals), np.inf)]
-    row, i = np.nonzero((vals < left) & (vals <= right))
-    keep = np.argsort(vals[row, i], kind="stable")[:MAX_REFINED]
-    row, i = row[keep], i[keep]
-    sign = np.where(row < n_pieces, 1.0, -1.0)
+    pad = np.pad(vals, ((0, 0), (0, 0), (1, 1)), constant_values=np.inf)
+    is_min = ((vals < pad[..., :-2]) & (vals <= pad[..., 2:])).reshape(n, 2 * n_pieces * n_u)
+    slots = np.argsort(np.where(is_min, vals.reshape(is_min.shape), np.inf), axis=1,
+                       kind="stable")[:, :MAX_REFINED]
+    front, slot = np.nonzero(np.take_along_axis(is_min, slots, axis=1))
+    row, i = np.divmod(slots[front, slot], n_u)
+    sign = np.where(row < n_pieces, 1.0, -1.0)[:, None]
     piece = row % n_pieces
     lo, hi = us[np.maximum(i - 1, 0)], us[np.minimum(i + 1, n_u - 1)]
-    n = row.size
+    at = fr.rows(front)
     zoom = np.linspace(0.0, 1.0, ZOOM_NODES)
+    k = np.arange(front.size)
     for _ in range(ZOOM_ROUNDS):
         u = lo[:, None] + (hi - lo)[:, None] * zoom[None, :]
-        eta, P, zeta = _sphere_coeffs(sf, lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel()))
-        g = _criterion(sf, np.repeat(sign, ZOOM_NODES) * eta, P, zeta).reshape(n, -1)
+        eta, P, zeta = (c.reshape(u.shape) for c in _sphere_coeffs(
+            fr, lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel())))
+        g = _criterion(at, sign * eta, P, zeta)
         j = np.argmin(g, axis=1)
-        lo = u[np.arange(n), np.maximum(j - 1, 0)]
-        hi = u[np.arange(n), np.minimum(j + 1, ZOOM_NODES - 1)]
-    best = int(np.argmin(g[np.arange(n), j]))
-    return float(g[best, j[best]]), piece[best], u[best, j[best]]
+        lo = u[k, np.maximum(j - 1, 0)]
+        hi = u[k, np.minimum(j + 1, ZOOM_NODES - 1)]
+    best, pick = np.full((n, MAX_REFINED), np.inf), np.zeros((n, MAX_REFINED), dtype=int)
+    best[front, slot], pick[front, slot] = g[k, j], k
+    first = np.argmin(best, axis=1)  # each front's first bracket with the lowest value
+    won = pick[np.arange(n), first]
+    return best[np.arange(n), first], piece[won], u[won, j[won]]
 
 
-def _sphere_minimum(sf: ShockFront) -> tuple:
-    """Unit transverse direction minimizing G, and G there.
-
-    Of the pair +/-xi the one whose first nonzero entry is negative is
-    reported when both give the same value, so the witness is
-    deterministic.
-    """
-    k = sf.dim - 1
+def _sphere_minima(fr: FrontStack) -> tuple:
+    """Unit transverse direction minimizing G for each front of a stack, and G there.
+    Of the pair +/-xi the one whose first nonzero entry is negative is reported when
+    both give the same value, so the witness is deterministic."""
+    n, k = fr.rho.shape[0], fr.dim - 1
     if k == 1:
-        xi = np.ones(1)
+        xi = np.ones((n, 1))
     else:
-        lam, vecs = np.linalg.eigh(sf.theta[1:, 1:])
-        b = vecs.T @ sf.theta[0, 1:]
-        points, pieces = _critical_set(lam, b, sf.theta11)
-        eta, P, zeta = _sphere_coeffs(sf, lam, b, points)
-        vals = np.minimum(_criterion(sf, eta, P, zeta), _criterion(sf, -eta, P, zeta))
-        i = int(np.argmin(vals))
-        best_val, y = vals[i], points[i]
+        lam, vecs = np.linalg.eigh(fr.theta[1:, 1:])
+        b = vecs.T @ fr.theta[0, 1:]
+        points, pieces = _critical_set(lam, b, fr.theta11)
+        eta, P, zeta = _sphere_coeffs(fr, lam, b, points)
+        vals = np.minimum(_criterion(fr, eta, P, zeta), _criterion(fr, -eta, P, zeta))
+        i = np.argmin(vals, axis=1)
+        best_val, y = vals[np.arange(n), i], points[i]
         for fn, count, us in pieces:
-            val, piece, u = _piece_minimum(sf, lam, b, fn, count, us)
-            if val < best_val:
-                best_val, y = val, fn(np.array([piece]), np.array([u]))[0]
-        xi = vecs @ y
-        xi /= np.linalg.norm(xi)
-    if xi[np.flatnonzero(xi)[0]] > 0:
-        xi = -xi
-    pair = np.array([xi, -xi])
-    vals = criterion_values(sf, pair)
-    i = int(np.argmin(vals))
-    return pair[i], float(vals[i])
+            val, piece, u = _piece_minima(fr, lam, b, fn, count, us)
+            better = val < best_val
+            best_val = np.where(better, val, best_val)
+            y = np.where(better[:, None], fn(piece, u), y)
+        xi = (vecs @ y[..., None])[..., 0]
+        xi /= np.sqrt(xi[:, None, :] @ xi[..., None])[:, 0]
+    first = xi[np.arange(n), np.argmax(xi != 0, axis=1)]
+    xi = np.where(first[:, None] > 0, -xi, xi)
+    pair = np.stack([xi, -xi], axis=1)
+    vals = criterion_values(fr, pair)
+    i = np.argmin(vals, axis=1)
+    return pair[np.arange(n), i], vals[np.arange(n), i]
 
 
 def classify(sf: ShockFront, check_winding: bool = False) -> StabilityVerdict:
-    """Decide uniform vs weak stability of a constructed Lax front.
+    """Uniform or weak stability of a constructed Lax front: classify_stack of the one
+    front, raising its error."""
+    verdict = classify_stack(FrontStack.of(sf), check_winding)[0]
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
 
-    rho <= 0 short-circuits to Uniform with no sphere search.  For
-    rho > 0 the criterion G is minimized over the unit sphere of
-    transverse directions (exact two-point evaluation when the sphere is
-    {-1, +1}; otherwise a search of the 1-D set where the minimum must
-    lie, from one eigendecomposition of theta_TT).  A minimum within
-    +/-1e-10 of zero is reported Weak with the ``marginal`` flag, since
-    the exact threshold carries the root at t = sqrt(zeta).  With ``check_winding`` and rho < 0, a nonzero
-    winding count (impossible for a consistent model) yields an
-    Inconsistent verdict instead of a stability claim.
+
+def classify_stack(fronts: FrontStack, check_winding: bool = False) -> list:
+    """Uniform or weak stability of each front of a stack, in one array pass.
+
+    rho <= 0 short-circuits to Uniform with no sphere search.  For rho > 0 the
+    criterion G is minimized over the unit sphere of transverse directions (two
+    points when it is {-1, +1}; otherwise the 1-D set where the minimum must lie,
+    from one eigendecomposition of theta_TT per SEARCH_ROWS fronts).  A minimum within
+    +/-1e-10 of zero is Weak with the ``marginal`` flag, since the exact threshold
+    carries the root at t = sqrt(zeta).  With ``check_winding`` and rho < 0, a
+    nonzero winding count (impossible for a consistent model) gives Inconsistent.
+    A row gets its verdict, or the typed error that stopped it in build_stack or
+    of the first check here it fails.  The alpha > 0 warning is given once per call.
     """
-    if not lax_check(sf).ok:
-        raise InvalidBracket("classify requires a front with strict Lax margins")
-    if sf.alpha > 0:
-        warnings.warn(
-            "classification is certified for the h''' < 0, alpha < 0 regime; "
-            "alpha > 0 results are best-effort",
-            stacklevel=2,
-        )
-
-    if sf.rho <= 0:
-        if check_winding and sf.rho < 0:
-            for xi in np.eye(sf.dim - 1):
-                w = winding(sf, xi, R=20.0)
-                if w != 0:
-                    return StabilityVerdict(
-                        kind=INCONSISTENT,
-                        rho=sf.rho,
-                        diagnostic=f"winding {w} != 0 at xi_t={xi.tolist()}, rho={sf.rho}",
-                    )
-        return StabilityVerdict(kind=UNIFORM, rho=sf.rho, min_criterion=None)
-
-    x_best, v_best = _sphere_minimum(sf)
-
-    if v_best >= MARGINAL_BAND:
-        return StabilityVerdict(kind=UNIFORM, rho=sf.rho, min_criterion=v_best)
-
-    marginal = abs(v_best) < MARGINAL_BAND
-    scan = imag_scan(sf, x_best)
-    if scan.roots:
-        t_root = scan.roots[0]
-    else:
-        # marginal case with G just above zero: the root degenerates to
-        # the branch point t = sqrt(zeta)
-        t_root = float(np.sqrt(freq_coeffs(sf, x_best).zeta))
-    witness = Witness(xi_t=x_best, t_root=t_root, criterion_value=v_best)
-    return StabilityVerdict(
-        kind=WEAK, rho=sf.rho, min_criterion=v_best, witness=witness, marginal=marginal
-    )
+    out = list(fronts.errors)
+    live = np.flatnonzero(_live(out))
+    lax = np.greater(_lax_margins(fronts.rows(live)), 0).all(axis=0)[:, 0]
+    for i in live[~lax]:
+        out[i] = InvalidBracket("classify requires a front with strict Lax margins")
+    live = live[lax]
+    if np.any(fronts.alpha[live] > 0):
+        warnings.warn("classification is certified for the h''' < 0, alpha < 0 regime; "
+                      "alpha > 0 results are best-effort", stacklevel=2)
+    rho = fronts.rho[live, 0]
+    for i in live[rho <= 0]:
+        out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]))
+        sf = fronts.front(i) if check_winding and fronts.rho[i, 0] < 0 else None
+        for xi in np.eye(fronts.dim - 1) if sf is not None else ():
+            w = winding(sf, xi, R=20.0)
+            if w != 0:
+                out[i] = StabilityVerdict(kind=INCONSISTENT, rho=sf.rho, diagnostic=(
+                    f"winding {w} != 0 at xi_t={xi.tolist()}, rho={sf.rho}"))
+                break
+    searched = live[rho > 0]
+    fr = fronts.rows(searched)
+    # a few fronts at a time, as the sphere search holds (fronts x samples) arrays
+    parts = np.array_split(np.arange(searched.size), searched.size // SEARCH_ROWS + 1)
+    x_best, v_best = (np.concatenate(r) for r in zip(*(_sphere_minima(fr.rows(p)) for p in parts)))
+    weak = v_best < MARGINAL_BAND
+    for i, v in zip(searched[~weak], v_best[~weak].tolist()):
+        out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]), min_criterion=v)
+    fw, x_weak, v_weak = fr.rows(np.flatnonzero(weak)), x_best[weak], v_best[weak]
+    coeffs = freq_coeffs(fw, x_weak[:, None, :])
+    _, t, failed = _imag_roots(fw, coeffs)
+    # marginal case with G just above zero: the root degenerates to the branch point sqrt(zeta)
+    t = np.where(np.isnan(t), np.sqrt(coeffs.zeta), t)[:, 0]
+    for i, x, v, t_root, f in zip(searched[weak], x_weak, v_weak.tolist(), t.tolist(),
+                                  failed[:, 0].tolist()):
+        out[i] = _root_error(f) if f else StabilityVerdict(
+            kind=WEAK, rho=float(fronts.rho[i, 0]), min_criterion=v,
+            witness=Witness(xi_t=x, t_root=t_root, criterion_value=v),
+            marginal=abs(v) < MARGINAL_BAND)
+    return out
 
 
 def cg_alpha_star(mu: float, kappa: float) -> float:

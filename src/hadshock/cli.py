@@ -5,9 +5,8 @@ Subcommands: ``material check``/``material list``, ``shock``,
 significant digits); grids and sweeps are CSV (9 significant digits) or,
 with --format=json, JSON.  Every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
-failure.  A grid is evaluated as one array over all its nodes; sweep
-rows are evaluated one after another in this process;
-``HADSHOCK_THREADS`` is ignored.
+failure.  A grid is evaluated as one array over all its nodes, and the
+rows of a sweep as one batch of fronts; ``HADSHOCK_THREADS`` is ignored.
 """
 
 import argparse
@@ -288,17 +287,13 @@ def _cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.alpha_range)
     if args.steps < 0:
         raise ConfigError(f"--steps must not be negative, got {args.steps}")
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"--alpha-range is too wide: {hi!r} - {lo!r} overflows")
     alphas = np.linspace(lo, hi, args.steps)
-
-    def row(alpha):
-        try:
-            sf = shock.build(m, state, float(alpha))
-            verdict = classifier.classify(sf)
-            return (float(alpha), sf.rho, verdict.min_criterion, verdict.kind)
-        except HadshockError as exc:
-            return (float(alpha), None, None, f"error:{type(exc).__name__}")
-
-    rows = [row(alpha) for alpha in alphas]
+    verdicts = classifier.classify_stack(shock.build_stack(m, state, alphas))
+    rows = [(alpha, None, None, f"error:{type(v).__name__}") if isinstance(v, HadshockError)
+            else (alpha, v.rho, v.min_criterion, v.kind)
+            for alpha, v in zip(alphas.tolist(), verdicts)]
     if args.format == "json":
         payload = [
             {"alpha": a, "rho": r, "min_criterion": c, "verdict": v} for a, r, c, v in rows

@@ -16,6 +16,7 @@ from .errors import DegenerateQuadratic
 __all__ = [
     "ComplexScalarPair",
     "cofactor",
+    "degenerate_leading",
     "quad_roots",
     "sqrt_principal",
 ]
@@ -43,20 +44,26 @@ def _minor_index(d: int) -> tuple:
 
 
 def cofactor(a: np.ndarray) -> np.ndarray:
-    """Cofactor matrix C with C[i, j] the signed (d-1)-minor of a.
+    """Cofactor matrix C with C[i, j] the signed (d-1)-minor of a, or of each of a stack.
 
     Satisfies C^T a = a C^T = det(a) I, also for singular a.  Dimension 2
-    is written out; larger ones take all d^2 minors in one stacked det.
+    is written out; larger ones take all d^2 minors in one stacked det, so a
+    stacked matrix gets the same cofactor as on its own.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d) or d < 2:
+    d = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != d or d < 2:
         raise ValueError("cofactor expects a square matrix with dim >= 2")
-    if d == 2:
-        return np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
     rows, cols, sign = _minor_index(d)
+    if d == 2:
+        return a[..., ::-1, ::-1] * sign
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return sign * np.linalg.det(a[rows, cols])
+        return sign * np.linalg.det(a[..., rows, cols])
+
+
+def degenerate_leading(a, b, c):
+    """Whether a*x**2 + b*x + c has too small a leading coefficient; arrays broadcast."""
+    return np.abs(a) <= ABS_FLOOR * np.maximum(np.maximum(np.abs(b), np.abs(c)), 1.0)
 
 
 def quad_roots(a: complex, b: complex, c: complex) -> ComplexScalarPair:
@@ -67,7 +74,7 @@ def quad_roots(a: complex, b: complex, c: complex) -> ComplexScalarPair:
     product c / (a * x1).
     """
     a, b, c = complex(a), complex(b), complex(c)
-    if abs(a) <= ABS_FLOOR * max(abs(b), abs(c), 1.0):
+    if degenerate_leading(a, b, c):
         raise DegenerateQuadratic(f"leading coefficient {a!r} too small")
     disc = b * b - 4.0 * a * c
     sq = sqrt_principal(disc)

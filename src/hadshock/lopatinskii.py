@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContourThroughZero, RhoNotNegative, VerificationError
-from .linalg import quad_roots
+from .errors import ContourThroughZero, DegenerateQuadratic, RhoNotNegative, VerificationError
+from .linalg import degenerate_leading
 from .shock import FrequencyCoefficients, ShockFront, _criterion, _surface_term, freq_coeffs
 
 __all__ = [
@@ -319,6 +319,41 @@ def v3_factors(sf: ShockFront, tf: TransformedFrequency):
 # ---------------------------------------------------------------------------
 # imaginary-axis roots
 
+def _imag_roots(sf, coeffs) -> tuple:
+    """G, the imaginary-axis root t (NaN where none exists: rho <= 0 or G > 0) and the check
+    that failed (0 for none; see _root_error), for frequency coefficients of unit
+    transverse vectors that broadcast against the fields of a front or a stack."""
+    bv = _criterion(sf, coeffs.eta, coeffs.P, coeffs.zeta)
+    none = (sf.rho <= 0) | (bv > 0)
+    # the root solves t = sqrt(zeta + u^2) = a + c u with c = sqrt(kappa2+)/s < -1; squared,
+    # (c^2 - 1) u^2 + 2 a c u + a^2 - zeta = 0, whose other root has a + c u < 0, so u is
+    # the smaller root, found as quad_roots finds it
+    R = np.maximum(_surface_term(sf, coeffs.P), 0.0)
+    a = np.sqrt(R) - sf.tau * coeffs.eta
+    c = np.sqrt(sf.kappa2_plus) / sf.speed
+    qa, qb, qc = c * c - 1.0, 2.0 * a * c, a * a - coeffs.zeta
+    with np.errstate(all="ignore"):  # a degenerate row fails its check instead
+        sq = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))  # >= 4 (c^2 - 1) zeta
+        q = -0.5 * np.where(qb * sq >= 0.0, qb + sq, qb - sq)
+        u = np.maximum(np.where(q == 0.0, 0.0, np.minimum(q / qa, qc / q)), 0.0)
+        t = np.sqrt(coeffs.zeta + u * u)
+        # delta_v2(i t) = R - (t - c u + tau eta)^2 is smooth in u, with an O(1)
+        # slope at the root, so its value there is the residual of the root
+        a_t = t - c * u + sf.tau * coeffs.eta
+        quad = ~none & (bv != 0.0)
+        failed = np.where(quad & degenerate_leading(qa, qb, qc), 1,
+                          np.where(quad & (np.abs(R - a_t * a_t) > 1e-10), 2, 0))
+    t = np.where(none, np.nan, np.where(bv == 0.0, np.sqrt(coeffs.zeta), t))
+    return bv, t, failed
+
+
+def _root_error(failed: int) -> Exception:
+    """The typed error of a check that _imag_roots failed."""
+    if failed == 1:
+        return DegenerateQuadratic("leading coefficient of the imaginary-root quadratic too small")
+    return VerificationError("imaginary-axis root refinement exceeded tolerance")
+
+
 def imag_scan(sf: ShockFront, xi_t) -> ImagScanResult:
     """Locate purely imaginary zeros of the stability function.
 
@@ -336,34 +371,16 @@ def imag_scan(sf: ShockFront, xi_t) -> ImagScanResult:
     if abs(float(xi_t @ xi_t) - 1.0) > 1e-9:
         raise ValueError("imag_scan expects a unit transverse vector")
     coeffs = freq_coeffs(sf, xi_t)
-    bv = float(_criterion(sf, coeffs.eta, coeffs.P, coeffs.zeta))
-    result = ImagScanResult(roots=[], boundary_value=bv, lambda_plus_beta_s=[])
-    if sf.rho <= 0 or bv > 0:
-        return result
-
-    if bv == 0.0:
-        t_star = float(np.sqrt(coeffs.zeta))
-    else:
-        # the root solves t = sqrt(zeta + u^2) = a + c u with c = sqrt(kappa2+)/s
-        # < -1; squared, (c^2 - 1) u^2 + 2 a c u + a^2 - zeta = 0, whose other
-        # root has a + c u < 0
-        R = max(_surface_term(sf, coeffs.P), 0.0)
-        a = float(np.sqrt(R)) - sf.tau * coeffs.eta
-        c = float(np.sqrt(sf.kappa2_plus)) / sf.speed
-        roots = [r.real for r in quad_roots(c * c - 1.0, 2.0 * a * c, a * a - coeffs.zeta)]
-        u_star = max(max(roots, key=lambda u: a + c * u), 0.0)
-        t_star = float(np.sqrt(coeffs.zeta + u_star * u_star))
-        # delta_v2(i t) = R - (t - c u + tau eta)^2 is smooth in u, with an O(1)
-        # slope at the root, so its value there is the residual of the root
-        a_t = t_star - c * u_star + sf.tau * coeffs.eta
-        if abs(R - a_t * a_t) > 1e-10:
-            raise VerificationError("imaginary-axis root refinement exceeded tolerance")
-    result.roots.append(t_star)
-
-    gamma = np.array([1j * t_star])
-    lam = _lambda_from_gamma(sf, gamma, coeffs.eta)
-    beta = _beta_from_gamma(sf, gamma, coeffs)
-    result.lambda_plus_beta_s.append(float(np.abs(lam + beta * sf.speed)[0]))
+    bv, t, failed = _imag_roots(sf, coeffs)
+    if failed:
+        raise _root_error(failed)
+    result = ImagScanResult(roots=[], boundary_value=float(bv), lambda_plus_beta_s=[])
+    if not np.isnan(t):
+        result.roots.append(float(t))
+        gamma = np.array([1j * float(t)])
+        lam = _lambda_from_gamma(sf, gamma, coeffs.eta)
+        beta = _beta_from_gamma(sf, gamma, coeffs)
+        result.lambda_plus_beta_s.append(float(np.abs(lam + beta * sf.speed)[0]))
     return result
 
 

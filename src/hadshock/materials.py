@@ -402,11 +402,12 @@ def check_hypotheses(m: MaterialModel, d: int, J_grid=None) -> HypothesisReport:
 # ---------------------------------------------------------------------------
 # stress and acoustic tensors
 
-def _jacobian(U: np.ndarray) -> float:
-    J = float(np.linalg.det(U))
-    if J <= 0:
+def _jacobian(U: np.ndarray):
+    """det U, a float for one matrix and an array for a stack; every one must be positive."""
+    J = np.linalg.det(U)
+    if J <= 0 if J.ndim == 0 else (J <= 0).any():
         raise NonPositiveJacobian(f"det U = {J} <= 0")
-    return J
+    return float(J) if J.ndim == 0 else J
 
 
 def strain_invariants(U: np.ndarray):
@@ -423,10 +424,10 @@ def energy(m: MaterialModel, U: np.ndarray) -> float:
 
 
 def piola_kirchhoff(m: MaterialModel, U: np.ndarray) -> np.ndarray:
-    """First Piola-Kirchhoff stress: mu U + h'(J) Cof U."""
+    """First Piola-Kirchhoff stress: mu U + h'(J) Cof U, of one matrix or a (..., d, d) stack."""
     U = np.asarray(U, dtype=float)
     J = _jacobian(U)
-    return m.mu * U + float(m.h1(J)) * cofactor(U)
+    return m.mu * U + np.asarray(m.h1(J), dtype=float)[..., None, None] * cofactor(U)
 
 
 def cauchy_stress(m: MaterialModel, U: np.ndarray) -> np.ndarray:

@@ -437,7 +437,8 @@ def fd_check_suite(m: MaterialModel, U: np.ndarray, seed: int = 0) -> dict:
 MATERIAL_POOL = ("ciarlet-geymonat", "blatz", "ogden-foam", "simo-taylor", "simo-miehe")
 
 
-def random_material(rng: np.random.Generator, d: int) -> MaterialModel:
+# rng annotations are strings: evaluating np.random would import numpy.random
+def random_material(rng: "np.random.Generator", d: int) -> MaterialModel:
     """A random catalog material with h''' < 0 everywhere."""
     name = MATERIAL_POOL[rng.integers(len(MATERIAL_POOL))]
     mu = float(rng.uniform(0.5, 2.0))
@@ -449,7 +450,7 @@ def random_material(rng: np.random.Generator, d: int) -> MaterialModel:
     return catalog(name, {"d": d, "mu": mu, "kappa": kappa})
 
 
-def random_shock(rng: np.random.Generator, d: int, max_tries: int = 200) -> ShockFront:
+def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> ShockFront:
     """Random well-conditioned Lax front: U+ = I + 0.5 G, alpha in [-3, -0.05].
 
     Scenarios whose transverse stiffness kappa2+ exceeds 150 are
@@ -473,7 +474,7 @@ def random_shock(rng: np.random.Generator, d: int, max_tries: int = 200) -> Shoc
     raise RuntimeError("failed to generate a random shock scenario")
 
 
-def sample_frequency(rng: np.random.Generator, d: int, min_re: float = 0.05) -> FrequencyPoint:
+def sample_frequency(rng: "np.random.Generator", d: int, min_re: float = 0.05) -> FrequencyPoint:
     """Uniform-ish point on the frequency hemisphere with Re lambda bounded away from 0."""
     while True:
         lam = complex(abs(rng.standard_normal()), rng.standard_normal())

@@ -11,10 +11,14 @@ and v- = v+ + s alpha V1.  Besides the states, a ShockFront caches all
 the scalar/tensor geometry the stability analysis consumes: the Gram
 matrix theta of the cofactor columns, its 2x2-minor matrix Theta, the
 cofactor-jump matrix M, the transverse sound speeds kappa2 on both
-sides, the stability parameter rho and the positive constant tau.
+sides, the stability parameter rho and the positive constant tau.  A
+FrontStack holds the fronts of many intensities through one base state.
 """
 
+import dataclasses
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -32,10 +36,12 @@ from .materials import MaterialModel, piola_kirchhoff
 __all__ = [
     "ElasticState",
     "ShockFront",
+    "FrontStack",
     "FrequencyCoefficients",
     "LaxReport",
     "alpha_max",
     "build",
+    "build_stack",
     "lax_check",
     "genuine_nonlinearity",
     "freq_coeffs",
@@ -93,22 +99,17 @@ class LaxReport:
 
 
 @dataclass
-class ShockFront:
+class _Base:
+    """The base state and the geometry it fixes, shared by a front and a stack of fronts."""
+
     material: MaterialModel
     plus: ElasticState
-    minus: ElasticState
-    alpha: float
-    speed: float
     Jplus: float
-    Jminus: float
     V: np.ndarray
     theta: np.ndarray
     Theta: np.ndarray
     M: np.ndarray
     kappa2_plus: float
-    kappa2_minus: float
-    rho: float
-    tau: float
     alpha_max: float
 
     @property
@@ -123,10 +124,62 @@ class ShockFront:
     def h2_plus(self) -> float:
         return float(self.material.h2(self.Jplus))
 
-    def residual_scale(self) -> float:
-        v1 = self.V[:, 0]
-        return max(1.0, float(np.linalg.norm(self.plus.U)),
-                   abs(self.speed) * float(np.linalg.norm(v1)))
+    def _base(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(_Base)}
+
+    def residual_scale(self):
+        """max(1, |U+|, |s| |V1|), the least scale of a jump residual."""
+        return np.maximum(max(1.0, float(np.linalg.norm(self.plus.U))),
+                          np.abs(self.speed) * float(np.linalg.norm(self.V[:, 0])))
+
+
+@dataclass
+class ShockFront(_Base):
+    minus: ElasticState
+    alpha: float
+    speed: float
+    Jminus: float
+    kappa2_minus: float
+    rho: float
+    tau: float
+
+
+_ROWS = ("alpha", "speed", "Jminus", "kappa2_minus", "rho", "tau")
+
+
+@dataclass
+class FrontStack(_Base):
+    """The Lax fronts of n intensities through one base state.
+
+    The fields that move with alpha are (n, 1) columns, so that they broadcast
+    against per-row arrays of frequencies; minus.U is (n, d, d) and minus.v (n, d).
+    errors[i] is the typed error that stopped row i (its other fields mean nothing), or None.
+    """
+
+    minus: SimpleNamespace
+    alpha: np.ndarray
+    speed: np.ndarray
+    Jminus: np.ndarray
+    kappa2_minus: np.ndarray
+    rho: np.ndarray
+    tau: np.ndarray
+    errors: list
+
+    @classmethod
+    def of(cls, sf: ShockFront) -> "FrontStack":
+        """The stack of the one front sf."""
+        return cls(**sf._base(), **{k: np.array([[getattr(sf, k)]]) for k in _ROWS},
+                   minus=SimpleNamespace(U=sf.minus.U[None], v=sf.minus.v[None]), errors=[None])
+
+    def rows(self, idx) -> "FrontStack":
+        """The stack of the rows idx, an integer array."""
+        return dataclasses.replace(
+            self, **{k: getattr(self, k)[idx] for k in _ROWS}, errors=[self.errors[i] for i in idx],
+            minus=SimpleNamespace(U=self.minus.U[idx], v=self.minus.v[idx]))
+
+    def front(self, i: int) -> ShockFront:
+        return ShockFront(**self._base(), **{k: float(getattr(self, k)[i, 0]) for k in _ROWS},
+                          minus=ElasticState(self.minus.U[i], self.minus.v[i]))
 
 
 def alpha_max(U_plus: np.ndarray) -> float:
@@ -139,26 +192,39 @@ def alpha_max(U_plus: np.ndarray) -> float:
     return J / float(v1 @ v1)
 
 
-def _h3_interval_sign(m: MaterialModel, Jlo: float, Jhi: float) -> int:
-    """Sign of h''' sampled on the open interval (Jlo, Jhi) plus endpoints.
+def _reject(errors: list, bad, make) -> None:
+    """Give each row i where bad holds the error make(i), unless an earlier check failed there."""
+    for i in np.flatnonzero(bad):
+        if errors[i] is None:
+            errors[i] = make(i)
 
-    Returns -1 or +1 for a definite sign, 0 for identically zero, and
-    raises HtripleSignChange when both strict signs occur.
-    """
-    J = np.linspace(Jlo, Jhi, H3_SAMPLES + 2)
-    with np.errstate(over="ignore"):  # an infinite sample still has a sign
-        vals = np.asarray(m.h3(J), dtype=float)
-    has_pos = bool(np.any(vals > 0))
-    has_neg = bool(np.any(vals < 0))
-    if has_pos and has_neg:
-        raise HtripleSignChange(
-            f"h''' changes sign on ({Jlo:.6g}, {Jhi:.6g}); unsupported shock regime"
-        )
-    if has_neg:
-        return -1
-    if has_pos:
-        return 1
-    return 0
+
+def _live(errors: list) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _h3_signs(m: MaterialModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sign of h''' on each [lo, hi] at the 258 points np.linspace puts there (-1, 0 or +1),
+    or 2 where both strict signs occur."""
+    t, width = np.arange(H3_SAMPLES + 2.0), (hi - lo)[:, None]
+    step = width / (H3_SAMPLES + 1)
+    J = np.where(step == 0, t / (H3_SAMPLES + 1) * width, t * step) + lo[:, None]
+    J[:, -1] = hi
+    vals = np.asarray(m.h3(J.ravel()), dtype=float).reshape(J.shape)
+    pos, neg = np.any(vals > 0, axis=1), np.any(vals < 0, axis=1)
+    return np.where(pos & neg, 2, pos.astype(int) - neg)
+
+
+def _laws_at(m: MaterialModel, J: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """h'(J) and h''(J) at each live J as Python floats, as for one front (numpy's array
+    power and logarithm may round differently); inf where a Python-float power overflows."""
+    out = np.full((2, J.size), np.nan)
+    for i, x in zip(np.flatnonzero(live), J[live].tolist()):
+        try:
+            out[:, i] = m.h1(x), m.h2(x)
+        except OverflowError:
+            out[:, i] = np.inf
+    return out
 
 
 def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -171,101 +237,109 @@ def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def build(m: MaterialModel, plus: ElasticState, alpha: float) -> ShockFront:
-    """Construct the Lax front of intensity alpha through the base state.
+    """The Lax front of intensity alpha through the base state: build_stack of the one
+    intensity, raising its error."""
+    fronts = build_stack(m, plus, [alpha])
+    if fronts.errors[0] is not None:
+        raise fronts.errors[0]
+    return fronts.front(0)
 
-    Validates the admissible range alpha in (-inf, 0) U (0, alpha_max),
-    requires h''' to keep one strict sign on the volume-ratio interval
-    swept by the jump (negative sign for alpha < 0, positive for
-    alpha > 0), and checks the jump conditions and strict Lax margins of
-    the assembled front before returning it.
+
+def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
+    """The Lax fronts of the intensities alphas through the base state, in one array pass.
+
+    A front needs alpha in (-inf, 0) U (0, alpha_max) and h''' of one strict sign on
+    the volume-ratio interval of the jump (negative for alpha < 0, positive for alpha
+    > 0), then passes the jump conditions and strict Lax margins; a row keeps the typed
+    error of the first check it fails.  J+, V, theta, Theta, M, kappa2+ and h''(J+) are
+    computed once.  Floating-point warnings are off: an overflowing row fails a check.
     """
-    alpha = float(alpha)
-    U_plus = plus.U
-    d = plus.dim
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    n, U_plus = alphas.size, plus.U
     Jp = float(np.linalg.det(U_plus))
     V = cofactor(U_plus)
     v1 = V[:, 0]
-    th11 = float(v1 @ v1)
-    a_max = Jp / th11
+    th11 = float(v1 @ v1)  # the criterion reads theta[0, 0], which may differ in the last bit
+    a_max, theta, h2p = Jp / th11, V.T @ V, float(m.h2(Jp))
+    k2p = m.mu + h2p * th11
+    errors = [None] * n
+    with np.errstate(all="ignore"):
+        _reject(errors, ~np.isfinite(alphas) | (alphas == 0.0) | (alphas >= a_max),
+                lambda i: AlphaOutOfRange(
+                    f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alphas[i]}"))
+        Jm = Jp - alphas * th11
+        lo, hi = np.minimum(Jp, Jm), np.maximum(Jp, Jm)
+        live, sign = _live(errors), np.zeros(n, dtype=int)
+        sign[live] = _h3_signs(m, lo[live], hi[live])
+        _reject(errors, sign == 2, lambda i: HtripleSignChange(
+            f"h''' changes sign on ({lo[i]:.6g}, {hi[i]:.6g}); unsupported shock regime"))
+        _reject(errors, sign != np.where(alphas < 0, -1, 1), lambda i: WrongSignForMaterial(
+            f"alpha = {alphas[i]} requires h''' {'<' if alphas[i] < 0 else '>'} 0 on the jump "
+            f"interval ({lo[i]:.6g}, {hi[i]:.6g})"))
+        h1m, h2m = _laws_at(m, Jm, _live(errors))
+        s_sq = m.mu + (float(m.h1(Jp)) - h1m) / alphas
+        _reject(errors, ~(np.isfinite(s_sq) & np.isfinite(h2m)), lambda i: AlphaOutOfRange(
+            f"alpha = {alphas[i]} overflows the material law at J- = {Jm[i]:.6g}"))
+        s = -np.sqrt(s_sq)
+        U_minus = U_plus - alphas[:, None, None] * np.outer(v1, np.eye(plus.dim)[0])
+        v_minus = plus.v + (s * alphas)[:, None] * v1
+        live, det = _live(errors), np.ones(n)
+        det[live] = np.linalg.det(U_minus[live])
+        _reject(errors, det <= 0, lambda i: NonPositiveJacobian(f"det U = {det[i]} <= 0"))
+        k2m = m.mu + h2m * th11  # first cofactor column is shared
+        rho = (s_sq - m.mu) * (1.0 / th11 - alphas / Jp) - h2p
+        tau = -m.mu * np.sqrt(k2p - s_sq) / (s * np.sqrt(k2p) * th11)
+    col = functools.partial(np.expand_dims, axis=1)
+    fronts = FrontStack(
+        material=m, plus=plus, Jplus=Jp, V=V, theta=theta,
+        Theta=theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :]), M=_m_matrix(U_plus, V),
+        kappa2_plus=k2p, alpha_max=a_max, minus=SimpleNamespace(U=U_minus, v=v_minus),
+        alpha=col(alphas), speed=col(s), Jminus=col(Jm), kappa2_minus=col(k2m), rho=col(rho),
+        tau=col(tau), errors=errors)
+    live = np.flatnonzero(_live(errors))
+    for i, error in zip(live, _jump_and_lax_errors(fronts.rows(live))):
+        errors[i] = error
+    return fronts
 
-    if not np.isfinite(alpha) or alpha == 0.0 or alpha >= a_max:
-        raise AlphaOutOfRange(
-            f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alpha}"
-        )
-    Jm = Jp - alpha * th11
 
-    sign = _h3_interval_sign(m, min(Jp, Jm), max(Jp, Jm))
-    needed = -1 if alpha < 0 else 1
-    if sign != needed:
-        want = "h''' < 0" if needed < 0 else "h''' > 0"
-        raise WrongSignForMaterial(
-            f"alpha = {alpha} requires {want} on the jump interval "
-            f"({min(Jp, Jm):.6g}, {max(Jp, Jm):.6g})"
-        )
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            s_sq = m.mu + (float(m.h1(Jp)) - float(m.h1(Jm))) / alpha
-            h2_minus = float(m.h2(Jm))
-        except OverflowError:  # Python-float powers raise where numpy returns inf
-            s_sq = h2_minus = np.inf
-    if not (np.isfinite(s_sq) and np.isfinite(h2_minus)):
-        raise AlphaOutOfRange(f"alpha = {alpha} overflows the material law at J- = {Jm:.6g}")
-    s = -float(np.sqrt(s_sq))
-    U_minus = U_plus - alpha * np.outer(v1, np.eye(d)[0])
-    v_minus = plus.v + s * alpha * v1
-    minus = ElasticState(U_minus, v_minus)
-
-    theta = V.T @ V
-    Theta = theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :])
-    M = _m_matrix(U_plus, V)
-    k2p = m.mu + float(m.h2(Jp)) * th11
-    k2m = m.mu + h2_minus * th11  # first cofactor column is shared
-    rho_val = (s_sq - m.mu) * (1.0 / th11 - alpha / Jp) - float(m.h2(Jp))
-    tau_val = -m.mu * np.sqrt(k2p - s_sq) / (s * np.sqrt(k2p) * th11)
-
-    sf = ShockFront(
-        material=m, plus=plus, minus=minus, alpha=alpha, speed=s,
-        Jplus=Jp, Jminus=Jm, V=V, theta=theta, Theta=Theta, M=M,
-        kappa2_plus=k2p, kappa2_minus=k2m, rho=float(rho_val),
-        tau=float(tau_val), alpha_max=a_max,
-    )
-    _validate(sf)
-    return sf
+def _jump_and_lax_errors(fr) -> list:
+    """Per row of a front or a stack, the error of the first failing check of the jump
+    conditions and then the strict Lax margins, or None.  A jump residual is relative to the
+    larger of residual_scale() and the sizes of its terms, which grow with |alpha|."""
+    norm = functools.partial(np.linalg.norm, axis=-1, keepdims=True)
+    s, base, U_plus = fr.speed, fr.residual_scale(), fr.plus.U
+    jump_U1, jump_v = U_plus[:, 0] - fr.minus.U[..., 0], fr.plus.v - fr.minus.v
+    sig_p = piola_kirchhoff(fr.material, U_plus)[:, 0]
+    sig_m = piola_kirchhoff(fr.material, fr.minus.U)[..., 0]
+    r1 = np.ravel(norm(-s * jump_U1 - jump_v) / np.maximum(
+        base, np.abs(s) * norm(jump_U1) + norm(jump_v)))
+    r2 = np.ravel(norm(-s * jump_v - (sig_p - sig_m)) / np.maximum(
+        base, np.abs(s) * norm(jump_v) + norm(sig_p) + norm(sig_m)))
+    margins = [np.ravel(v) for v in _lax_margins(fr)]
+    errors = [None] * r1.size
+    _reject(errors, np.maximum(r1, r2) > 1e-11, lambda i: VerificationError(
+        f"jump-condition residuals {r1[i]:.3e}, {r2[i]:.3e} relative to their terms exceed 1e-11"))
+    _reject(errors, ~np.all(np.greater(margins, 0), axis=0), lambda i: WrongSignForMaterial(
+        f"constructed front violates strict Lax margins {tuple(float(v[i]) for v in margins)}"))
+    return errors
 
 
 def _validate(sf: ShockFront) -> None:
-    """Jump conditions, then the strict Lax margins.
+    """The jump and Lax checks of build on one front; raises the first that fails."""
+    error = _jump_and_lax_errors(sf)[0]
+    if error is not None:
+        raise error
 
-    Each jump residual is taken relative to the larger of residual_scale()
-    and the sizes of the terms it differences, which grow with |alpha|.
-    """
-    s, base = sf.speed, sf.residual_scale()
-    jump_U1 = sf.plus.U[:, 0] - sf.minus.U[:, 0]
-    jump_v = sf.plus.v - sf.minus.v
-    sig_p = piola_kirchhoff(sf.material, sf.plus.U)[:, 0]
-    sig_m = piola_kirchhoff(sf.material, sf.minus.U)[:, 0]
-    norm = np.linalg.norm
-    r1 = norm(-s * jump_U1 - jump_v) / max(base, abs(s) * norm(jump_U1) + norm(jump_v))
-    r2 = norm(-s * jump_v - (sig_p - sig_m)) / max(
-        base, abs(s) * norm(jump_v) + norm(sig_p) + norm(sig_m))
-    if max(r1, r2) > 1e-11:
-        raise VerificationError(
-            f"jump-condition residuals {r1:.3e}, {r2:.3e} relative to their terms exceed 1e-11"
-        )
-    report = lax_check(sf)
-    if not report.ok:
-        raise WrongSignForMaterial(
-            f"constructed front violates strict Lax margins {report.margins}"
-        )
+
+def _lax_margins(fr) -> tuple:
+    """The three strict Lax margins of a 1-shock: floats, or columns over a stack."""
+    return (-np.sqrt(fr.kappa2_minus) - fr.speed, fr.speed + np.sqrt(fr.kappa2_plus),
+            -np.sqrt(fr.material.mu) - fr.speed)
 
 
 def lax_check(sf: ShockFront) -> LaxReport:
     """Strict Lax margins; all three must be positive for a 1-shock."""
-    m1 = -np.sqrt(sf.kappa2_minus) - sf.speed
-    m2 = sf.speed + np.sqrt(sf.kappa2_plus)
-    m3 = -np.sqrt(sf.material.mu) - sf.speed
-    margins = (float(m1), float(m2), float(m3))
+    margins = tuple(float(v) for v in _lax_margins(sf))
     return LaxReport(ok=all(v > 0 for v in margins), margins=margins)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,16 @@ from hadshock.classifier import (
     WEAK,
     cg_alpha_star,
     classify,
+    classify_stack,
     criterion_values,
     reference_delta,
     transition_alpha,
 )
-from hadshock.errors import BadParams, DegenerateModuli, InvalidBracket
+from hadshock.errors import BadParams, DegenerateModuli, HadshockError, InvalidBracket
 from hadshock.lopatinskii import TransformedFrequency, delta_v2
 from hadshock.materials import catalog
 from hadshock.oracle import random_shock, sphere_min_reference
-from hadshock.shock import ElasticState, build
+from hadshock.shock import ElasticState, build, build_stack
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -179,6 +182,124 @@ def test_classify_min_below_polished_grid_regression():
     v = classify(sf)
     assert v.min_criterion < 1.42428
     assert v.min_criterion == pytest.approx(1.4242717246987688, rel=1e-12)
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).view(np.uint64)
+
+
+def _rows_match_per_front(m, U, alphas):
+    """Batch sweep rows against build + classify per intensity, bit for bit; the batch verdicts."""
+    plus = ElasticState(U)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # alpha > 0 rows are best-effort
+        fronts = build_stack(m, plus, alphas)
+        batch = classify_stack(fronts)
+    assert len(batch) == len(alphas)
+    for i, (alpha, got) in enumerate(zip(alphas, batch)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                sf = build(m, plus, float(alpha))
+                want = classify(sf)
+        except HadshockError as exc:
+            want = exc
+        if isinstance(want, HadshockError):
+            assert (type(got), str(got)) == (type(want), str(want)), alpha
+            continue
+        assert _bits(fronts.rho[i, 0]) == _bits(sf.rho) == _bits(got.rho), alpha
+        assert _bits(got.min_criterion) == _bits(want.min_criterion), alpha
+        assert (got.kind, got.marginal) == (want.kind, want.marginal), alpha
+        if want.witness is not None:
+            assert np.array_equal(got.witness.xi_t.view(np.uint64),
+                                  want.witness.xi_t.view(np.uint64))
+            assert _bits(got.witness.t_root) == _bits(want.witness.t_root)
+    return batch
+
+
+def _from_cofactor(V):
+    """The base state whose cofactor matrix is V (det V > 0)."""
+    return np.linalg.det(V) ** (1.0 / (V.shape[0] - 1)) * np.linalg.inv(V).T
+
+
+def _arc_and_segment_base():
+    # theta_TT = diag(0.64, 1, 1, 1.69): theta_1T reaches the double eigenvalue 1
+    # (an arc) and misses 0.64 (a segment)
+    V = np.diag([1.0, 0.8, 1.0, 1.0, 1.3])
+    V[2:5, 0] = [0.3, 0.2, 0.1]
+    return _from_cofactor(V)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_sweep_rows_equal_per_front_eigenvector_bases(d):
+    # U+ = Q diag(a), as in the benchmark's sweeps: theta_1T vanishes up to rounding
+    rng = np.random.default_rng(60 + d)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))[None, :]
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    U = q * rng.uniform(0.7, 1.4, size=d)[None, :]
+    for name, params in (("ciarlet-geymonat", {"kappa": 3.0}), ("ogden-foam", {"c1": 1.3})):
+        m = catalog(name, {"d": d, "mu": 1.2, **params})
+        kinds = {v.kind for v in _rows_match_per_front(m, U, np.linspace(-12.0, -0.05, 80))}
+        assert UNIFORM in kinds
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_sweep_rows_equal_per_front_coupled_bases(d):
+    rng = np.random.default_rng(70 + d)
+    bases = [np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))]
+    if d == 5:
+        bases += [_block_diagonal_base(), _rotated_diagonal_base(), _arc_and_segment_base()]
+    for U in bases:
+        m = catalog("simo-taylor", {"d": d, "mu": 1.0, "kappa": 2.5})
+        kinds = [v.kind for v in _rows_match_per_front(m, U, np.linspace(-9.0, -0.1, 40))]
+        assert WEAK in kinds
+
+
+def test_sweep_rows_need_every_refined_bracket():
+    # a front of this sweep lands in the wrong basin when only its lowest
+    # sampled minimum is refined; no row may lie above a sampled sphere minimum
+    U = np.array([
+        [1.336614221633348, 0.27120457721992486, -0.15415983427321522, -0.39529547480990856],
+        [-0.06234732594982595, 1.3465724978705291, -0.4049301159303498, 0.42711639801862755],
+        [0.1065845773497417, 0.025613633596595187, 1.0427917928031971, -0.4024121730043829],
+        [-0.11942056938802614, 0.05210651928598409, 0.1378881530884427, 0.6276438659960205]])
+    m = catalog("simo-miehe", {"d": 4, "mu": 1.7850545831399334, "kappa": 1.4448603743282633})
+    alphas = np.linspace(-0.95, -0.75, 9)
+    batch = _rows_match_per_front(m, U, alphas)
+    sample = _unit_sample(np.random.default_rng(5), 3)
+    for alpha, v in zip(alphas, batch):
+        sf = build(m, ElasticState(U), alpha)
+        assert v.min_criterion <= float(criterion_values(sf, sample).min()) + 1e-12
+
+
+def test_sweep_rows_equal_per_front_errors_and_edges():
+    bag = catalog("bischoff-arruda-grosh", {"d": 2, "mu": 1.0, "cbar": 2.0, "b": 1.5})
+    # h''' changes sign past J = 1, alpha = 0 is out of range, alpha > 0 has the wrong sign
+    rows = _rows_match_per_front(bag, 0.9 * np.eye(2), np.linspace(-3.0, 0.6, 37))
+    names = {type(v).__name__ for v in rows}
+    assert {"HtripleSignChange", "AlphaOutOfRange", "WrongSignForMaterial",
+            "StabilityVerdict"} <= names
+    # alpha > 0 fronts, and intensities past alpha_max = 1.5
+    rows = _rows_match_per_front(bag, np.diag([1.5, 1.0]), np.linspace(0.05, 1.8, 15))
+    assert {"AlphaOutOfRange", "StabilityVerdict"} <= {type(v).__name__ for v in rows}
+    # h''' = 0: no strict Lax front at any intensity
+    lb = catalog("levinson-burgess", {"d": 3, "mu": 1.0, "kappa": 2.0})
+    rows = _rows_match_per_front(lb, np.eye(3), np.linspace(-3.0, -0.1, 7))
+    assert {type(v).__name__ for v in rows} == {"WrongSignForMaterial"}
+    cg = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0})
+    for steps in (0, 1):  # --steps 0 and 1
+        assert len(_rows_match_per_front(cg, np.eye(2), np.linspace(-5.0, 0.5, steps))) == steps
+
+
+def test_positive_alpha_warns_once_per_stack():
+    m = catalog("bischoff-arruda-grosh", {"d": 2, "mu": 1.0, "cbar": 2.0, "b": 1.5})
+    fronts = build_stack(m, ElasticState(np.diag([1.5, 1.0])), np.linspace(0.1, 0.3, 5))
+    with pytest.warns(UserWarning) as record:
+        verdicts = classify_stack(fronts)
+    assert len(record) == 1
+    assert all(v.kind in (UNIFORM, WEAK) for v in verdicts)
 
 
 def test_cg_alpha_star_value():

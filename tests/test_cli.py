@@ -338,7 +338,8 @@ def test_verification_error_exits_4(capsys, monkeypatch):
 
 def test_verdict_path_imports_no_scipy():
     # a weak d=4 verdict with theta_1T != 0 (sphere search plus imaginary-axis
-    # root) and a d=4 sweep, in a fresh interpreter
+    # root), a d=4 sweep, a shock report and a grid, in a fresh interpreter:
+    # none loads scipy or numpy.random
     src = os.path.dirname(os.path.dirname(hadshock.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     d4 = ["--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
@@ -349,7 +350,10 @@ def test_verdict_path_imports_no_scipy():
         f"assert main(['classify', *{d4!r}, '--alpha=-3', '--out={os.devnull}']) == 0\n"
         f"assert main(['sweep', *{d4!r}, '--alpha-range=-8,-0.1', '--steps=20',"
         f" '--out={os.devnull}']) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"assert main(['shock', *{d4!r}, '--alpha=-3', '--out={os.devnull}']) == 0\n"
+        f"assert main(['grid', *{d4!r}, '--alpha=-3', '--grid-n=5,5', '--out={os.devnull}']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                        or m == 'numpy.random')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
@@ -368,6 +372,16 @@ def test_jump_residual_exits_4(capsys, monkeypatch):
 def test_negative_sweep_steps_is_config_error(capsys):
     code, _ = run(capsys, "sweep", *CG2, "--alpha-range=-1,-0.5", "--steps=-1")
     assert code == 2
+
+
+def test_overflowing_sweep_range_is_config_error(capsys):
+    # hi - lo is not finite, so linspace cannot place the requested intensities
+    code, out = run(capsys, "sweep", *CG2, "--alpha-range=-1e308,1e308", "--steps=3")
+    assert (code, out) == (2, "")
+    code, out = run(capsys, "sweep", *CG2, "--alpha-range=-1e308,-1e307", "--steps=3",
+                    "--format=json")
+    assert code == 0
+    assert [row["alpha"] for row in json.loads(out)] == [-1e308, -5.5e307, -1e307]
 
 
 def test_negative_verify_seed_is_config_error(capsys):
@@ -568,7 +582,8 @@ FUZZ_FLAGS = {  # mostly admissible values, some out of range, a few malformed
     "--Uplus": ("identity", "1,0,0,1", "1,0.3,0,1", "0,0,0,0", "-1,0,0,1", "1,2",
                 "1,0,0,0,1,0,0,0,1"),
     "--vplus": ("zero", "1,0", "0.5,-0.2", "x,y"),
-    "--alpha-range": ("-3,-0.1", "-5,-0.1", "-1e-2,-1e-3", "0.1,0.5", "-1,1", "1,2,3"),
+    "--alpha-range": ("-3,-0.1", "-5,-0.1", "-1e-2,-1e-3", "0.1,0.5", "-1,1", "1,2,3",
+                      "-1e308,1e308", "-2,0.5", "-0.5,3", "0.5,2"),
     "--steps": ("0", "1", "3", "-1"),
     "--grid-re": ("0,2", "-1,1", "0,0", "1,2,3"),
     "--grid-im": ("-1,1", "-2,2", "0,0", "x"),

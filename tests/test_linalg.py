@@ -125,14 +125,21 @@ def _loop_minor_expansion(a):
     return cof
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_cofactor_stacked_minors_match_loop_bit_for_bit(d):
     rng = np.random.default_rng(d)
+    mats = []
     for k in range(300):
         A = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
         if k % 3 == 1:  # rank deficient: two proportional columns
             A[:, 0] = rng.uniform(-2.0, 2.0) * A[:, 1]
         elif k % 3 == 2:  # a zero row, so some minors are exact zeros
             A[rng.integers(d)] = 0.0
-        got, want = cofactor(A), _loop_minor_expansion(A)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        mats.append(A)
+        if d > 2:  # d = 2 is written out, with no minors
+            got, want = cofactor(A), _loop_minor_expansion(A)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a (3, 100, d, d) stack: each slice gets the cofactor of the matrix on its own
+    got = cofactor(np.array(mats).reshape(3, 100, d, d))
+    want = np.array([cofactor(A) for A in mats]).reshape(got.shape)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
