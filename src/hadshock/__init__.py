@@ -14,15 +14,13 @@ from .classifier import (
 from .errors import HadshockError
 from .linalg import cofactor, quad_roots, sqrt_principal
 from .lopatinskii import (
-    FrequencyPoint,
-    TransformedFrequency,
-    delta_v1,
-    delta_v2,
-    delta_v3,
-    freq_map,
-    freq_unmap,
+    delta_v1_values,
+    delta_v2_values,
+    delta_v3_values,
+    freq_map_values,
+    freq_unmap_values,
     imag_scan,
-    stable_beta,
+    stable_beta_values,
     winding,
 )
 from .materials import (
@@ -59,15 +57,13 @@ __all__ = [
     "cofactor",
     "quad_roots",
     "sqrt_principal",
-    "FrequencyPoint",
-    "TransformedFrequency",
-    "delta_v1",
-    "delta_v2",
-    "delta_v3",
-    "freq_map",
-    "freq_unmap",
+    "delta_v1_values",
+    "delta_v2_values",
+    "delta_v3_values",
+    "freq_map_values",
+    "freq_unmap_values",
     "imag_scan",
-    "stable_beta",
+    "stable_beta_values",
     "winding",
     "MaterialModel",
     "acoustic_spectrum",

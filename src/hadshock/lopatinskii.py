@@ -4,20 +4,20 @@ The normal-mode analysis of a front reduces to a scalar complex
 function of the spatio-temporal frequency (lambda, xi_t).  Three
 algebraically equivalent expressions are provided:
 
-* ``delta_v1``   - quadratic in the stable root beta, in the original
-  frequency lambda (completed-square form);
-* ``delta_v2``   - in the remapped frequency gamma, where the square
-  root (gamma^2 + zeta)^(1/2) carries all branch information;
-* ``delta_v3``   - one linear factor of v2, defined when the stability
-  parameter rho is negative; its zeros are exactly the zeros of v2 with
-  positive real part.
+* ``delta_v1_values`` - quadratic in the stable root beta, in the
+  original frequency lambda (completed-square form);
+* ``delta_v2_values`` - in the remapped frequency gamma, where the
+  square root (gamma^2 + zeta)^(1/2) carries all branch information;
+* ``delta_v3_values`` - one linear factor of v2, defined when the
+  stability parameter rho is negative; its zeros are exactly the zeros
+  of v2 with positive real part.
 
 Each of them, the stable root and the lambda <-> gamma map is written
-once, as an array kernel over frequencies (...) and transverse vectors
-that are one vector or a stack (..., k) broadcasting against them: the
-``*_values`` functions.  The scalar entry points evaluate a batch of one
-and unwrap it, so a scalar equals the matching element of any array call
-bit for bit.  The kernel rounds the same at every array size because it
+once, under one name, as an array kernel over frequencies (...) and
+transverse vectors that are one vector or a stack (..., k) broadcasting
+against them.  A single frequency is a 0-d lambda or gamma with a 1-D
+xi_t, and its value equals the matching element of any array call bit
+for bit.  The kernel rounds the same at every array size because it
 uses real arithmetic, complex sums, real multiples and numpy's complex
 square root only; complex squares go through ``_square``, which rounds
 as Python's complex product does.
@@ -44,63 +44,18 @@ from .linalg import degenerate_leading
 from .shock import FrequencyCoefficients, ShockFront, _criterion, _surface_term, freq_coeffs
 
 __all__ = [
-    "FrequencyPoint",
-    "TransformedFrequency",
     "ImagScanResult",
-    "stable_beta",
     "stable_beta_values",
-    "freq_map",
     "freq_map_values",
-    "freq_unmap",
     "freq_unmap_values",
-    "delta_v1",
     "delta_v1_values",
-    "delta_v2",
     "delta_v2_values",
-    "delta_v3",
     "delta_v3_values",
-    "v3_factors",
     "v3_factors_values",
     "imag_scan",
     "winding",
     "winding_number",
 ]
-
-
-@dataclass
-class FrequencyPoint:
-    """Temporal frequency lambda (Re >= 0) and transverse wave vector."""
-
-    lam: complex
-    xi_t: np.ndarray
-
-    def __post_init__(self):
-        self.lam = complex(self.lam)
-        self.xi_t = np.atleast_1d(np.asarray(self.xi_t, dtype=float))
-        if self.lam == 0 and not np.any(self.xi_t):
-            raise ValueError("lambda and xi_t cannot both vanish")
-
-    @classmethod
-    def normalized(cls, lam, xi_t):
-        """Scale (lambda, xi_t) onto the unit hemisphere |lam|^2 + |xi|^2 = 1."""
-        lam = complex(lam)
-        xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-        norm = np.sqrt(abs(lam) ** 2 + float(xi_t @ xi_t))
-        if norm == 0:
-            raise ValueError("cannot normalize the zero frequency")
-        return cls(lam / norm, xi_t / norm)
-
-
-@dataclass
-class TransformedFrequency:
-    """Remapped temporal frequency gamma and the same transverse vector."""
-
-    gamma: complex
-    xi_t: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = complex(self.gamma)
-        self.xi_t = np.atleast_1d(np.asarray(self.xi_t, dtype=float))
 
 
 @dataclass
@@ -167,13 +122,13 @@ def _require_negative_rho(sf: ShockFront, what: str):
         raise RhoNotNegative(f"{what} requires rho < 0, got rho = {sf.rho}")
 
 
-def _batch_of_one(values, sf: ShockFront, z: complex, xi_t: np.ndarray):
-    """A scalar entry point: the array kernel on a batch of one frequency."""
-    return values(sf, np.array([z], dtype=complex), xi_t[None, :])
-
-
 def freq_map_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
-    """gamma over lambda values (...) and transverse vectors xi_t."""
+    """Inject lambda into the gamma frequency where the root simplifies.
+
+    gamma = (lambda sqrt(kappa2+) + i s h''(J+) eta / sqrt(kappa2+))
+    / sqrt(kappa2+ - s^2); the map is a complex-affine bijection in
+    lambda with Re gamma > 0 iff Re lambda > 0.
+    """
     eta = freq_coeffs(sf, np.asarray(xi_t, dtype=float)).eta
     return _gamma_from_lambda(sf, np.asarray(lams, dtype=complex), eta)
 
@@ -185,17 +140,37 @@ def freq_unmap_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
 
 
 def stable_beta_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
-    """The stable root over lambda values (...) and transverse vectors xi_t."""
+    """The decaying normal-mode exponent: the root with Re beta < 0.
+
+    Solves (kappa2+ - s^2) beta^2 - 2(lambda s + i h''(J+) eta) beta
+    - (lambda^2 + omega) = 0, taking the branch that is continuous on
+    Re lambda > 0 and equals -lambda / (sqrt(kappa2+) + s) at xi_t = 0.
+    On the boundary Re lambda = 0 the closed form is the continuous
+    extension.
+    """
     lams = np.asarray(lams, dtype=complex)
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     return _beta_from_gamma(sf, _gamma_from_lambda(sf, lams, coeffs.eta), coeffs)
 
 
-def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
-    """delta_v1 over lambda values (...) and transverse vectors xi_t.
+def beta_residual(sf: ShockFront, lam: complex, xi_t, beta: complex) -> float:
+    """Absolute residual of beta in its defining quadratic at one frequency."""
+    coeffs = freq_coeffs(sf, xi_t)
+    s, k2 = sf.speed, sf.kappa2_plus
+    val = (
+        (k2 - s * s) * beta * beta
+        - 2.0 * (lam * s + 1j * sf.h2_plus * coeffs.eta) * beta
+        - (lam * lam + coeffs.omega)
+    )
+    return abs(val)
 
-    The zero frequency (lambda = 0 with xi_t = 0), where the stability
-    function is undefined, gives NaN.
+
+def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
+    """Stability function over lambda, normalized by i/alpha.
+
+    (kappa2+ - s^2) theta11 (beta - i eta/theta11)^2 + rho P.  The zero
+    frequency (lambda = 0 with xi_t = 0), where the stability function is
+    undefined, gives NaN.
     """
     lams = np.asarray(lams, dtype=complex)
     xi_t = np.asarray(xi_t, dtype=float)
@@ -207,14 +182,23 @@ def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
 
 
 def delta_v2_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
-    """delta_v2 over gamma values (...) and transverse vectors xi_t."""
+    """Stability function over gamma, normalized to leading coefficient one.
+
+    (gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta)^2
+    + rho kappa2+ P / (s^2 theta11).  Relates to v1 by
+    v1 = (s^2 theta11 / kappa2+) * v2 at the mapped frequency.
+    """
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
     return _square(base) + _surface_term(sf, coeffs.P)
 
 
 def delta_v3_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
-    """delta_v3 over gamma values (...) and transverse vectors xi_t (rho < 0 only)."""
+    """The factor of v2 carrying all right-half-plane zeros (rho < 0 only).
+
+    gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta
+    + (sqrt(kappa2+)/s) sqrt(-rho P / theta11).
+    """
     _require_negative_rho(sf, "delta_v3")
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
@@ -222,89 +206,6 @@ def delta_v3_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
 
 
 def v3_factors_values(sf: ShockFront, gammas, xi_t) -> tuple:
-    """(f_minus, f_plus) over gamma values (...) and transverse vectors xi_t (rho < 0 only)."""
-    _require_negative_rho(sf, "factorization")
-    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
-    k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
-    beta = _beta_from_gamma(sf, np.asarray(gammas, dtype=complex), coeffs)
-    delta = np.sqrt(-sf.rho * coeffs.P / (th11 * (k2 - s * s)))
-    shift = 1j * (coeffs.eta / th11)
-    return beta - delta - shift, beta + delta - shift
-
-
-# ---------------------------------------------------------------------------
-# scalar entry points
-
-def freq_map(sf: ShockFront, fp: FrequencyPoint) -> TransformedFrequency:
-    """Inject lambda into the gamma frequency where the root simplifies.
-
-    gamma = (lambda sqrt(kappa2+) + i s h''(J+) eta / sqrt(kappa2+))
-    / sqrt(kappa2+ - s^2); the map is a complex-affine bijection in
-    lambda with Re gamma > 0 iff Re lambda > 0.
-    """
-    gamma = _batch_of_one(freq_map_values, sf, fp.lam, fp.xi_t)[0]
-    return TransformedFrequency(complex(gamma), fp.xi_t)
-
-
-def freq_unmap(sf: ShockFront, tf: TransformedFrequency) -> FrequencyPoint:
-    """Exact inverse of freq_map."""
-    lam = _batch_of_one(freq_unmap_values, sf, tf.gamma, tf.xi_t)[0]
-    return FrequencyPoint(complex(lam), tf.xi_t)
-
-
-def stable_beta(sf: ShockFront, fp: FrequencyPoint) -> complex:
-    """The decaying normal-mode exponent: the root with Re beta < 0.
-
-    Solves (kappa2+ - s^2) beta^2 - 2(lambda s + i h''(J+) eta) beta
-    - (lambda^2 + omega) = 0, taking the branch that is continuous on
-    Re lambda > 0 and equals -lambda / (sqrt(kappa2+) + s) at xi_t = 0.
-    On the boundary Re lambda = 0 the closed form is the continuous
-    extension.
-    """
-    return complex(_batch_of_one(stable_beta_values, sf, fp.lam, fp.xi_t)[0])
-
-
-def beta_residual(sf: ShockFront, fp: FrequencyPoint, beta: complex) -> float:
-    """Absolute residual of beta in its defining quadratic."""
-    coeffs = freq_coeffs(sf, fp.xi_t)
-    s, k2 = sf.speed, sf.kappa2_plus
-    lam = fp.lam
-    val = (
-        (k2 - s * s) * beta * beta
-        - 2.0 * (lam * s + 1j * sf.h2_plus * coeffs.eta) * beta
-        - (lam * lam + coeffs.omega)
-    )
-    return abs(val)
-
-
-def delta_v1(sf: ShockFront, fp: FrequencyPoint) -> complex:
-    """Stability function over lambda, normalized by i/alpha.
-
-    (kappa2+ - s^2) theta11 (beta - i eta/theta11)^2 + rho P.
-    """
-    return complex(_batch_of_one(delta_v1_values, sf, fp.lam, fp.xi_t)[0])
-
-
-def delta_v2(sf: ShockFront, tf: TransformedFrequency) -> complex:
-    """Stability function over gamma, normalized to leading coefficient one.
-
-    (gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta)^2
-    + rho kappa2+ P / (s^2 theta11).  Relates to v1 by
-    v1 = (s^2 theta11 / kappa2+) * v2 at the mapped frequency.
-    """
-    return complex(_batch_of_one(delta_v2_values, sf, tf.gamma, tf.xi_t)[0])
-
-
-def delta_v3(sf: ShockFront, tf: TransformedFrequency) -> complex:
-    """The factor of v2 carrying all right-half-plane zeros (rho < 0 only).
-
-    gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta
-    + (sqrt(kappa2+)/s) sqrt(-rho P / theta11).
-    """
-    return complex(_batch_of_one(delta_v3_values, sf, tf.gamma, tf.xi_t)[0])
-
-
-def v3_factors(sf: ShockFront, tf: TransformedFrequency):
     """Both linear factors of v1/v2 in the rho < 0 factorization.
 
     Returns (f_minus, f_plus) with
@@ -312,8 +213,13 @@ def v3_factors(sf: ShockFront, tf: TransformedFrequency):
     delta_v3 = (sqrt(kappa2+ (kappa2+ - s^2)) / s) * f_plus; f_minus has
     strictly negative real part on Re gamma > 0, so it never vanishes.
     """
-    f_minus, f_plus = _batch_of_one(v3_factors_values, sf, tf.gamma, tf.xi_t)
-    return complex(f_minus[0]), complex(f_plus[0])
+    _require_negative_rho(sf, "factorization")
+    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
+    k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
+    beta = _beta_from_gamma(sf, np.asarray(gammas, dtype=complex), coeffs)
+    delta = np.sqrt(-sf.rho * coeffs.P / (th11 * (k2 - s * s)))
+    shift = 1j * (coeffs.eta / th11)
+    return beta - delta - shift, beta + delta - shift
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +283,10 @@ def imag_scan(sf: ShockFront, xi_t) -> ImagScanResult:
     result = ImagScanResult(roots=[], boundary_value=float(bv), lambda_plus_beta_s=[])
     if not np.isnan(t):
         result.roots.append(float(t))
-        gamma = np.array([1j * float(t)])
+        gamma = 1j * float(t)
         lam = _lambda_from_gamma(sf, gamma, coeffs.eta)
         beta = _beta_from_gamma(sf, gamma, coeffs)
-        result.lambda_plus_beta_s.append(float(np.abs(lam + beta * sf.speed)[0]))
+        result.lambda_plus_beta_s.append(float(np.abs(lam + beta * sf.speed)))
     return result
 
 

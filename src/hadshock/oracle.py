@@ -16,15 +16,13 @@ from .classifier import criterion_values
 from .errors import CharacteristicSpeed, NoConvergence
 from .linalg import cofactor
 from .lopatinskii import (
-    FrequencyPoint,
-    delta_v1,
-    delta_v2,
-    delta_v2_values,
-    freq_map,
-    freq_unmap,
-    stable_beta,
     beta_residual,
-    v3_factors,
+    delta_v1_values,
+    delta_v2_values,
+    freq_map_values,
+    freq_unmap_values,
+    stable_beta_values,
+    v3_factors_values,
     winding,
 )
 from .materials import (
@@ -101,7 +99,7 @@ def assemble_symbol(m: MaterialModel, U: np.ndarray, xi: np.ndarray) -> Assemble
     return AssembledSymbol(dim_n=n, matrix=A)
 
 
-def _calA_factors(sf: ShockFront, fp: FrequencyPoint):
+def _calA_factors(sf: ShockFront, lam: complex, xi_t: np.ndarray):
     """(lambda I + i sum xi_j A^j, A^1 - s I) at U+; the frequency symbol is num denom^(-1)."""
     m, U = sf.material, sf.plus.U
     d = sf.dim
@@ -109,32 +107,33 @@ def _calA_factors(sf: ShockFront, fp: FrequencyPoint):
     speeds = [v for v, _ in char_speeds(m, U)]
     if min(abs(v - sf.speed) for v in speeds) < 1e-10 * (1.0 + abs(sf.speed)):
         raise CharacteristicSpeed(f"s = {sf.speed} is characteristic for U+")
-    num = fp.lam * np.eye(n, dtype=complex)
+    num = lam * np.eye(n, dtype=complex)
     for j in range(2, d + 1):
-        xi_j = fp.xi_t[j - 2]
+        xi_j = xi_t[j - 2]
         if xi_j != 0.0:
             num += 1j * xi_j * assemble_Aj(m, U, j).matrix
     return num, assemble_Aj(m, U, 1).matrix - sf.speed * np.eye(n, dtype=complex)
 
 
-def assemble_calA(sf: ShockFront, fp: FrequencyPoint) -> AssembledSymbol:
+def assemble_calA(sf: ShockFront, lam: complex, xi_t: np.ndarray) -> AssembledSymbol:
     """Frequency symbol (lambda I + i sum xi_j A^j)(A^1 - s I)^(-1) at U+."""
-    num, denom = _calA_factors(sf, fp)
+    num, denom = _calA_factors(sf, lam, xi_t)
     # right-multiplication by the inverse via a solve on the transpose
     cal = np.linalg.solve(denom.T, num.T).T
     return AssembledSymbol(dim_n=num.shape[0], matrix=cal)
 
 
-def left_eigvec_residual(sf: ShockFront, fp: FrequencyPoint, l: np.ndarray, beta: complex) -> float:
+def left_eigvec_residual(sf: ShockFront, lam: complex, xi_t: np.ndarray, l: np.ndarray,
+                         beta: complex) -> float:
     """Relative residual of l as a left eigenvector of the frequency symbol for beta,
     ||l (lambda I + i sum xi_j A^j) - beta l (A^1 - s I)|| / (||l|| max(1, ||A^1 - s I||_2)):
     without the inverse, so a badly conditioned A^1 - s I adds no solve error."""
-    num, denom = _calA_factors(sf, fp)
+    num, denom = _calA_factors(sf, lam, xi_t)
     resid = np.linalg.norm(l @ num - beta * (l @ denom))
     return float(resid / (np.linalg.norm(l) * max(1.0, np.linalg.norm(denom, 2))))
 
 
-def jump_vector(sf: ShockFront, fp: FrequencyPoint) -> np.ndarray:
+def jump_vector(sf: ShockFront, lam: complex, xi_t: np.ndarray) -> np.ndarray:
     """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps."""
     d = sf.dim
     n = d * d + d
@@ -148,9 +147,9 @@ def jump_vector(sf: ShockFront, fp: FrequencyPoint) -> np.ndarray:
     sig_m = piola_kirchhoff(sf.material, Um)
     jump_v = sf.plus.v - sf.minus.v
 
-    K = fp.lam * jump_u
+    K = lam * jump_u
     for j in range(2, d + 1):
-        xi_j = fp.xi_t[j - 2]
+        xi_j = xi_t[j - 2]
         if xi_j == 0.0:
             continue
         fj = np.zeros(n, dtype=complex)
@@ -196,61 +195,61 @@ def g_matrices(sf: ShockFront, beta: complex, xi_t: np.ndarray):
     return out
 
 
-def formula_left_eigenvector(sf: ShockFront, fp: FrequencyPoint, beta: complex) -> np.ndarray:
+def formula_left_eigenvector(sf: ShockFront, lam: complex, xi_t: np.ndarray,
+                             beta: complex) -> np.ndarray:
     """Left eigenvector (q^T G_1, ..., q^T G_d, (lambda + beta s) q^T)
     with q = V+ (i beta, xi_t)^T."""
-    d = sf.dim
-    q = sf.V @ np.concatenate(([1j * beta], fp.xi_t.astype(complex)))
-    Gs = g_matrices(sf, beta, fp.xi_t)
+    q = sf.V @ np.concatenate(([1j * beta], xi_t.astype(complex)))
+    Gs = g_matrices(sf, beta, xi_t)
     parts = [q @ G for G in Gs]
-    parts.append((fp.lam + beta * sf.speed) * q)
+    parts.append((lam + beta * sf.speed) * q)
     return np.concatenate(parts)
 
 
-def delta_hat_assembled(sf: ShockFront, fp: FrequencyPoint, beta: complex) -> complex:
+def delta_hat_assembled(sf: ShockFront, xi_t: np.ndarray, beta: complex) -> complex:
     """Stability function rebuilt from B-tensor blocks and raw stress jumps.
 
     q^T [ (beta s^2 I + G_1) [[U_1]] - i sum_j xi_j [[sigma_j]] ]; the
     closed form delta_v1 equals (i/alpha) times this.
     """
     d = sf.dim
-    q = sf.V @ np.concatenate(([1j * beta], fp.xi_t.astype(complex)))
-    G1 = g_matrices(sf, beta, fp.xi_t)[0]
+    q = sf.V @ np.concatenate(([1j * beta], xi_t.astype(complex)))
+    G1 = g_matrices(sf, beta, xi_t)[0]
     jump_U1 = (sf.plus.U[:, 0] - sf.minus.U[:, 0]).astype(complex)
     sig_p = piola_kirchhoff(sf.material, sf.plus.U)
     sig_m = piola_kirchhoff(sf.material, sf.minus.U)
     vec = (beta * sf.speed**2 * np.eye(d, dtype=complex) + G1) @ jump_U1
     for j in range(2, d + 1):
-        xi_j = fp.xi_t[j - 2]
+        xi_j = xi_t[j - 2]
         if xi_j != 0.0:
             vec -= 1j * xi_j * (sig_p[:, j - 1] - sig_m[:, j - 1])
     return complex(q @ vec)
 
 
-def delta_v1_raw(sf: ShockFront, fp: FrequencyPoint) -> complex:
+def delta_v1_raw(sf: ShockFront, lam: complex, xi_t: np.ndarray) -> complex:
     """delta_v1 as the raw double sum over transverse indices, before the square is
     completed: (kappa2+ - s^2)(theta11 beta^2 - 2i beta eta - Nsq)
     - alpha (s^2 - mu)/J+ xi_t.Theta_TT xi_t."""
-    coeffs = freq_coeffs(sf, fp.xi_t)
-    beta = stable_beta(sf, fp)
+    coeffs = freq_coeffs(sf, xi_t)
+    beta = complex(stable_beta_values(sf, lam, xi_t))
     k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
-    xi = fp.xi_t
+    xi = xi_t
     ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * float(
         xi @ sf.Theta[1:, 1:] @ xi
     )
     return (k2 - s * s) * th11 * beta * beta - 2j * beta * (k2 - s * s) * coeffs.eta - ssum
 
 
-def hersh_counts(sf: ShockFront, fp: FrequencyPoint):
+def hersh_counts(sf: ShockFront, lam: complex, xi_t: np.ndarray):
     """(stable count, size of the -lambda/s cluster) from dense eigenvalues.
 
     For an extreme front on Re lambda > 0 the stable count must be
     exactly one, and -lambda/s (which has positive real part) must
     appear with multiplicity d^2 - d.
     """
-    cal = assemble_calA(sf, fp)
+    cal = assemble_calA(sf, lam, xi_t)
     vals = dense_eig(cal.matrix)
-    ref = -fp.lam / sf.speed
+    ref = -lam / sf.speed
     tol = EIG_CLUSTER_TOL * max(np.linalg.norm(cal.matrix, 2), 1.0)
     in_cluster = np.abs(vals - ref) <= tol
     others = vals[~in_cluster]
@@ -474,15 +473,16 @@ def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> Sh
     raise RuntimeError("failed to generate a random shock scenario")
 
 
-def sample_frequency(rng: "np.random.Generator", d: int, min_re: float = 0.05) -> FrequencyPoint:
-    """Uniform-ish point on the frequency hemisphere with Re lambda bounded away from 0."""
+def sample_frequency(rng: "np.random.Generator", d: int, min_re: float = 0.05) -> tuple:
+    """(lambda, xi_t): a uniform-ish point on the frequency hemisphere with Re lambda
+    bounded away from 0."""
     while True:
         lam = complex(abs(rng.standard_normal()), rng.standard_normal())
         xi = rng.standard_normal(d - 1)
         norm = np.sqrt(abs(lam) ** 2 + float(xi @ xi))
         lam, xi = lam / norm, xi / norm
         if lam.real >= min_re:
-            return FrequencyPoint(lam, xi)
+            return lam, xi
 
 
 # ---------------------------------------------------------------------------
@@ -606,37 +606,37 @@ def _check_material_identities(t: _Tracker, sf: ShockFront, rng, ctx: str):
     )
 
 
-def _check_frequency_identities(t: _Tracker, sf: ShockFront, fp: FrequencyPoint, ctx: str):
-    m = sf.material
-    beta = stable_beta(sf, fp)
-    t.record("beta_residual", beta_residual(sf, fp, beta), 1e-11, ctx)
+def _check_frequency_identities(t: _Tracker, sf: ShockFront, lam: complex, xi_t: np.ndarray,
+                                ctx: str):
+    beta = complex(stable_beta_values(sf, lam, xi_t))
+    t.record("beta_residual", beta_residual(sf, lam, xi_t, beta), 1e-11, ctx)
     t.record("beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5, ctx)
     t.record(
         "beta_not_curl_artifact",
-        0.0 if abs(fp.lam + beta * sf.speed) > 1e-10 else 1.0,
+        0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0,
         0.5,
         ctx,
     )
 
-    tf = freq_map(sf, fp)
-    back = freq_unmap(sf, tf)
-    t.record("map_roundtrip", abs(back.lam - fp.lam), 1e-13, ctx)
+    gamma = complex(freq_map_values(sf, lam, xi_t))
+    back = complex(freq_unmap_values(sf, gamma, xi_t))
+    t.record("map_roundtrip", abs(back - lam), 1e-13, ctx)
 
-    coeffs = freq_coeffs(sf, fp.xi_t)
+    coeffs = freq_coeffs(sf, xi_t)
     t.record("P_nonnegative", 0.0 if coeffs.P >= 0 else 1.0, 0.5, ctx)
     t.record("zeta_nonnegative", 0.0 if coeffs.zeta >= 0 else 1.0, 0.5, ctx)
     slack = coeffs.zeta - (sf.tau * coeffs.eta) ** 2
     t.record("zeta_tau_margin", 0.0 if slack >= -1e-13 else 1.0, 0.5, ctx)
 
-    v1c = delta_v1(sf, fp)
-    v1r = delta_v1_raw(sf, fp)
+    v1c = complex(delta_v1_values(sf, lam, xi_t))
+    v1r = delta_v1_raw(sf, lam, xi_t)
     t.record("v1_raw_vs_completed", _rel(abs(v1c - v1r), 1.0 + abs(v1c)), 1e-12, ctx)
 
-    v2 = delta_v2(sf, tf)
+    v2 = complex(delta_v2_values(sf, gamma, xi_t))
     factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
     t.record("v1_vs_v2_mapped", _rel(abs(v1c - factor * v2), 1.0 + abs(v1c)), 1e-10, ctx)
 
-    hat = delta_hat_assembled(sf, fp, beta)
+    hat = delta_hat_assembled(sf, xi_t, beta)
     t.record(
         "v1_vs_assembled",
         _rel(abs(v1c - 1j / sf.alpha * hat), 1.0 + abs(v1c)),
@@ -644,24 +644,24 @@ def _check_frequency_identities(t: _Tracker, sf: ShockFront, fp: FrequencyPoint,
         ctx,
     )
 
-    l = formula_left_eigenvector(sf, fp, beta)
-    t.record("left_eigvec_residual", left_eigvec_residual(sf, fp, l, beta), 1e-10, ctx)
+    l = formula_left_eigenvector(sf, lam, xi_t, beta)
+    t.record("left_eigvec_residual", left_eigvec_residual(sf, lam, xi_t, l, beta), 1e-10, ctx)
 
-    K = jump_vector(sf, fp)
+    K = jump_vector(sf, lam, xi_t)
     lk = complex(l @ K)
     t.record(
         "jump_product_identity",
-        _rel(abs(lk - (fp.lam + beta * sf.speed) * hat), 1.0 + abs(lk)),
+        _rel(abs(lk - (lam + beta * sf.speed) * hat), 1.0 + abs(lk)),
         1e-10,
         ctx,
     )
 
-    stable, cluster = hersh_counts(sf, fp)
+    stable, cluster = hersh_counts(sf, lam, xi_t)
     t.record("hersh_stable_count", 0.0 if stable == 1 else 1.0, 0.5, ctx)
     t.record("hersh_cluster_size", 0.0 if cluster == sf.dim**2 - sf.dim else 1.0, 0.5, ctx)
 
     if sf.rho < 0:
-        f_minus, f_plus = v3_factors(sf, tf)
+        f_minus, f_plus = (complex(f) for f in v3_factors_values(sf, gamma, xi_t))
         prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
         t.record("v3_factorization", _rel(abs(prod - v1c), 1.0 + abs(v1c)), 1e-11, ctx)
         t.record("v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5, ctx)
@@ -701,8 +701,7 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
                 if name != "pass":
                     t.record(f"fd_{name}", err, 1e-5, ctx)
             for _ in range(3):
-                fp = sample_frequency(rng, d)
-                _check_frequency_identities(t, sf, fp, ctx)
+                _check_frequency_identities(t, sf, *sample_frequency(rng, d), ctx)
             _check_negative_control(t, sf, rng, ctx)
             if sf.rho < 0 and d not in winding_done:
                 winding_done.add(d)

@@ -324,13 +324,6 @@ def _jump_and_lax_errors(fr) -> list:
     return errors
 
 
-def _validate(sf: ShockFront) -> None:
-    """The jump and Lax checks of build on one front; raises the first that fails."""
-    error = _jump_and_lax_errors(sf)[0]
-    if error is not None:
-        raise error
-
-
 def _lax_margins(fr) -> tuple:
     """The three strict Lax margins of a 1-shock: floats, or columns over a stack."""
     return (-np.sqrt(fr.kappa2_minus) - fr.speed, fr.speed + np.sqrt(fr.kappa2_plus),

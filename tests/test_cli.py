@@ -429,10 +429,23 @@ def test_strong_shocks_never_fail_the_jump_check(capsys, name, alpha):
     assert code in (0, 3)
 
 
-@pytest.mark.parametrize("dims", ["abc", "", "1", "2,,3"])
+# the dense eigensolver takes the (d^2 + d)-dimensional symbol only up to d = 5, so a
+# dimension outside 2..5 is rejected before any scenario runs
+@pytest.mark.parametrize("dims", ["abc", "", "1", "2,,3", "0", "6", "2,6", "3,9"])
 def test_bad_verify_dims_is_config_error(capsys, dims):
-    code, _ = run(capsys, "verify", f"--dims={dims}", "--scenarios=1")
-    assert code == 2
+    code, out = run(capsys, "verify", f"--dims={dims}", "--scenarios=1")
+    assert (code, out) == (2, "")
+
+
+def test_restricted_grid_needs_nonzero_direction(capsys):
+    argv = ("grid", *CG2, "--alpha=-0.3", "--grid-n=3,3", "--xi=0")
+    code, out = run(capsys, *argv, "--restrict-gamma-tilde")
+    assert (code, out) == (2, "")
+    # the unrestricted grid at xi_t = 0 is a valid frequency and keeps its output
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 9 and all(",," not in r for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +470,19 @@ def _restricted_xi(sf, gamma, direction):
 
 
 def _reference_grid(sf, var, restrict, xi, res, ims, fmt):
-    """Grid text from scalar delta_v1 / delta_v2 evaluated one node at a time."""
+    """Grid text from the kernels called on one node at a time."""
     nan = complex(np.nan, np.nan)
     records = []
     for im in ims:
         for re, g in zip(res, res + 1j * im):
             if var == "lambda":
-                try:
-                    v = lopatinskii.delta_v1(sf, lopatinskii.FrequencyPoint(complex(g), xi))
-                except ValueError:  # the zero frequency is an empty cell
-                    v = nan
+                v = lopatinskii.delta_v1_values(sf, g, xi)  # NaN at the zero frequency
             elif restrict:
                 xt = _restricted_xi(sf, complex(g), xi / np.linalg.norm(xi))
-                v = nan if xt is None else lopatinskii.delta_v2(
-                    sf, lopatinskii.TransformedFrequency(g, xt))
+                v = nan if xt is None else lopatinskii.delta_v2_values(sf, g, xt)
             else:
-                v = lopatinskii.delta_v2(sf, lopatinskii.TransformedFrequency(g, xi))
+                v = lopatinskii.delta_v2_values(sf, g, xi)
+            v = complex(v)
             records.append((float(re), float(im), v.real, v.imag, abs(v), float(np.angle(v))))
     keys = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
     if fmt == "json":
@@ -593,7 +603,7 @@ FUZZ_FLAGS = {  # mostly admissible values, some out of range, a few malformed
     "--format": ("json", "csv", "xml"),
     "--seed": ("0", "3", "-1"),
     "--scenarios": ("0", "1", "-1", "-7"),
-    "--dims": ("2", "3", "2,3", "1", "abc"),
+    "--dims": ("2", "3", "2,3", "1", "6", "abc"),
 }
 FUZZ_FLAGS["--name"] = FUZZ_FLAGS["--material"]
 MATERIAL = ("--material", "--dim", "--mu", "--kappa", "--c1", "--b")

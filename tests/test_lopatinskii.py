@@ -4,23 +4,14 @@ import pytest
 from hadshock.classifier import reference_delta
 from hadshock.errors import ContourThroughZero, RhoNotNegative
 from hadshock.lopatinskii import (
-    FrequencyPoint,
-    TransformedFrequency,
     beta_residual,
-    delta_v1,
     delta_v1_values,
-    delta_v2,
     delta_v2_values,
-    delta_v3,
     delta_v3_values,
-    freq_map,
     freq_map_values,
-    freq_unmap,
     freq_unmap_values,
     imag_scan,
-    stable_beta,
     stable_beta_values,
-    v3_factors,
     v3_factors_values,
     winding,
     winding_number,
@@ -34,8 +25,7 @@ from hadshock.shock import ElasticState, build, freq_coeffs
 # stable root
 
 def test_stable_beta_zero_transverse(cg2_shock):
-    fp = FrequencyPoint(1.0, [0.0])
-    beta = stable_beta(cg2_shock, fp)
+    beta = stable_beta_values(cg2_shock, 1.0, [0.0])
     expect = -1.0 / (np.sqrt(3.0) + cg2_shock.speed)
     assert beta == pytest.approx(expect, rel=1e-12)
     assert beta == pytest.approx(-14.716656, abs=1e-5)
@@ -46,18 +36,18 @@ def test_stable_beta_residual_and_halfplane(shock_pool, frequency_sampler):
         sample = frequency_sampler(100 + d, d)
         for sf in pool[:6]:
             for _ in range(4):
-                fp = sample()
-                beta = stable_beta(sf, fp)
+                lam, xi = sample()
+                beta = complex(stable_beta_values(sf, lam, xi))
                 assert beta.real < 0
-                assert beta_residual(sf, fp, beta) <= 1e-11
-                assert abs(fp.lam + beta * sf.speed) > 1e-10
+                assert beta_residual(sf, lam, xi, beta) <= 1e-11
+                assert abs(lam + beta * sf.speed) > 1e-10
 
 
 def test_stable_beta_boundary_extension(cg2_weak_shock):
     for t in (0.3, 1.0, 2.2, -1.4):
-        fp = FrequencyPoint(complex(0.0, t), [np.sqrt(max(0.0, 1 - t * t))] if abs(t) < 1 else [0.0])
-        closed = stable_beta(cg2_weak_shock, fp)
-        offset = stable_beta(cg2_weak_shock, FrequencyPoint(fp.lam + 1e-8, fp.xi_t))
+        lam, xi = complex(0.0, t), [np.sqrt(max(0.0, 1 - t * t))] if abs(t) < 1 else [0.0]
+        closed = stable_beta_values(cg2_weak_shock, lam, xi)
+        offset = stable_beta_values(cg2_weak_shock, lam + 1e-8, xi)
         assert abs(closed - offset) <= 1e-6 * max(1.0, abs(closed))
 
 
@@ -65,31 +55,30 @@ def test_stable_beta_boundary_extension(cg2_weak_shock):
 # frequency map
 
 def test_freq_map_zero_transverse(cg2_shock):
-    fp = FrequencyPoint(0.8 + 0.1j, [0.0])
-    tf = freq_map(cg2_shock, fp)
+    lam = 0.8 + 0.1j
+    gamma = freq_map_values(cg2_shock, lam, [0.0])
     k2, s2 = cg2_shock.kappa2_plus, cg2_shock.speed**2
-    assert tf.gamma == pytest.approx(fp.lam * np.sqrt(k2 / (k2 - s2)), rel=1e-14)
+    assert gamma == pytest.approx(lam * np.sqrt(k2 / (k2 - s2)), rel=1e-14)
 
 
 def test_freq_map_roundtrip(shock_pool, frequency_sampler):
     for d, pool in shock_pool.items():
         sample = frequency_sampler(200 + d, d)
         for sf in pool[:5]:
-            fp = sample()
-            back = freq_unmap(sf, freq_map(sf, fp))
-            assert abs(back.lam - fp.lam) <= 1e-13
-            assert np.array_equal(back.xi_t, fp.xi_t)
+            lam, xi = sample()
+            back = freq_unmap_values(sf, freq_map_values(sf, lam, xi), xi)
+            assert abs(back - lam) <= 1e-13
 
 
 def test_freq_map_halfplane_sign(shock_pool, frequency_sampler):
     sample = frequency_sampler(7, 3)
     for sf in shock_pool[3][:5]:
-        fp = sample()
-        tf = freq_map(sf, fp)
-        assert tf.gamma.real * fp.lam.real > 0
+        lam, xi = sample()
+        gamma = freq_map_values(sf, lam, xi)
+        assert gamma.real * lam.real > 0
         # hemisphere membership carries over: |lambda(gamma)|^2 + |xi|^2 = 1
-        back = freq_unmap(sf, tf)
-        assert abs(abs(back.lam) ** 2 + float(fp.xi_t @ fp.xi_t) - 1.0) <= 1e-12
+        back = freq_unmap_values(sf, gamma, xi)
+        assert abs(abs(back) ** 2 + float(xi @ xi) - 1.0) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -98,11 +87,10 @@ def test_freq_map_halfplane_sign(shock_pool, frequency_sampler):
 def test_delta_v1_one_dimensional_form(cg2_shock):
     th11, k2, s = 1.0, cg2_shock.kappa2_plus, cg2_shock.speed
     coeff = th11 * (np.sqrt(k2) - s) / (np.sqrt(k2) + s)
-    fp = FrequencyPoint(1.0, [0.0])
-    assert delta_v1(cg2_shock, fp) == pytest.approx(coeff, rel=1e-12)
-    assert delta_v1(cg2_shock, fp) == pytest.approx(49.98, abs=0.01)
+    assert delta_v1_values(cg2_shock, 1.0, [0.0]) == pytest.approx(coeff, rel=1e-12)
+    assert delta_v1_values(cg2_shock, 1.0, [0.0]) == pytest.approx(49.98, abs=0.01)
     lam = np.exp(0.3j)
-    val = delta_v1(cg2_shock, FrequencyPoint(lam, [0.0]))
+    val = delta_v1_values(cg2_shock, lam, [0.0])
     assert val == pytest.approx(coeff * lam * lam, rel=1e-12)
 
 
@@ -110,9 +98,9 @@ def test_delta_v1_raw_equals_completed(shock_pool, frequency_sampler):
     for d, pool in shock_pool.items():
         sample = frequency_sampler(300 + d, d)
         for sf in pool[:6]:
-            fp = sample()
-            a = delta_v1(sf, fp)
-            b = delta_v1_raw(sf, fp)
+            lam, xi = sample()
+            a = delta_v1_values(sf, lam, xi)
+            b = delta_v1_raw(sf, lam, xi)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
@@ -121,9 +109,9 @@ def test_v1_v2_equivalence(shock_pool, frequency_sampler):
         sample = frequency_sampler(400 + d, d)
         for sf in pool:
             for _ in range(3):
-                fp = sample()
-                v1 = delta_v1(sf, fp)
-                v2 = delta_v2(sf, freq_map(sf, fp))
+                lam, xi = sample()
+                v1 = delta_v1_values(sf, lam, xi)
+                v2 = delta_v2_values(sf, freq_map_values(sf, lam, xi), xi)
                 factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
                 assert abs(v1 - factor * v2) <= 1e-11 * (1.0 + abs(v1))
 
@@ -138,8 +126,8 @@ def test_delta_v2_degree_two_homogeneity(cg2_weak_shock, foam_shock):
             gamma = complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0))
             xi = rng.standard_normal(1)
             c = rng.uniform(0.1, 5.0)
-            a = delta_v2(sf, TransformedFrequency(c * gamma, c * xi))
-            b = delta_v2(sf, TransformedFrequency(gamma, xi))
+            a = delta_v2_values(sf, c * gamma, c * xi)
+            b = delta_v2_values(sf, gamma, xi)
             assert abs(a - c * c * b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -157,7 +145,7 @@ def test_delta_v2_blatz_closed_form():
     for _ in range(10):
         gamma = complex(rng.uniform(0.01, 1.5), rng.uniform(-1.5, 1.5))
         xi = rng.standard_normal(2)
-        val = delta_v2(sf, TransformedFrequency(gamma, xi))
+        val = delta_v2_values(sf, gamma, xi)
         root = np.sqrt(gamma * gamma + k2 * float(xi @ xi))
         if root.real < 0:
             root = -root
@@ -182,19 +170,21 @@ def test_delta_v2_matches_cg2d_reference(cg2_shock):
 
 def test_delta_v3_requires_negative_rho(cg2_shock):
     with pytest.raises(RhoNotNegative):
-        delta_v3(cg2_shock, TransformedFrequency(1.0, [1.0]))
+        delta_v3_values(cg2_shock, 1.0, [1.0])
+    with pytest.raises(RhoNotNegative):
+        v3_factors_values(cg2_shock, 1.0, [1.0])
 
 
 def test_delta_v3_zero_transverse(foam_shock):
     for gamma in (1.0, 0.3 + 1.1j, 2.0 - 0.4j):
-        val = delta_v3(foam_shock, TransformedFrequency(gamma, [0.0]))
+        val = delta_v3_values(foam_shock, gamma, [0.0])
         expect = gamma * (1.0 - np.sqrt(foam_shock.kappa2_plus) / foam_shock.speed)
         assert val == pytest.approx(expect, rel=1e-13)
         assert abs(val) > 0
 
 
 def test_delta_v3_finite_nonzero(foam_shock):
-    val = delta_v3(foam_shock, TransformedFrequency(1.0, [1.0]))
+    val = delta_v3_values(foam_shock, 1.0, [1.0])
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) > 0
 
@@ -206,14 +196,14 @@ def test_v3_factorization(shock_pool, frequency_sampler):
         for sf in pool:
             if sf.rho >= 0:
                 continue
-            fp = sample()
-            tf = freq_map(sf, fp)
-            f_minus, f_plus = v3_factors(sf, tf)
-            v1 = delta_v1(sf, fp)
+            lam, xi = sample()
+            gamma = freq_map_values(sf, lam, xi)
+            f_minus, f_plus = v3_factors_values(sf, gamma, xi)
+            v1 = delta_v1_values(sf, lam, xi)
             prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
             assert abs(prod - v1) <= 1e-11 * (1.0 + abs(v1))
             assert f_minus.real < 0
-            d1 = delta_v3(sf, tf)
+            d1 = delta_v3_values(sf, gamma, xi)
             pref = np.sqrt(sf.kappa2_plus * (sf.kappa2_plus - sf.speed**2)) / sf.speed
             assert abs(pref * f_plus - d1) <= 1e-12 * max(1.0, abs(d1))
             checked += 1
@@ -221,41 +211,33 @@ def test_v3_factorization(shock_pool, frequency_sampler):
 
 
 # --------------------------------------------------------------------------
-# scalar entry points are batches of one
+# one frequency rounds as the matching element of a stack
 
-SCALAR_AND_STACK = {
-    "stable_beta": (lambda sf, z, xi: stable_beta(sf, FrequencyPoint(z, xi)), stable_beta_values),
-    "freq_map": (lambda sf, z, xi: freq_map(sf, FrequencyPoint(z, xi)).gamma, freq_map_values),
-    "freq_unmap": (
-        lambda sf, z, xi: freq_unmap(sf, TransformedFrequency(z, xi)).lam, freq_unmap_values
-    ),
-    "delta_v1": (lambda sf, z, xi: delta_v1(sf, FrequencyPoint(z, xi)), delta_v1_values),
-    "delta_v2": (lambda sf, z, xi: delta_v2(sf, TransformedFrequency(z, xi)), delta_v2_values),
-    "delta_v3": (lambda sf, z, xi: delta_v3(sf, TransformedFrequency(z, xi)), delta_v3_values),
-    "v3_factors_minus": (
-        lambda sf, z, xi: v3_factors(sf, TransformedFrequency(z, xi))[0],
-        lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[0],
-    ),
-    "v3_factors_plus": (
-        lambda sf, z, xi: v3_factors(sf, TransformedFrequency(z, xi))[1],
-        lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[1],
-    ),
+KERNELS = {
+    "stable_beta": stable_beta_values,
+    "freq_map": freq_map_values,
+    "freq_unmap": freq_unmap_values,
+    "delta_v1": delta_v1_values,
+    "delta_v2": delta_v2_values,
+    "delta_v3": delta_v3_values,
+    "v3_factors_minus": lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[0],
+    "v3_factors_plus": lambda sf, zs, xis: v3_factors_values(sf, zs, xis)[1],
 }
 
 
 def _stacked_frequencies(rng, d, n=48):
     """Hemisphere samples, 8 points on the axis Re = 0 and 8 with xi_t = 0."""
     pts = [sample_frequency(rng, d) for _ in range(n)]
-    zs = np.array([fp.lam for fp in pts])
-    xis = np.array([fp.xi_t for fp in pts])
+    zs = np.array([lam for lam, _ in pts])
+    xis = np.array([xi for _, xi in pts])
     zs[:8] = 1j * zs[:8].imag
     xis[8:16] = 0.0
     return zs, xis
 
 
-@pytest.mark.parametrize("name", list(SCALAR_AND_STACK))
+@pytest.mark.parametrize("name", list(KERNELS))
 def test_scalar_equals_stacked_element_bit_for_bit(shock_pool, name):
-    scalar, stacked = SCALAR_AND_STACK[name]
+    kernel = KERNELS[name]
     rng = np.random.default_rng(97)
     checked = 0
     for d, pool in shock_pool.items():
@@ -263,10 +245,11 @@ def test_scalar_equals_stacked_element_bit_for_bit(shock_pool, name):
             if name.startswith(("delta_v3", "v3_")) and sf.rho >= 0:
                 continue
             zs, xis = _stacked_frequencies(rng, d)
-            values = stacked(sf, zs, xis)
-            singles = np.array([scalar(sf, z, xi) for z, xi in zip(zs, xis)])
+            values = kernel(sf, zs, xis)
+            singles = [kernel(sf, z, xi) for z, xi in zip(zs, xis)]  # 0-d z, 1-D xi
             assert values.shape == zs.shape
-            assert np.array_equal(singles.view(np.uint64), values.view(np.uint64))
+            assert all(v.shape == () for v in singles)
+            assert np.array_equal(np.array(singles).view(np.uint64), values.view(np.uint64))
             checked += 1
     assert checked >= 6
 
@@ -293,7 +276,7 @@ def test_imag_scan_cg_weak_case(cg2_weak_shock):
     assert len(res.roots) == 1
     t_star = res.roots[0]
     assert t_star == pytest.approx(2.0544972097255703, rel=1e-10)
-    val = delta_v2(cg2_weak_shock, TransformedFrequency(1j * t_star, [1.0]))
+    val = delta_v2_values(cg2_weak_shock, 1j * t_star, [1.0])
     assert abs(val) <= 1e-8
     assert res.lambda_plus_beta_s[0] > 1e-6  # root is not a curl-constraint artifact
     # no roots inside the branch gap |t| < sqrt(zeta)
