@@ -27,6 +27,7 @@ from .materials import (
     MaterialModel,
     acoustic_spectrum,
     acoustic_tensor,
+    b_blocks,
     b_tensor,
     catalog,
     cauchy_stress,
@@ -68,6 +69,7 @@ __all__ = [
     "MaterialModel",
     "acoustic_spectrum",
     "acoustic_tensor",
+    "b_blocks",
     "b_tensor",
     "catalog",
     "cauchy_stress",

@@ -88,7 +88,7 @@ class ContourThroughZero(DomainError):
 
 
 class NoConvergence(DomainError):
-    """Iterative eigenvalue computation failed to converge."""
+    """Iterative eigenvalue computation failed to converge, or a random draw ran out of tries."""
 
 
 class DegenerateModuli(DomainError):

@@ -32,6 +32,7 @@ __all__ = [
     "energy",
     "piola_kirchhoff",
     "cauchy_stress",
+    "b_blocks",
     "b_tensor",
     "acoustic_tensor",
     "acoustic_spectrum",
@@ -416,11 +417,20 @@ def strain_invariants(U: np.ndarray):
     return float(np.sum(U * U)), float(np.linalg.det(U))
 
 
-def energy(m: MaterialModel, U: np.ndarray) -> float:
-    """Stored energy density W(U) = (mu/2) tr(U^T U) + h(det U)."""
+def energy(m: MaterialModel, U: np.ndarray):
+    """Stored energy density W(U) = (mu/2) tr(U^T U) + h(det U), of U or a (..., d, d) stack.
+
+    A stack gives an array, each entry equal bit for bit to the call on its
+    slice: each slice's d^2 squares are summed as one contiguous row, and h
+    is taken one J at a time, as a float, because numpy's vector power may
+    round differently from the scalar one.
+    """
     U = np.asarray(U, dtype=float)
     J = _jacobian(U)
-    return 0.5 * m.mu * float(np.sum(U * U)) + float(m.h(J))
+    sq = (U * U).reshape(U.shape[:-2] + (-1,)).sum(axis=-1)
+    h = np.array([float(m.h(j)) for j in np.ravel(J).tolist()]).reshape(np.shape(J))
+    W = 0.5 * m.mu * sq + h
+    return float(W) if U.ndim == 2 else W
 
 
 def piola_kirchhoff(m: MaterialModel, U: np.ndarray) -> np.ndarray:
@@ -438,24 +448,29 @@ def cauchy_stress(m: MaterialModel, U: np.ndarray) -> np.ndarray:
     return (m.mu / J) * (U @ U.T) + float(m.h1(J)) * np.eye(d)
 
 
-def b_tensor(m: MaterialModel, U: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Second-derivative block B_i^j with (l, k) entry d2W / dU_lj dU_ki.
+def b_blocks(m: MaterialModel, U: np.ndarray) -> np.ndarray:
+    """All second-derivative blocks: out[i - 1, j - 1] is B_i^j, with (l, k) entry d2W/dU_lj dU_ki.
 
-    Indices are 1-based.  B_i^j = mu delta_ij I + h''(J) (V_j x V_i)
-    + (h'(J)/J) (V_j x V_i - V_i x V_j), with V = Cof U.
+    B_i^j = mu delta_ij I + h''(J) (V_j x V_i) + (h'(J)/J) (V_j x V_i - V_i x V_j),
+    with V = Cof U, from one det, one cofactor and one h', h'' evaluation.
     """
     U = np.asarray(U, dtype=float)
     d = U.shape[0]
+    J = _jacobian(U)
+    Vt = cofactor(U).T
+    ji = Vt[None, :, :, None] * Vt[:, None, None, :]  # [i, j] holds V_j x V_i
+    out = float(m.h2(J)) * ji
+    out += float(m.h1(J)) / J * (ji - ji.transpose(1, 0, 2, 3))
+    out[range(d), range(d)] += m.mu * np.eye(d)
+    return out
+
+
+def b_tensor(m: MaterialModel, U: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The block B_i^j of ``b_blocks``; indices are 1-based."""
+    d = np.shape(U)[0]
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"indices must lie in 1..{d}, got ({i}, {j})")
-    J = _jacobian(U)
-    V = cofactor(U)
-    vi, vj = V[:, i - 1], V[:, j - 1]
-    out = float(m.h2(J)) * np.outer(vj, vi)
-    out += float(m.h1(J)) / J * (np.outer(vj, vi) - np.outer(vi, vj))
-    if i == j:
-        out += m.mu * np.eye(d)
-    return out
+    return b_blocks(m, U)[i - 1, j - 1]
 
 
 def acoustic_tensor(m: MaterialModel, U: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from hadshock.errors import CharacteristicSpeed
-from hadshock.linalg import quad_roots
+from hadshock import oracle
+from hadshock.cli import main
+from hadshock.errors import CharacteristicSpeed, NoConvergence, WrongSignForMaterial
+from hadshock.linalg import cofactor, quad_roots
 from hadshock.lopatinskii import delta_v1_values, stable_beta_values
-from hadshock.materials import b_tensor, catalog
+from hadshock.materials import CATALOG_NAMES, b_blocks, b_tensor, catalog, energy
 from hadshock.oracle import (
+    _fd_cof_derivative_err,
+    _fd_grad_det,
+    _fd_hessian_btensor_err,
     assemble_Aj,
     assemble_calA,
     assemble_symbol,
@@ -26,7 +31,7 @@ from hadshock.shock import ElasticState, build, freq_coeffs
 def test_assemble_Aj_block_structure(cg2):
     U = np.array([[1.1, 0.2], [-0.1, 0.9]])
     for j in (1, 2):
-        A = assemble_Aj(cg2, U, j).matrix
+        A = assemble_Aj(b_blocks(cg2, U), j)
         assert A.shape == (6, 6)
         j0 = j - 1
         assert np.array_equal(A[j0 * 2 : (j0 + 1) * 2, 4:6], -np.eye(2))
@@ -41,7 +46,7 @@ def test_assemble_Aj_block_structure(cg2):
 
 
 def test_assemble_A1_spectrum_matches_table(cg2):
-    A = assemble_symbol(cg2, np.eye(2), np.array([1.0, 0.0])).matrix
+    A = assemble_symbol(b_blocks(cg2, np.eye(2)), np.array([1.0, 0.0]))
     vals = np.sort(dense_eig(A).real)
     expect = np.sort([-np.sqrt(3), -1.0, 0.0, 0.0, 1.0, np.sqrt(3)])
     assert np.abs(vals - expect).max() <= 1e-8
@@ -52,7 +57,7 @@ def test_assemble_symbol_diagonalizable(shock_pool):
     rng = np.random.default_rng(5)
     for sf in shock_pool[3][:3]:
         xi = rng.standard_normal(3)
-        A = assemble_symbol(sf.material, sf.plus.U, xi).matrix
+        A = assemble_symbol(b_blocks(sf.material, sf.plus.U), xi)
         _, vecs = np.linalg.eig(A)
         assert np.isfinite(np.linalg.cond(vecs))
         assert np.linalg.cond(vecs) < 1e8
@@ -61,12 +66,12 @@ def test_assemble_symbol_diagonalizable(shock_pool):
 def test_cal_A_eigenvalue_content(cg2_shock):
     norm = np.hypot(abs(0.6 + 0.3j), 0.55)
     lam, xi = (0.6 + 0.3j) / norm, np.array([0.55]) / norm
-    cal = assemble_calA(cg2_shock, lam, xi)
-    vals = dense_eig(cal.matrix)
+    cal = assemble_calA(cg2_shock, b_blocks(cg2_shock.material, cg2_shock.plus.U), lam, xi)
+    vals = dense_eig(cal)
     s = cg2_shock.speed
     # the d^2-d = 2 fold eigenvalue -lambda/s
     ref = -lam / s
-    cluster = np.abs(vals - ref) <= 1e-7 * max(1.0, np.linalg.norm(cal.matrix, 2))
+    cluster = np.abs(vals - ref) <= 1e-7 * max(1.0, np.linalg.norm(cal, 2))
     assert int(cluster.sum()) == 2
     # the two transverse-family roots solve
     # (mu - s^2) b^2 - 2 lambda s b - (lambda^2 + mu |xi|^2) = 0, both unstable
@@ -97,7 +102,7 @@ def test_characteristic_speed_guard(cg2_shock):
     sf = copy.copy(cg2_shock)
     sf.speed = -np.sqrt(sf.material.mu)
     with pytest.raises(CharacteristicSpeed):
-        assemble_calA(sf, 1.0, np.zeros(1))
+        assemble_calA(sf, b_blocks(sf.material, sf.plus.U), 1.0, np.zeros(1))
 
 
 def test_jump_vector_zero_transverse(cg2_shock):
@@ -113,13 +118,14 @@ def test_left_eigenvector_and_jump_identities(shock_pool, frequency_sampler):
     for d, pool in shock_pool.items():
         sample = frequency_sampler(900 + d, d)
         for sf in pool[:5]:
+            B = b_blocks(sf.material, sf.plus.U)
             lam, xi = sample()
             beta = complex(stable_beta_values(sf, lam, xi))
-            l = formula_left_eigenvector(sf, lam, xi, beta)
-            cal = assemble_calA(sf, lam, xi)
-            assert np.linalg.norm(l @ cal.matrix - beta * l) <= 1e-10 * np.linalg.norm(l)
+            l = formula_left_eigenvector(sf, B, lam, xi, beta)
+            cal = assemble_calA(sf, B, lam, xi)
+            assert np.linalg.norm(l @ cal - beta * l) <= 1e-10 * np.linalg.norm(l)
             K = jump_vector(sf, lam, xi)
-            hat = delta_hat_assembled(sf, xi, beta)
+            hat = delta_hat_assembled(sf, B, xi, beta)
             lk = complex(l @ K)
             assert abs(lk - (lam + beta * sf.speed) * hat) <= 1e-10 * (1.0 + abs(lk))
             # and the closed form v1 equals (i/alpha) * assembled value
@@ -162,19 +168,20 @@ def test_left_eigvec_residual_is_rounding_level_and_catches_perturbation(case):
     sf = build(catalog("ogden-foam", params), ElasticState(U, v), alpha)
     xi = np.array(xi)
     beta = complex(stable_beta_values(sf, lam, xi))
-    l = formula_left_eigenvector(sf, lam, xi, beta)
-    assert left_eigvec_residual(sf, lam, xi, l, beta) <= 1e-12
+    B = b_blocks(sf.material, sf.plus.U)
+    l = formula_left_eigenvector(sf, B, lam, xi, beta)
+    assert left_eigvec_residual(sf, B, lam, xi, l, beta) <= 1e-12
     # a 1e-8 ||l|| change of any one component fails the 1e-10 check by far
     step = 1e-8 * np.linalg.norm(l)
     for e in np.eye(l.size):
-        assert left_eigvec_residual(sf, lam, xi, l + step * e, beta) >= 1e-7
+        assert left_eigvec_residual(sf, B, lam, xi, l + step * e, beta) >= 1e-7
 
 
 def test_hersh_counts(shock_pool, frequency_sampler):
     for d, pool in shock_pool.items():
         sample = frequency_sampler(700 + d, d)
         for sf in pool[:5]:
-            stable, cluster = hersh_counts(sf, *sample())
+            stable, cluster = hersh_counts(sf, b_blocks(sf.material, sf.plus.U), *sample())
             assert stable == 1
             assert cluster == d * d - d
 
@@ -202,12 +209,147 @@ def test_dense_eig_dimension_guard():
 def test_fd_check_suite_passes(cg2):
     rng = np.random.default_rng(19)
     U = np.eye(2) + 0.3 * rng.uniform(-1, 1, size=(2, 2))
-    rep = fd_check_suite(cg2, U, seed=3)
+    rep = fd_check_suite(cg2, U, b_blocks(cg2, U), seed=3)
     assert rep["pass"]
     assert rep["grad_det_vs_cofactor"] <= 1e-7
     assert rep["cofactor_derivative"] <= 1e-6
     assert rep["hessian_vs_btensor"] <= 1e-5
     assert rep["genuine_nonlinearity"] <= 1e-5
+
+
+# The finite-difference checks as they were written before their stencils went
+# into one stack; the stacked checks must reproduce them bit for bit.
+
+def fd_grad_det_loop(U):
+    d = U.shape[0]
+    step = 1e-6 * (1.0 + np.abs(U).max())
+    out = np.empty_like(U)
+    for i in range(d):
+        for j in range(d):
+            Up, Um = U.copy(), U.copy()
+            Up[i, j] += step
+            Um[i, j] -= step
+            out[i, j] = (np.linalg.det(Up) - np.linalg.det(Um)) / (2.0 * step)
+    return out
+
+
+def fd_cof_derivative_err_loop(U):
+    d = U.shape[0]
+    J = np.linalg.det(U)
+    V = cofactor(U)
+    step = 1e-6 * (1.0 + np.abs(U).max())
+    worst = 0.0
+    scale = max(1.0, float(np.abs(V).max()) ** 2 / J)
+    for q in range(d):
+        for i in range(d):
+            Up, Um = U.copy(), U.copy()
+            Up[q, i] += step
+            Um[q, i] -= step
+            fd = (cofactor(Up) - cofactor(Um)) / (2.0 * step)
+            closed = (V[q, i] * V - np.outer(V[:, i], V[q, :])) / J
+            worst = max(worst, float(np.abs(fd - closed).max()) / scale)
+    return worst
+
+
+def fd_hessian_btensor_err_loop(m, U):
+    d = U.shape[0]
+    step = 1e-4 * (1.0 + np.abs(U).max())
+
+    def W(*moves):
+        X = U.copy()
+        for idx, sign in moves:
+            X[idx] += sign * step
+        return energy(m, X)
+
+    blocks = {(i, j): b_tensor(m, U, i, j) for i in range(1, d + 1) for j in range(1, d + 1)}
+    scale = max(np.abs(b).max() for b in blocks.values())
+    worst = 0.0
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            for p in range(d):
+                for q in range(d):
+                    a_idx, b_idx = (p, j - 1), (q, i - 1)
+                    if a_idx == b_idx:
+                        fd = (W((a_idx, 1)) - 2.0 * W() + W((a_idx, -1))) / step**2
+                    else:
+                        fd = (W((a_idx, 1), (b_idx, 1)) - W((a_idx, 1), (b_idx, -1))
+                              - W((a_idx, -1), (b_idx, 1)) + W((a_idx, -1), (b_idx, -1)))
+                        fd /= 4.0 * step**2
+                    worst = max(worst, abs(fd - blocks[(i, j)][p, q]) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_fd_checks_match_scalar_loops_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    params = {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2}
+    for name in CATALOG_NAMES:
+        m = catalog(name, params)
+        U = np.eye(d) + 0.4 * rng.uniform(-1, 1, size=(d, d))
+        while np.linalg.det(U) <= 0.2:
+            U = np.eye(d) + 0.4 * rng.uniform(-1, 1, size=(d, d))
+        assert _fd_grad_det(U).tobytes() == fd_grad_det_loop(U).tobytes()
+        assert _fd_cof_derivative_err(U) == fd_cof_derivative_err_loop(U)
+        assert _fd_hessian_btensor_err(m, U, b_blocks(m, U)) == fd_hessian_btensor_err_loop(m, U)
+
+
+# checks whose value depends on the B-blocks
+BLOCK_CHECKS = {
+    "acoustic_double_sum", "btensor_transpose_symmetry", "char_speeds_vs_eig",
+    "fd_hessian_vs_btensor", "v1_vs_assembled", "left_eigvec_residual",
+    "jump_product_identity", "hersh_stable_count", "hersh_cluster_size",
+}
+
+
+def test_batched_oracle_catches_a_wrong_block(monkeypatch):
+    true_blocks = oracle.b_blocks
+
+    def off_by(rel):
+        def wrong(m, U):
+            B = true_blocks(m, U)
+            B[np.unravel_index(np.argmax(np.abs(B)), B.shape)] *= 1.0 + rel
+            return B
+        return wrong
+
+    sf = random_shock(np.random.default_rng(11), 3)
+    m, U = sf.material, sf.plus.U
+    clean = _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U))
+    assert clean <= 1e-7
+    # the FD Hessian is not built from the blocks: it sees a 1e-6 change far
+    # above its noise, and a 1e-4 change fails its 1e-5 tolerance
+    monkeypatch.setattr(oracle, "b_blocks", off_by(1e-6))
+    assert _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U)) >= 0.5e-6
+    rep = verify_suite(seed=7, scenarios=2, dims=(2,))
+    assert not rep["ok"]
+    assert rep["first_failure"]["check"] in BLOCK_CHECKS
+    monkeypatch.setattr(oracle, "b_blocks", off_by(1e-4))
+    assert _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U)) > 1e-5
+
+
+def test_random_shock_does_not_retry_programming_errors(monkeypatch):
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise TypeError("a bug in build")
+
+    monkeypatch.setattr(oracle, "build", broken)
+    with pytest.raises(TypeError):
+        random_shock(np.random.default_rng(1), 2)
+    assert len(calls) == 1
+
+
+def test_random_shock_exhaustion_is_typed(monkeypatch, capsys):
+    def rejected(*args):
+        raise WrongSignForMaterial("never admissible")
+
+    monkeypatch.setattr(oracle, "build", rejected)
+    with pytest.raises(NoConvergence):
+        random_shock(np.random.default_rng(1), 2, max_tries=5)
+    assert main(["verify", "--seed=1", "--scenarios=1", "--dims=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NoConvergence: no admissible d=2 shock scenario")
 
 
 def test_random_shock_generator_properties():
