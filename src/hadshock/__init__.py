@@ -12,14 +12,13 @@ from .classifier import (
     transition_alpha,
 )
 from .errors import HadshockError
-from .linalg import cofactor, quad_roots, sqrt_principal
+from .linalg import cofactor
 from .lopatinskii import (
     delta_v1_values,
     delta_v2_values,
     delta_v3_values,
     freq_map_values,
     freq_unmap_values,
-    imag_scan,
     stable_beta_values,
     winding,
 )
@@ -28,9 +27,7 @@ from .materials import (
     acoustic_spectrum,
     acoustic_tensor,
     b_blocks,
-    b_tensor,
     catalog,
-    cauchy_stress,
     char_speeds,
     check_hypotheses,
     piola_kirchhoff,
@@ -56,23 +53,18 @@ __all__ = [
     "transition_alpha",
     "HadshockError",
     "cofactor",
-    "quad_roots",
-    "sqrt_principal",
     "delta_v1_values",
     "delta_v2_values",
     "delta_v3_values",
     "freq_map_values",
     "freq_unmap_values",
-    "imag_scan",
     "stable_beta_values",
     "winding",
     "MaterialModel",
     "acoustic_spectrum",
     "acoustic_tensor",
     "b_blocks",
-    "b_tensor",
     "catalog",
-    "cauchy_stress",
     "char_speeds",
     "check_hypotheses",
     "piola_kirchhoff",

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParams, DegenerateModuli, InvalidBracket
-from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored, winding
+from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
                     _live, build, freq_coeffs)
@@ -25,7 +25,6 @@ from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _crite
 __all__ = [
     "UNIFORM",
     "WEAK",
-    "INCONSISTENT",
     "Witness",
     "StabilityVerdict",
     "classify",
@@ -38,7 +37,6 @@ __all__ = [
 
 UNIFORM = "uniform"
 WEAK = "weak"
-INCONSISTENT = "inconsistent"
 
 MARGINAL_BAND = 1e-10
 
@@ -59,7 +57,6 @@ class StabilityVerdict:
     min_criterion: Optional[float] = None
     witness: Optional[Witness] = None
     marginal: bool = False
-    diagnostic: Optional[str] = None
 
 
 def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
@@ -250,16 +247,16 @@ def _sphere_minima(fr: FrontStack) -> tuple:
     return pair[np.arange(n), i], vals[np.arange(n), i]
 
 
-def classify(sf: ShockFront, check_winding: bool = False) -> StabilityVerdict:
+def classify(sf: ShockFront) -> StabilityVerdict:
     """Uniform or weak stability of a constructed Lax front: classify_stack of the one
     front, raising its error."""
-    verdict = classify_stack(FrontStack.of(sf), check_winding)[0]
+    verdict = classify_stack(FrontStack.of(sf))[0]
     if isinstance(verdict, Exception):
         raise verdict
     return verdict
 
 
-def classify_stack(fronts: FrontStack, check_winding: bool = False) -> list:
+def classify_stack(fronts: FrontStack) -> list:
     """Uniform or weak stability of each front of a stack, in one array pass.
 
     rho <= 0 short-circuits to Uniform with no sphere search.  For rho > 0 the
@@ -267,10 +264,10 @@ def classify_stack(fronts: FrontStack, check_winding: bool = False) -> list:
     points when it is {-1, +1}; otherwise the 1-D set where the minimum must lie,
     from one eigendecomposition of theta_TT per SEARCH_ROWS fronts).  A minimum within
     +/-1e-10 of zero is Weak with the ``marginal`` flag, since the exact threshold
-    carries the root at t = sqrt(zeta).  With ``check_winding`` and rho < 0, a
-    nonzero winding count (impossible for a consistent model) gives Inconsistent.
-    A row gets its verdict, or the typed error that stopped it in build_stack or
-    of the first check here it fails.  The alpha > 0 warning is given once per call.
+    carries the root at t = sqrt(zeta); a Weak verdict's witness is the minimizing
+    direction and its imaginary-axis root.  A row gets its verdict, or the typed error
+    that stopped it in build_stack or of the first check here it fails.  The alpha > 0
+    warning is given once per call.
     """
     out = list(fronts.errors)
     live = np.flatnonzero(_live(out))
@@ -284,13 +281,6 @@ def classify_stack(fronts: FrontStack, check_winding: bool = False) -> list:
     rho = fronts.rho[live, 0]
     for i in live[rho <= 0]:
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]))
-        sf = fronts.front(i) if check_winding and fronts.rho[i, 0] < 0 else None
-        for xi in np.eye(fronts.dim - 1) if sf is not None else ():
-            w = winding(sf, xi, R=20.0)
-            if w != 0:
-                out[i] = StabilityVerdict(kind=INCONSISTENT, rho=sf.rho, diagnostic=(
-                    f"winding {w} != 0 at xi_t={xi.tolist()}, rho={sf.rho}"))
-                break
     searched = live[rho > 0]
     fr = fronts.rows(searched)
     # a few fronts at a time, as the sphere search holds (fronts x samples) arrays

@@ -230,8 +230,6 @@ def _verdict_report(sf, verdict) -> dict:
         }
     if verdict.marginal:
         rep["marginal"] = True
-    if verdict.diagnostic:
-        rep["diagnostic"] = verdict.diagnostic
     rep["diagnostics"] = {"lax_margins": list(lax.margins), "alpha_max": sf.alpha_max}
     return rep
 

@@ -29,12 +29,12 @@ where it reduces to gamma itself); on the imaginary axis gamma = i*t it
 is the limit from Re gamma > 0, i.e. i*sgn(t)*sqrt(t^2 - zeta) once
 t^2 exceeds zeta.
 
-``imag_scan`` locates purely imaginary zeros (surface waves) and
-``winding`` counts zeros with positive real part by the argument
-principle along a D-shaped contour.
+``_imag_roots`` locates the purely imaginary zeros (surface waves) of
+the fronts and directions the classifier hands it, and ``winding``
+counts zeros with positive real part by the argument principle along a
+D-shaped contour.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ from .linalg import degenerate_leading
 from .shock import FrequencyCoefficients, ShockFront, _criterion, _surface_term, freq_coeffs
 
 __all__ = [
-    "ImagScanResult",
     "stable_beta_values",
     "freq_map_values",
     "freq_unmap_values",
@@ -52,17 +51,9 @@ __all__ = [
     "delta_v2_values",
     "delta_v3_values",
     "v3_factors_values",
-    "imag_scan",
     "winding",
     "winding_number",
 ]
-
-
-@dataclass
-class ImagScanResult:
-    roots: list
-    boundary_value: float
-    lambda_plus_beta_s: list
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +219,17 @@ def v3_factors_values(sf: ShockFront, gammas, xi_t) -> tuple:
 def _imag_roots(sf, coeffs) -> tuple:
     """G, the imaginary-axis root t (NaN where none exists: rho <= 0 or G > 0) and the check
     that failed (0 for none; see _root_error), for frequency coefficients of unit
-    transverse vectors that broadcast against the fields of a front or a stack."""
+    transverse vectors that broadcast against the fields of a front or a stack.
+
+    A zero gamma = i t of the stability function exists iff G <= 0 and rho > 0; it has
+    t >= sqrt(zeta) and is unique, because the restriction to the axis is strictly
+    decreasing in t.  The mirror zero at -t belongs to the flipped direction -xi_t."""
     bv = _criterion(sf, coeffs.eta, coeffs.P, coeffs.zeta)
     none = (sf.rho <= 0) | (bv > 0)
     # the root solves t = sqrt(zeta + u^2) = a + c u with c = sqrt(kappa2+)/s < -1; squared,
     # (c^2 - 1) u^2 + 2 a c u + a^2 - zeta = 0, whose other root has a + c u < 0, so u is
-    # the smaller root, found as quad_roots finds it
+    # the smaller root: the one of larger size is q/qa with no cancellation in q, the other
+    # qc/q by the product of the roots
     R = np.maximum(_surface_term(sf, coeffs.P), 0.0)
     a = np.sqrt(R) - sf.tau * coeffs.eta
     c = np.sqrt(sf.kappa2_plus) / sf.speed
@@ -248,7 +244,7 @@ def _imag_roots(sf, coeffs) -> tuple:
         a_t = t - c * u + sf.tau * coeffs.eta
         quad = ~none & (bv != 0.0)
         failed = np.where(quad & degenerate_leading(qa, qb, qc), 1,
-                          np.where(quad & (np.abs(R - a_t * a_t) > 1e-10), 2, 0))
+                          np.where(quad & ~(np.abs(R - a_t * a_t) <= 1e-10), 2, 0))
     t = np.where(none, np.nan, np.where(bv == 0.0, np.sqrt(coeffs.zeta), t))
     return bv, t, failed
 
@@ -260,46 +256,14 @@ def _root_error(failed: int) -> Exception:
     return VerificationError("imaginary-axis root refinement exceeded tolerance")
 
 
-def imag_scan(sf: ShockFront, xi_t) -> ImagScanResult:
-    """Locate purely imaginary zeros of the stability function.
-
-    For a unit transverse vector, a zero gamma = i t with t >=
-    sqrt(zeta) exists iff boundary_value = G(xi_t), the classifier
-    criterion (sqrt(zeta) + tau*eta)^2 - rho kappa2+ P/(s^2 theta11),
-    is <= 0 (and rho > 0); it is then unique because the restriction is
-    strictly decreasing in t.  No zeros exist with |t| < sqrt(zeta).
-    The mirror zero at negative t belongs to the flipped frequency
-    -xi_t.  For every root the distance |lambda + beta*s| is reported; a
-    root with lambda = -beta*s would be an artifact of dropping the curl
-    constraint and is never produced by the stable branch.
-    """
-    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    if abs(float(xi_t @ xi_t) - 1.0) > 1e-9:
-        raise ValueError("imag_scan expects a unit transverse vector")
-    coeffs = freq_coeffs(sf, xi_t)
-    bv, t, failed = _imag_roots(sf, coeffs)
-    if failed:
-        raise _root_error(failed)
-    result = ImagScanResult(roots=[], boundary_value=float(bv), lambda_plus_beta_s=[])
-    if not np.isnan(t):
-        result.roots.append(float(t))
-        gamma = 1j * float(t)
-        lam = _lambda_from_gamma(sf, gamma, coeffs.eta)
-        beta = _beta_from_gamma(sf, gamma, coeffs)
-        result.lambda_plus_beta_s.append(float(np.abs(lam + beta * sf.speed)))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # argument-principle winding
 
-def winding_number(
-    f: Callable,
-    R: float,
-    initial_nodes: int = 4096,
-    max_phase_step: float = np.pi / 8.0,
-    zero_tol: float = 1e-12,
-) -> int:
+MAX_PHASE_STEP = np.pi / 8.0  # a larger phase step between contour nodes is bisected
+ZERO_TOL = 1e-12  # |f| below this share of max |f| counts as a zero on the contour
+
+
+def winding_number(f: Callable, R: float, initial_nodes: int = 4096) -> int:
     """Winding of f around 0 along the D-shaped right-half-plane contour.
 
     The contour is the semicircle |w| = R, Re w >= 0, closed by the
@@ -307,8 +271,8 @@ def winding_number(
     an array of contour points to an array of values; it is called once
     on the initial nodes and once per refinement round.  Phase
     increments are accumulated node to node; every step larger than
-    ``max_phase_step`` is bisected in the next round.  Raises
-    ContourThroughZero if |f| falls below zero_tol * max|f| at any node.
+    MAX_PHASE_STEP is bisected in the next round.  Raises
+    ContourThroughZero if |f| falls below ZERO_TOL * max|f| at any node.
     """
 
     def points(u: np.ndarray) -> np.ndarray:
@@ -321,10 +285,10 @@ def winding_number(
     values = np.asarray(f(points(u)), dtype=complex)
     for _ in range(32):
         mags = np.abs(values)
-        if mags.min() < zero_tol * max(1.0, mags.max()):
+        if mags.min() < ZERO_TOL * max(1.0, mags.max()):
             raise ContourThroughZero("contour value within zero tolerance")
         steps = np.angle(np.roll(values, -1) / values)
-        bad = np.flatnonzero(np.abs(steps) > max_phase_step)
+        bad = np.flatnonzero(np.abs(steps) > MAX_PHASE_STEP)
         if bad.size == 0:
             total = steps.sum()
             w = total / (2.0 * np.pi)

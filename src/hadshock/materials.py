@@ -31,13 +31,10 @@ __all__ = [
     "check_hypotheses",
     "energy",
     "piola_kirchhoff",
-    "cauchy_stress",
     "b_blocks",
-    "b_tensor",
     "acoustic_tensor",
     "acoustic_spectrum",
     "char_speeds",
-    "strain_invariants",
     "default_J_grid",
 ]
 
@@ -46,7 +43,9 @@ __all__ = [
 class MaterialModel:
     """Shear modulus plus volumetric energy h with three derivatives.
 
-    ``h, h1, h2, h3`` accept a float or a numpy array of J > 0 values.
+    ``h, h1, h2, h3`` accept a float or a numpy array of J > 0 values; for
+    a catalog law a float J gives the same value, bit for bit, as the same
+    J inside an array, since every term is evaluated with numpy's ufuncs.
     ``declared_bulk`` records the bulk modulus the model was built from,
     when it was; the hypothesis report compares it with the small-strain
     bulk modulus implied by h''(1).
@@ -112,13 +111,13 @@ def _log(J, n, c):
     """c log J, or its n-th derivative c (-1)^(n-1) (n-1)! / J^n."""
     if n == 0:
         return c * np.log(J)
-    return c * (-1) ** (n - 1) * math.factorial(n - 1) / J**n
+    return c * (-1) ** (n - 1) * math.factorial(n - 1) / np.power(J, n)
 
 
 def _power(J, n, c, a, p):
     """c (J - a)^p, or its n-th derivative c p (p-1) ... (p-n+1) (J - a)^(p-n)."""
     k = c * math.prod(p - i for i in range(n))
-    return k * (J - a) ** (p - n) if k else 0.0 * J
+    return k * np.power(J - a, p - n) if k else 0.0 * J
 
 
 def _cosh(J, n, c, b):
@@ -220,14 +219,22 @@ CATALOG_NAMES = tuple(_LAWS)
 
 
 def _ensure_vectorized(f):
-    """Make a user-supplied scalar callable accept numpy arrays of J."""
+    """Make a user-supplied scalar callable accept numpy arrays of J; where it raises
+    OverflowError (as Python's float arithmetic does) its value is inf, as numpy's is."""
     try:
         probe = np.asarray(f(np.array([0.5, 2.0])), dtype=float)
         if probe.shape == (2,):
             return f
     except Exception:
         pass
-    return np.vectorize(f, otypes=[float])
+
+    def scalar(J):
+        try:
+            return f(J)
+        except OverflowError:
+            return np.inf
+
+    return np.vectorize(scalar, otypes=[float])
 
 
 def _fd_derivative(f):
@@ -411,25 +418,17 @@ def _jacobian(U: np.ndarray):
     return float(J) if J.ndim == 0 else J
 
 
-def strain_invariants(U: np.ndarray):
-    """Trace invariant I1 = tr(U^T U) and volume ratio J = det U."""
-    U = np.asarray(U, dtype=float)
-    return float(np.sum(U * U)), float(np.linalg.det(U))
-
-
 def energy(m: MaterialModel, U: np.ndarray):
     """Stored energy density W(U) = (mu/2) tr(U^T U) + h(det U), of U or a (..., d, d) stack.
 
     A stack gives an array, each entry equal bit for bit to the call on its
     slice: each slice's d^2 squares are summed as one contiguous row, and h
-    is taken one J at a time, as a float, because numpy's vector power may
-    round differently from the scalar one.
+    rounds the same for a float J as for an array of them.
     """
     U = np.asarray(U, dtype=float)
     J = _jacobian(U)
     sq = (U * U).reshape(U.shape[:-2] + (-1,)).sum(axis=-1)
-    h = np.array([float(m.h(j)) for j in np.ravel(J).tolist()]).reshape(np.shape(J))
-    W = 0.5 * m.mu * sq + h
+    W = 0.5 * m.mu * sq + m.h(J)
     return float(W) if U.ndim == 2 else W
 
 
@@ -438,14 +437,6 @@ def piola_kirchhoff(m: MaterialModel, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     J = _jacobian(U)
     return m.mu * U + np.asarray(m.h1(J), dtype=float)[..., None, None] * cofactor(U)
-
-
-def cauchy_stress(m: MaterialModel, U: np.ndarray) -> np.ndarray:
-    """Cauchy stress: (mu/J) U U^T + h'(J) I."""
-    U = np.asarray(U, dtype=float)
-    J = _jacobian(U)
-    d = U.shape[0]
-    return (m.mu / J) * (U @ U.T) + float(m.h1(J)) * np.eye(d)
 
 
 def b_blocks(m: MaterialModel, U: np.ndarray) -> np.ndarray:
@@ -463,14 +454,6 @@ def b_blocks(m: MaterialModel, U: np.ndarray) -> np.ndarray:
     out += float(m.h1(J)) / J * (ji - ji.transpose(1, 0, 2, 3))
     out[range(d), range(d)] += m.mu * np.eye(d)
     return out
-
-
-def b_tensor(m: MaterialModel, U: np.ndarray, i: int, j: int) -> np.ndarray:
-    """The block B_i^j of ``b_blocks``; indices are 1-based."""
-    d = np.shape(U)[0]
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"indices must lie in 1..{d}, got ({i}, {j})")
-    return b_blocks(m, U)[i - 1, j - 1]
 
 
 def acoustic_tensor(m: MaterialModel, U: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 EIG_CLUSTER_TOL = 1e-7
+SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_reference polishes
+MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
+CONTROL_NODES = 24  # nodes per axis of the negative-control grid
 
 # The assembly functions take the B-blocks ``b_blocks(m, U)`` (at U+ for a
 # front), so that one scenario computes them once for every check.
@@ -246,16 +249,15 @@ def hersh_counts(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray):
 # ---------------------------------------------------------------------------
 # sphere minimum by dense sampling plus local polish
 
-def _sphere_grid(k: int, resolution: int) -> np.ndarray:
+def _sphere_grid(k: int) -> np.ndarray:
     """Deterministic covering of the unit sphere in R^k (both hemispheres)."""
+    n = SPHERE_POINTS
     if k == 1:
         return np.array([[-1.0], [1.0]])
     if k == 2:
-        n = 64 * resolution
         ang = 2.0 * np.pi * np.arange(n) / n
         return np.column_stack([np.cos(ang), np.sin(ang)])
     if k == 3:
-        n = 64 * resolution
         i = np.arange(n) + 0.5
         phi = np.arccos(1.0 - 2.0 * i / n)
         golden = np.pi * (1.0 + np.sqrt(5.0))
@@ -264,7 +266,7 @@ def _sphere_grid(k: int, resolution: int) -> np.ndarray:
             [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
         )
     rng = np.random.default_rng(0)
-    pts = rng.standard_normal((64 * resolution, k))
+    pts = rng.standard_normal((n, k))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -281,16 +283,16 @@ def _tangent_basis(x: np.ndarray) -> np.ndarray:
     return np.array(basis[: k - 1])
 
 
-def sphere_min_reference(sf: ShockFront, resolution: int = 128) -> float:
+def sphere_min_reference(sf: ShockFront) -> float:
     """Minimum of the classifier criterion G over unit transverse vectors.
 
     Independent of the classifier's exact search: the best of a dense
-    sphere covering (64 * resolution points; seeded random for k >= 4)
+    sphere covering (SPHERE_POINTS points; seeded random for k >= 4)
     polished by Nelder-Mead on a local chart.  Imports scipy.
     """
     from scipy.optimize import minimize
 
-    pts = _sphere_grid(sf.dim - 1, resolution)
+    pts = _sphere_grid(sf.dim - 1)
     vals = criterion_values(sf, pts)
     x0 = pts[int(np.argmin(vals))]
     best = float(vals.min())
@@ -463,15 +465,15 @@ def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> Sh
     raise NoConvergence(f"no admissible d={d} shock scenario in {max_tries} draws")
 
 
-def sample_frequency(rng: "np.random.Generator", d: int, min_re: float = 0.05) -> tuple:
+def sample_frequency(rng: "np.random.Generator", d: int) -> tuple:
     """(lambda, xi_t): a uniform-ish point on the frequency hemisphere with Re lambda
-    bounded away from 0."""
+    at least MIN_RE_LAMBDA."""
     while True:
         lam = complex(abs(rng.standard_normal()), rng.standard_normal())
         xi = rng.standard_normal(d - 1)
         norm = np.sqrt(abs(lam) ** 2 + float(xi @ xi))
         lam, xi = lam / norm, xi / norm
-        if lam.real >= min_re:
+        if lam.real >= MIN_RE_LAMBDA:
             return lam, xi
 
 
@@ -656,12 +658,12 @@ def _check_frequency_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, lam:
         t.record("v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5, ctx)
 
 
-def _check_negative_control(t: _Tracker, sf: ShockFront, rng, ctx: str, n: int = 24):
+def _check_negative_control(t: _Tracker, sf: ShockFront, rng, ctx: str):
     """No interior zeros: |v2| stays above 1e-6 on a Re gamma in [0.01, 2] grid."""
     xi = rng.standard_normal(sf.dim - 1)
     xi /= np.linalg.norm(xi)
-    re = np.linspace(0.01, 2.0, n)
-    im = np.linspace(-2.0, 2.0, n)
+    re = np.linspace(0.01, 2.0, CONTROL_NODES)
+    im = np.linspace(-2.0, 2.0, CONTROL_NODES)
     G = re[None, :] + 1j * im[:, None]
     vals = delta_v2_values(sf, G, xi)
     t.record("interior_nonvanishing", 0.0 if np.abs(vals).min() > 1e-6 else 1.0, 0.5, ctx)

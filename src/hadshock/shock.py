@@ -215,18 +215,6 @@ def _h3_signs(m: MaterialModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(pos & neg, 2, pos.astype(int) - neg)
 
 
-def _laws_at(m: MaterialModel, J: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """h'(J) and h''(J) at each live J as Python floats, as for one front (numpy's array
-    power and logarithm may round differently); inf where a Python-float power overflows."""
-    out = np.full((2, J.size), np.nan)
-    for i, x in zip(np.flatnonzero(live), J[live].tolist()):
-        try:
-            out[:, i] = m.h1(x), m.h2(x)
-        except OverflowError:
-            out[:, i] = np.inf
-    return out
-
-
 def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cofactor-jump matrix: signed minors of (V1, U2, ..., Ud), first column zero."""
     A = U_plus.copy()
@@ -276,7 +264,7 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
         _reject(errors, sign != np.where(alphas < 0, -1, 1), lambda i: WrongSignForMaterial(
             f"alpha = {alphas[i]} requires h''' {'<' if alphas[i] < 0 else '>'} 0 on the jump "
             f"interval ({lo[i]:.6g}, {hi[i]:.6g})"))
-        h1m, h2m = _laws_at(m, Jm, _live(errors))
+        h1m, h2m = m.h1(Jm), m.h2(Jm)
         s_sq = m.mu + (float(m.h1(Jp)) - h1m) / alphas
         _reject(errors, ~(np.isfinite(s_sq) & np.isfinite(h2m)), lambda i: AlphaOutOfRange(
             f"alpha = {alphas[i]} overflows the material law at J- = {Jm[i]:.6g}"))
@@ -297,27 +285,32 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
         alpha=col(alphas), speed=col(s), Jminus=col(Jm), kappa2_minus=col(k2m), rho=col(rho),
         tau=col(tau), errors=errors)
     live = np.flatnonzero(_live(errors))
-    for i, error in zip(live, _jump_and_lax_errors(fronts.rows(live))):
-        errors[i] = error
+    with np.errstate(all="ignore"):
+        for i, error in zip(live, _jump_and_lax_errors(fronts.rows(live))):
+            errors[i] = error
     return fronts
 
 
 def _jump_and_lax_errors(fr) -> list:
     """Per row of a front or a stack, the error of the first failing check of the jump
     conditions and then the strict Lax margins, or None.  A jump residual is relative to the
-    larger of residual_scale() and the sizes of its terms, which grow with |alpha|."""
+    larger of residual_scale() and the sizes of its terms, which grow with |alpha|; a row
+    whose residual or scale overflows (the norms square the entries) cannot be checked."""
     norm = functools.partial(np.linalg.norm, axis=-1, keepdims=True)
     s, base, U_plus = fr.speed, fr.residual_scale(), fr.plus.U
     jump_U1, jump_v = U_plus[:, 0] - fr.minus.U[..., 0], fr.plus.v - fr.minus.v
     sig_p = piola_kirchhoff(fr.material, U_plus)[:, 0]
     sig_m = piola_kirchhoff(fr.material, fr.minus.U)[..., 0]
-    r1 = np.ravel(norm(-s * jump_U1 - jump_v) / np.maximum(
-        base, np.abs(s) * norm(jump_U1) + norm(jump_v)))
-    r2 = np.ravel(norm(-s * jump_v - (sig_p - sig_m)) / np.maximum(
-        base, np.abs(s) * norm(jump_v) + norm(sig_p) + norm(sig_m)))
+    terms = (norm(-s * jump_U1 - jump_v), np.abs(s) * norm(jump_U1) + norm(jump_v),
+             norm(-s * jump_v - (sig_p - sig_m)),
+             np.abs(s) * norm(jump_v) + norm(sig_p) + norm(sig_m))
+    r1 = np.ravel(terms[0] / np.maximum(base, terms[1]))
+    r2 = np.ravel(terms[2] / np.maximum(base, terms[3]))
     margins = [np.ravel(v) for v in _lax_margins(fr)]
-    errors = [None] * r1.size
-    _reject(errors, np.maximum(r1, r2) > 1e-11, lambda i: VerificationError(
+    errors, alphas = [None] * r1.size, np.ravel(fr.alpha)
+    _reject(errors, ~np.ravel(np.all(np.isfinite(terms), axis=0)), lambda i: AlphaOutOfRange(
+        f"alpha = {alphas[i]} overflows the jump-condition residuals"))
+    _reject(errors, ~(np.maximum(r1, r2) <= 1e-11), lambda i: VerificationError(
         f"jump-condition residuals {r1[i]:.3e}, {r2[i]:.3e} relative to their terms exceed 1e-11"))
     _reject(errors, ~np.all(np.greater(margins, 0), axis=0), lambda i: WrongSignForMaterial(
         f"constructed front violates strict Lax margins {tuple(float(v[i]) for v in margins)}"))

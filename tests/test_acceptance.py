@@ -24,7 +24,6 @@ from hadshock.lopatinskii import (
     delta_v2_values,
     delta_v3_values,
     freq_map_values,
-    imag_scan,
     stable_beta_values,
     v3_factors_values,
     winding,
@@ -122,11 +121,10 @@ def test_criterion_03_blatz_identity():
 
 def test_criterion_04_weak_witness(cg2_weak_shock):
     with criterion(4, "weak-stability witness root on the imaginary axis"):
-        res = imag_scan(cg2_weak_shock, [1.0])
-        assert abs(res.boundary_value - 3.0 * (1.0 - 72.0 / 19.0)) <= 1e-9
-        assert len(res.roots) == 1
-        t_star = res.roots[0]
-        val = delta_v2_values(cg2_weak_shock, 1j * t_star, [1.0])
+        witness = classify(cg2_weak_shock).witness
+        assert abs(witness.criterion_value - 3.0 * (1.0 - 72.0 / 19.0)) <= 1e-9
+        t_star = witness.t_root
+        val = delta_v2_values(cg2_weak_shock, 1j * t_star, witness.xi_t)
         assert abs(val) <= 1e-8
 
 

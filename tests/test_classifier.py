@@ -14,7 +14,7 @@ from hadshock.classifier import (
     transition_alpha,
 )
 from hadshock.errors import BadParams, DegenerateModuli, HadshockError, InvalidBracket
-from hadshock.lopatinskii import delta_v2_values
+from hadshock.lopatinskii import delta_v2_values, winding
 from hadshock.materials import catalog
 from hadshock.oracle import random_shock, sphere_min_reference
 from hadshock.shock import ElasticState, build, build_stack
@@ -52,21 +52,15 @@ def test_classify_rho_nonpositive_short_circuit(foam_shock):
         assert vb.min_criterion is None
 
 
-def test_classify_with_winding_check_consistent(foam_shock):
-    v = classify(foam_shock, check_winding=True)
-    assert v.kind == UNIFORM
-    assert v.diagnostic is None
-
-
-def test_classify_inconsistent_path(foam_shock, monkeypatch):
-    # a nonzero winding count cannot occur for a consistent model; force one
-    # to exercise the diagnostic verdict
-    import hadshock.classifier as cls
-
-    monkeypatch.setattr(cls, "winding", lambda sf, xi, R: 1)
-    v = classify(foam_shock, check_winding=True)
-    assert v.kind == "inconsistent"
-    assert "winding" in v.diagnostic
+def test_classify_with_winding_check_consistent(foam_shock, shock_pool):
+    # rho < 0 decides Uniform outright; the argument principle agrees: no zero of
+    # delta_v3 in the right half plane along any axis direction
+    fronts = [foam_shock] + [sf for pool in shock_pool.values() for sf in pool if sf.rho < 0]
+    assert len(fronts) >= 6
+    for sf in fronts:
+        assert classify(sf).kind == UNIFORM
+        for xi in np.eye(sf.dim - 1):
+            assert winding(sf, xi, R=20.0) == 0
 
 
 def test_classify_d2_is_exact_two_point_min(cg2_weak_shock):

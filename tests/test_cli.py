@@ -325,6 +325,15 @@ def test_overflowing_alpha_is_domain_error(capsys):
     assert code == 3
 
 
+def test_overflowing_jump_scale_is_domain_error(capsys):
+    code = main(["shock", "--material=ciarlet-geymonat", "--mu=1", "--kappa=100", "--dim=2",
+                 "--alpha=-1.3e154"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("AlphaOutOfRange: ") and captured.err.count("\n") == 1
+
+
 def test_verification_error_exits_4(capsys, monkeypatch):
     import hadshock.cli as cli
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -6,10 +8,56 @@ import pytest
 import hadshock
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hadshock.__path__))
+EXPORTERS = ["hadshock"] + [f"hadshock.{m}" for m in MODULES]
+
+# Exports that no code of the package calls, on purpose: library entry points of
+# the worked examples, and the scipy reference that tests hold the classifier to.
+NOT_CALLED_INSIDE = {
+    "cg_alpha_star",  # exact 2-D Ciarlet-Geymonat threshold
+    "transition_alpha",  # bisection of the verdict over an intensity bracket
+    "reference_delta",  # closed-form CG2D / Blatz3D stability functions
+    "sphere_min_reference",  # dense sphere covering plus Nelder-Mead, for tests only
+}
 
 
-@pytest.mark.parametrize("name", ["hadshock"] + [f"hadshock.{m}" for m in MODULES])
+def _names_used_in_package() -> set:
+    """Every name the modules load, as a bare name, an attribute or an import, outside
+    the function or class that defines it; the package __init__ only re-exports."""
+    used = set()
+    for path in pathlib.Path(hadshock.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+@pytest.mark.parametrize("name", EXPORTERS)
 def test_every_exported_name_exists(name):
     # a stale name in __all__ breaks `from hadshock import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", EXPORTERS)
+def test_every_exported_name_is_used(name):
+    # an export that no command, oracle check or other module calls is a dead helper
+    used = _names_used_in_package() | NOT_CALLED_INSIDE
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if n not in used] == []
+
+
+def test_allowlist_names_exports():
+    exported = {n for name in EXPORTERS for n in importlib.import_module(name).__all__}
+    assert NOT_CALLED_INSIDE <= exported

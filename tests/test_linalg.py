@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadshock.errors import DegenerateQuadratic
-from hadshock.linalg import cofactor, quad_roots, sqrt_principal
+from hadshock.linalg import cofactor, degenerate_leading
+from hadshock.lopatinskii import _imag_roots, _root_error, _sqrt_anchored
+from hadshock.materials import catalog
+from hadshock.shock import ElasticState, _surface_term, build, freq_coeffs
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -68,50 +71,62 @@ def test_cofactor_large_dimension_paths():
     assert np.allclose(C2.T @ B, np.zeros((5, 5)), atol=1e-9)
 
 
-def test_quad_roots_simple():
-    pair = quad_roots(1.0, 0.0, -1.0)
-    assert pair.root_minus == pytest.approx(-1.0)
-    assert pair.root_plus == pytest.approx(1.0)
-
-
-def test_quad_roots_double_complex():
-    pair = quad_roots(1.0, -2j, -1.0)  # (x - i)^2
-    assert pair.root_minus == pytest.approx(1j)
-    assert pair.root_plus == pytest.approx(1j)
-
-
 def test_quad_roots_degenerate_leading():
-    with pytest.raises(DegenerateQuadratic):
-        quad_roots(1e-16, 1.0, 1.0)
+    # the imaginary-axis root refuses a quadratic whose leading coefficient it cannot divide by
+    assert degenerate_leading(1e-16, 1.0, 1.0)
+    assert not degenerate_leading(1e-13, 1.0, 1.0)
+    flags = degenerate_leading(np.array([1e-16, 1.0, 1.0]), 1.0, np.array([1.0, 1.0, 1e15]))
+    assert flags.tolist() == [True, False, True]
+    assert isinstance(_root_error(1), DegenerateQuadratic)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.complex_numbers(max_magnitude=5.0), st.complex_numbers(max_magnitude=5.0),
-       st.complex_numbers(max_magnitude=5.0))
-def test_quad_roots_residual_and_vieta(a, b, c):
-    if abs(a) <= 1e-13 * max(abs(b), abs(c), 1.0):
+@given(st.floats(1.2, 20.0), st.floats(-200.0, -0.05))
+def test_quad_roots_residual_and_vieta(kappa, alpha):
+    # the imaginary-axis root t = a + c u, u >= 0, solves the squared equation
+    # (c^2 - 1) u^2 + 2 a c u + a^2 - zeta = 0; by the sum of the roots, the other root
+    # has a + c u < 0, so it solves only the squared equation
+    m = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": kappa})
+    sf = build(m, ElasticState(np.eye(2)), alpha)
+    coeffs = freq_coeffs(sf, [1.0])
+    bv, t, failed = _imag_roots(sf, coeffs)
+    assert failed == 0
+    if np.isnan(t):
+        assert bv > 0
         return
-    pair = quad_roots(a, b, c)
-    scale = max(abs(a), abs(b), abs(c))
-    for r in pair:
-        assert abs(a * r * r + b * r + c) <= 1e-12 * max(scale, scale * abs(r) ** 2)
-    root_scale = abs(pair.root_minus) + abs(pair.root_plus)
-    assert abs(pair.root_minus + pair.root_plus + b / a) <= 1e-12 * max(1.0, abs(b / a), root_scale)
-    assert abs(pair.root_minus * pair.root_plus - c / a) <= 1e-12 * max(1.0, abs(c / a))
+    a = np.sqrt(max(_surface_term(sf, coeffs.P), 0.0)) - sf.tau * coeffs.eta
+    c = np.sqrt(sf.kappa2_plus) / sf.speed
+    qa, qb, qc = c * c - 1.0, 2.0 * a * c, a * a - coeffs.zeta
+    u = (t - a) / c
+    scale = max(abs(qa), abs(qb), abs(qc))
+    assert abs(qa * u * u + qb * u + qc) <= 1e-12 * max(scale, scale * u * u)
+    other = -qb / qa - u
+    assert abs(u * other - qc / qa) <= 1e-12 * max(1.0, abs(qc / qa), abs(u * other))
+    assert a + c * other < 0.0 <= a + c * u
 
 
 def test_sqrt_principal_examples():
-    assert sqrt_principal(4.0) == 2.0
-    assert sqrt_principal(-9.0) == 3j
-    assert sqrt_principal(complex(-9.0, -0.0)) == 3j  # signed zero does not flip the cut
+    # (gamma^2 + zeta)^(1/2) continued from Re gamma > 0
+    assert _sqrt_anchored(2.0, 0.0) == 2.0
+    assert _sqrt_anchored(0.0, 4.0) == 2.0
+    assert _sqrt_anchored(1j, 5.0) == 2.0  # inside the gap |t| < sqrt(zeta)
+    assert _sqrt_anchored(3j, 5.0) == 2j
+    assert _sqrt_anchored(-3j, 5.0) == -2j
+    assert _sqrt_anchored(3j, 0.0) == 3j
+    assert _sqrt_anchored(complex(-0.0, 3.0), 0.0) == 3j  # signed zero does not flip the cut
+    assert _sqrt_anchored(complex(-0.0, -3.0), 0.0) == -3j
+    # the axis values are the limits from Re gamma > 0
+    assert _sqrt_anchored(complex(1e-300, 3.0), 0.0) == pytest.approx(3j, rel=1e-15)
+    assert _sqrt_anchored(complex(1e-300, -3.0), 0.0) == pytest.approx(-3j, rel=1e-15)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.complex_numbers(max_magnitude=1e6))
-def test_sqrt_principal_squares_back(z):
-    w = sqrt_principal(z)
+@given(st.complex_numbers(max_magnitude=1e3), st.floats(0.0, 1e6))
+def test_sqrt_principal_squares_back(z, zeta):
+    gamma = complex(abs(z.real), z.imag)
+    w = complex(_sqrt_anchored(gamma, zeta))
     assert w.real >= 0.0
-    assert abs(w * w - z) <= 1e-14 * max(1e-30, abs(z))
+    assert abs(w * w - (gamma * gamma + zeta)) <= 1e-14 * max(1e-30, abs(gamma) ** 2 + zeta)
 
 
 def _loop_minor_expansion(a):

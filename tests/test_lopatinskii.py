@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hadshock.classifier import reference_delta
+from hadshock.classifier import classify, reference_delta
 from hadshock.errors import ContourThroughZero, RhoNotNegative
 from hadshock.lopatinskii import (
     beta_residual,
@@ -10,7 +10,7 @@ from hadshock.lopatinskii import (
     delta_v3_values,
     freq_map_values,
     freq_unmap_values,
-    imag_scan,
+    _imag_roots,
     stable_beta_values,
     v3_factors_values,
     winding,
@@ -260,27 +260,36 @@ def test_scalar_equals_stacked_element_bit_for_bit(shock_pool, name):
 def test_imag_scan_no_roots_for_nonpositive_rho(foam_shock):
     m = catalog("blatz", {"d": 3, "mu": 1.0, "kappa": 2.0})
     sfb = build(m, ElasticState(np.eye(3)), -2.0)
-    assert imag_scan(sfb, [1.0, 0.0]).roots == []
-    assert imag_scan(foam_shock, [1.0]).roots == []
+    for sf, xi in ((sfb, [1.0, 0.0]), (foam_shock, [1.0])):
+        _, t, failed = _imag_roots(sf, freq_coeffs(sf, xi))
+        assert np.isnan(t) and failed == 0
+        assert classify(sf).witness is None
 
 
 def test_imag_scan_cg_uniform_case(cg2_shock):
-    res = imag_scan(cg2_shock, [1.0])
-    assert res.boundary_value == pytest.approx(2.675, rel=1e-12)
-    assert res.roots == []
+    bv, t, failed = _imag_roots(cg2_shock, freq_coeffs(cg2_shock, [1.0]))
+    assert bv == pytest.approx(2.675, rel=1e-12)
+    assert np.isnan(t) and failed == 0
+    assert classify(cg2_shock).witness is None
 
 
 def test_imag_scan_cg_weak_case(cg2_weak_shock):
-    res = imag_scan(cg2_weak_shock, [1.0])
-    assert res.boundary_value == pytest.approx(3.0 * (1.0 - 72.0 / 19.0), rel=1e-12)
-    assert len(res.roots) == 1
-    t_star = res.roots[0]
+    sf = cg2_weak_shock
+    witness = classify(sf).witness
+    assert witness.criterion_value == pytest.approx(3.0 * (1.0 - 72.0 / 19.0), rel=1e-12)
+    t_star = witness.t_root
     assert t_star == pytest.approx(2.0544972097255703, rel=1e-10)
-    val = delta_v2_values(cg2_weak_shock, 1j * t_star, [1.0])
+    # eta = 0 on this base, so +/-xi_t give the same root
+    bv, t, failed = _imag_roots(sf, freq_coeffs(sf, [1.0]))
+    assert (bv, t, failed) == (witness.criterion_value, t_star, 0)
+    val = delta_v2_values(sf, 1j * t_star, [1.0])
     assert abs(val) <= 1e-8
-    assert res.lambda_plus_beta_s[0] > 1e-6  # root is not a curl-constraint artifact
+    # the root is not a curl-constraint artifact lambda = -beta s
+    lam = freq_unmap_values(sf, 1j * t_star, [1.0])
+    beta = stable_beta_values(sf, lam, [1.0])
+    assert abs(lam + beta * sf.speed) > 1e-6
     # no roots inside the branch gap |t| < sqrt(zeta)
-    zeta = freq_coeffs(cg2_weak_shock, [1.0]).zeta
+    zeta = freq_coeffs(sf, [1.0]).zeta
     assert t_star >= np.sqrt(zeta)
 
 
@@ -289,11 +298,6 @@ def test_imag_scan_reflection_symmetry(cg2_weak_shock):
     left = delta_v2_values(cg2_weak_shock, -1j * ts, [1.0])
     right = delta_v2_values(cg2_weak_shock, 1j * ts, [-1.0])
     assert np.allclose(left, right, rtol=1e-13)
-
-
-def test_imag_scan_requires_unit_vector(cg2_shock):
-    with pytest.raises(ValueError):
-        imag_scan(cg2_shock, [2.0])
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hadshock.shock import (
     ElasticState,
     alpha_max,
     build,
+    build_stack,
     freq_coeffs,
     genuine_nonlinearity,
     lax_check,
@@ -359,3 +360,15 @@ def test_huge_alpha_raises_without_warning(cg2):
         warnings.simplefilter("error")
         with pytest.raises(AlphaOutOfRange):
             build(cg2, ElasticState(np.eye(2)), -1e300)
+
+
+def test_jump_scale_overflow_is_typed_error():
+    # at alpha = -1.3e154 the stress column is finite (about 1.3e156), but the norms of the
+    # jump residual square its entries, so the scale overflows: the row cannot be checked
+    # and must not pass with a residual of 0
+    m = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 100.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fronts = build_stack(m, ElasticState(np.eye(2)), [-0.3, -1.3e154, -1e300])
+    assert fronts.errors[0] is None
+    assert all(isinstance(e, AlphaOutOfRange) for e in fronts.errors[1:])
