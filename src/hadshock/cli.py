@@ -5,15 +5,18 @@ Subcommands: ``material check``/``material list``, ``shock``,
 significant digits); grids and sweeps are CSV (9 significant digits) or,
 with --format=json, JSON.  Every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
-failure.  A grid is evaluated as one array over all its nodes, and the
-rows of a sweep as one batch of fronts; ``HADSHOCK_THREADS`` is ignored.
+failure.  A grid is evaluated as one array over all its nodes, and its
+text formats each axis value once and only the four stability-function
+columns per node; the rows of a sweep are one batch of fronts.
+``HADSHOCK_THREADS`` is ignored.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
-from itertools import compress
+from itertools import product
 
 import numpy as np
 
@@ -335,30 +338,35 @@ def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
 GRID_KEYS = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
 
 
-def _grid_text(records: np.ndarray, fmt: str) -> str:
-    """CSV or JSON of the (n, 6) grid records, one %-template per row.
+def _grid_text(res: np.ndarray, ims: np.ndarray, vals: np.ndarray, fmt: str) -> str:
+    """CSV or JSON of the grid values vals (n_im, n_re) at res + i ims, a row per node with
+    Re varying fastest, one %-template per row.
 
-    Each pattern of finite columns has its own template, with an empty
-    CSV field or a JSON null where a value is not finite.
+    Each axis value is formatted once.  Each pattern of finite delta columns has its own
+    template, with an empty CSV field or a JSON null where a value is not finite (its
+    ``%.0s`` takes the value and prints nothing).
     """
+    deltas = np.stack([vals.real, vals.imag, np.hypot(vals.real, vals.imag), np.angle(vals)],
+                      axis=-1).reshape(-1, len(GRID_KEYS) - 2)
     if fmt == "json":
         cell, missing = "%.17g", "null"
-        records = records + 0.0  # no negative zeros, as in to_json
+        res, ims, deltas = res + 0.0, ims + 0.0, deltas + 0.0  # no negative zeros, as in to_json
     else:
         cell, missing = "%.9g", ""
-    bits = [1 << i for i in range(len(GRID_KEYS))]
-    codes = (np.isfinite(records) @ bits).tolist()  # which columns are finite
+    re_text, im_text = ([cell % x if math.isfinite(x) else missing for x in axis.tolist()]
+                        for axis in (res, ims))
+    bits = [1 << i for i in range(deltas.shape[1])]
+    codes = (np.isfinite(deltas) @ bits).tolist()  # which delta columns are finite
     templates = {}
     for code in set(codes):
-        keep = [bool(code & b) for b in bits]
-        fields = [cell if k else missing for k in keep]
+        fields = ["%s", "%s"] + [cell if code & b else missing + "%.0s" for b in bits]
         if fmt == "json":
             fields = [f"{json.dumps(key)}: {f}" for key, f in zip(GRID_KEYS, fields)]
-            templates[code] = "{" + ", ".join(fields) + "}", keep
+            templates[code] = "{" + ", ".join(fields) + "}"
         else:
-            templates[code] = ",".join(fields), keep
-    rows = [templates[c][0] % tuple(compress(row, templates[c][1]))
-            for row, c in zip(records.tolist(), codes)]
+            templates[code] = ",".join(fields)
+    rows = [templates[c] % (re, im, *row)
+            for (im, re), row, c in zip(product(im_text, re_text), deltas.tolist(), codes)]
     if fmt == "json":
         return "[" + ", ".join(rows) + "]"
     return "\n".join([",".join(GRID_KEYS)] + rows)
@@ -387,11 +395,7 @@ def _cmd_grid(args) -> int:
                 raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
             xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
         vals = lopatinskii.delta_v2_values(sf, grid, xi)
-    records = np.stack([
-        np.broadcast_to(res[None, :], grid.shape), np.broadcast_to(ims[:, None], grid.shape),
-        vals.real, vals.imag, np.hypot(vals.real, vals.imag), np.angle(vals),
-    ], axis=-1).reshape(-1, len(GRID_KEYS))
-    _emit(_grid_text(records, args.format), args.out)
+    _emit(_grid_text(res, ims, vals, args.format), args.out)
     return 0
 
 

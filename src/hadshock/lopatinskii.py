@@ -19,7 +19,7 @@ against them.  A single frequency is a 0-d lambda or gamma with a 1-D
 xi_t, and its value equals the matching element of any array call bit
 for bit.  The kernel rounds the same at every array size because it
 uses real arithmetic, complex sums, real multiples and numpy's complex
-square root only; complex squares go through ``_square``, which rounds
+square root only; complex products go through ``_product``, which rounds
 as Python's complex product does.
 
 Branch convention: the square root of gamma^2 + zeta is the principal
@@ -65,10 +65,15 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _product(a, b) -> np.ndarray:
+    """a b formed as (ar br - ai bi) + i (ar bi + ai br), as Python does."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
 def _square(z) -> np.ndarray:
-    """z**2 formed as (re^2 - im^2) + i (re im + im re), as Python does."""
-    re, im = np.real(z), np.imag(z)
-    return _complex(re * re - im * im, re * im + im * re)
+    """z**2, rounded as Python rounds it."""
+    return _product(z, z)
 
 
 def _sqrt_anchored(gamma, zeta) -> np.ndarray:
@@ -144,16 +149,17 @@ def stable_beta_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
     return _beta_from_gamma(sf, _gamma_from_lambda(sf, lams, coeffs.eta), coeffs)
 
 
-def beta_residual(sf: ShockFront, lam: complex, xi_t, beta: complex) -> float:
-    """Absolute residual of beta in its defining quadratic at one frequency."""
-    coeffs = freq_coeffs(sf, xi_t)
+def beta_residual(sf: ShockFront, lams, xi_t, betas) -> np.ndarray:
+    """Absolute residual of beta in its defining quadratic, over frequencies (...)."""
+    lams, betas = np.asarray(lams, dtype=complex), np.asarray(betas, dtype=complex)
+    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     s, k2 = sf.speed, sf.kappa2_plus
     val = (
-        (k2 - s * s) * beta * beta
-        - 2.0 * (lam * s + 1j * sf.h2_plus * coeffs.eta) * beta
-        - (lam * lam + coeffs.omega)
+        _product((k2 - s * s) * betas, betas)
+        - _product(2.0 * (lams * s + 1j * sf.h2_plus * coeffs.eta), betas)
+        - (_square(lams) + coeffs.omega)
     )
-    return abs(val)
+    return np.hypot(val.real, val.imag)
 
 
 def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:

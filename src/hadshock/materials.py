@@ -220,7 +220,8 @@ CATALOG_NAMES = tuple(_LAWS)
 
 def _ensure_vectorized(f):
     """Make a user-supplied scalar callable accept numpy arrays of J; where it raises
-    OverflowError (as Python's float arithmetic does) its value is inf, as numpy's is."""
+    OverflowError (as Python's float arithmetic does) its value is NaN: the true value
+    overflows, but its sign is unknown."""
     try:
         probe = np.asarray(f(np.array([0.5, 2.0])), dtype=float)
         if probe.shape == (2,):
@@ -232,7 +233,7 @@ def _ensure_vectorized(f):
         try:
             return f(J)
         except OverflowError:
-            return np.inf
+            return np.nan
 
     return np.vectorize(scalar, otypes=[float])
 

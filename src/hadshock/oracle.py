@@ -92,158 +92,176 @@ def assemble_symbol(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return A
 
 
-def _calA_factors(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray):
-    """(lambda I + i sum xi_j A^j, A^1 - s I) at U+; the frequency symbol is num denom^(-1)."""
+# The frequency functions take stacks, lam (...) and xi_t (..., k); one frequency is a 0-d
+# lam with a 1-D xi_t.  What does not depend on the frequency (the stress pair, the
+# characteristic-speed guard, A^j, A^1 - s I and its norm) is computed once per call, and
+# the dense work is one stacked solve, eig and svd.  Element i of a stack has the bits of
+# the call on frequency i: stacked linear algebra and matmul run the same LAPACK/BLAS call
+# per slice, and a complex product that one frequency takes in Python arithmetic is
+# written out in real parts (numpy's vector loop may fuse its multiply-adds).
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the complex vectors x[..., :], rounded as np.linalg.norm of one vector
+    (the real and imaginary dot products summed)."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
+
+
+def _stress_jump(sf: ShockFront) -> np.ndarray:
+    """[[P]] = P(U+) - P(U-) of the first Piola-Kirchhoff stress, from one stacked call."""
+    P = piola_kirchhoff(sf.material, np.stack((sf.plus.U, sf.minus.U)))
+    return P[0] - P[1]
+
+
+def _calA_factors(sf: ShockFront, B: np.ndarray, lam, xi_t):
+    """(lambda I + i sum xi_j A^j, A^1 - s I) at U+: the first (..., n, n) over the
+    frequencies, the second one (n, n); the frequency symbol is num denom^(-1)."""
     d = sf.dim
     n = d * d + d
     speeds = [v for v, _ in char_speeds(sf.material, sf.plus.U)]
     if min(abs(v - sf.speed) for v in speeds) < 1e-10 * (1.0 + abs(sf.speed)):
         raise CharacteristicSpeed(f"s = {sf.speed} is characteristic for U+")
-    num = lam * np.eye(n, dtype=complex)
+    xi_t = np.asarray(xi_t, dtype=float)
+    num = np.asarray(lam, dtype=complex)[..., None, None] * np.eye(n, dtype=complex)
     for j in range(2, d + 1):
-        xi_j = xi_t[j - 2]
-        if xi_j != 0.0:
-            num += 1j * xi_j * assemble_Aj(B, j)
+        num = num + 1j * xi_t[..., j - 2, None, None] * assemble_Aj(B, j)
     return num, assemble_Aj(B, 1) - sf.speed * np.eye(n, dtype=complex)
 
 
-def assemble_calA(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray) -> np.ndarray:
-    """Frequency symbol (lambda I + i sum xi_j A^j)(A^1 - s I)^(-1) at U+."""
+def assemble_calA(sf: ShockFront, B: np.ndarray, lam, xi_t) -> np.ndarray:
+    """Frequency symbol (lambda I + i sum xi_j A^j)(A^1 - s I)^(-1) at U+, (..., n, n)."""
     num, denom = _calA_factors(sf, B, lam, xi_t)
     # right-multiplication by the inverse via a solve on the transpose
-    return np.linalg.solve(denom.T, num.T).T
+    return np.swapaxes(np.linalg.solve(denom.T, np.swapaxes(num, -1, -2)), -1, -2)
 
 
-def left_eigvec_residual(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray,
-                         l: np.ndarray, beta: complex) -> float:
+def left_eigvec_residual(sf: ShockFront, B: np.ndarray, lam, xi_t, l: np.ndarray,
+                         beta) -> np.ndarray:
     """Relative residual of l as a left eigenvector of the frequency symbol for beta,
     ||l (lambda I + i sum xi_j A^j) - beta l (A^1 - s I)|| / (||l|| max(1, ||A^1 - s I||_2)):
     without the inverse, so a badly conditioned A^1 - s I adds no solve error."""
     num, denom = _calA_factors(sf, B, lam, xi_t)
-    resid = np.linalg.norm(l @ num - beta * (l @ denom))
-    return float(resid / (np.linalg.norm(l) * max(1.0, np.linalg.norm(denom, 2))))
+    row = l[..., None, :]
+    resid = (row @ num)[..., 0, :] - np.asarray(beta)[..., None] * (row @ denom)[..., 0, :]
+    return _norms(resid) / (_norms(l) * max(1.0, np.linalg.norm(denom, 2)))
 
 
-def jump_vector(sf: ShockFront, lam: complex, xi_t: np.ndarray) -> np.ndarray:
-    """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps."""
+def jump_vector(sf: ShockFront, lam, xi_t) -> np.ndarray:
+    """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps, (..., n)."""
     d = sf.dim
     n = d * d + d
-    Up, Um = sf.plus.U, sf.minus.U
-    jump_u = np.zeros(n, dtype=complex)
-    for j in range(d):
-        jump_u[j * d : (j + 1) * d] = Up[:, j] - Um[:, j]
-    jump_u[d * d :] = sf.plus.v - sf.minus.v
-
-    sig_p = piola_kirchhoff(sf.material, Up)
-    sig_m = piola_kirchhoff(sf.material, Um)
+    xi_t = np.asarray(xi_t, dtype=float)
     jump_v = sf.plus.v - sf.minus.v
-
-    K = lam * jump_u
+    jump_u = np.concatenate(((sf.plus.U - sf.minus.U).T.ravel(), jump_v)).astype(complex)
+    jump_sig = _stress_jump(sf)
+    K = np.asarray(lam, dtype=complex)[..., None] * jump_u
     for j in range(2, d + 1):
-        xi_j = xi_t[j - 2]
-        if xi_j == 0.0:
-            continue
         fj = np.zeros(n, dtype=complex)
         fj[(j - 1) * d : j * d] = -jump_v
-        fj[d * d :] = -(sig_p[:, j - 1] - sig_m[:, j - 1])
-        K += 1j * xi_j * fj
+        fj[d * d :] = -jump_sig[:, j - 1]
+        K = K + 1j * xi_t[..., j - 2, None] * fj
     return K
 
 
-def dense_eig(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a small dense matrix, residual-verified.
-
-    Uses the standard Hessenberg-reduction/shifted-QR path and checks
-    every extracted eigenpair to ||A v - lambda v|| <= 1e-9 ||A||.
-    """
+def _eig_and_norm(A: np.ndarray):
+    """dense_eig's eigenvalues and the 2-norms of A."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
+    n = A.shape[-1]
     if n > 30:
         raise ValueError(f"dense_eig is limited to dim <= 30, got {n}")
     try:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    norm = np.linalg.norm(A, 2)
-    res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
-    if np.any(res > 1e-9 * max(norm, 1e-30)):
+    norm = np.linalg.svd(A, compute_uv=False).max(axis=-1)
+    res = np.linalg.norm(A @ vecs - vecs * vals[..., None, :], axis=-2)
+    if np.any(res > 1e-9 * np.maximum(norm, 1e-30)[..., None]):
         raise NoConvergence(f"eigenpair residual {res.max():.3e} exceeds 1e-9 * ||A||")
-    return vals
+    return vals, norm
 
 
-def g_matrices(B: np.ndarray, beta: complex, xi_t: np.ndarray):
-    """The d complex blocks -beta B_k^1 + i sum_j xi_j B_k^j."""
-    d = B.shape[0]
-    out = []
-    for k in range(d):
-        G = -beta * B[k, 0].astype(complex)
-        for j in range(1, d):
-            xi_j = xi_t[j - 1]
-            if xi_j != 0.0:
-                G += 1j * xi_j * B[k, j]
-        out.append(G)
-    return out
+def dense_eig(A: np.ndarray) -> np.ndarray:
+    """All eigenvalues of small dense matrices (..., n, n), residual-verified.
+
+    Uses the standard Hessenberg-reduction/shifted-QR path and checks
+    every extracted eigenpair to ||A v - lambda v|| <= 1e-9 ||A||.
+    """
+    return _eig_and_norm(A)[0]
 
 
-def formula_left_eigenvector(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray,
-                             beta: complex) -> np.ndarray:
+def g_matrices(B: np.ndarray, beta, xi_t) -> np.ndarray:
+    """The d complex blocks -beta B_k^1 + i sum_j xi_j B_k^j, block k at [..., k, :, :]."""
+    xi_t, B = np.asarray(xi_t, dtype=float), np.ascontiguousarray(B)  # row-major blocks for BLAS
+    G = -np.asarray(beta, dtype=complex)[..., None, None, None] * B[:, 0].astype(complex)
+    for j in range(1, B.shape[0]):
+        G = G + 1j * xi_t[..., j - 1, None, None, None] * B[:, j]
+    return G
+
+
+def _q_vector(sf: ShockFront, beta, xi_t) -> np.ndarray:
+    """q = V+ (i beta, xi_t)^T, (..., d)."""
+    w = np.concatenate((1j * np.asarray(beta, dtype=complex)[..., None],
+                        np.asarray(xi_t, dtype=float).astype(complex)), axis=-1)
+    return (sf.V @ w[..., None])[..., 0]
+
+
+def formula_left_eigenvector(sf: ShockFront, B: np.ndarray, lam, xi_t, beta) -> np.ndarray:
     """Left eigenvector (q^T G_1, ..., q^T G_d, (lambda + beta s) q^T)
-    with q = V+ (i beta, xi_t)^T."""
-    q = sf.V @ np.concatenate(([1j * beta], xi_t.astype(complex)))
-    parts = [q @ G for G in g_matrices(B, beta, xi_t)]
-    parts.append((lam + beta * sf.speed) * q)
-    return np.concatenate(parts)
+    with q = V+ (i beta, xi_t)^T, (..., n)."""
+    beta = np.asarray(beta, dtype=complex)
+    q = _q_vector(sf, beta, xi_t)
+    parts = (q[..., None, None, :] @ g_matrices(B, beta, xi_t))[..., 0, :]
+    last = (np.asarray(lam, dtype=complex) + beta * sf.speed)[..., None] * q
+    return np.concatenate((parts.reshape(q.shape[:-1] + (-1,)), last), axis=-1)
 
 
-def delta_hat_assembled(sf: ShockFront, B: np.ndarray, xi_t: np.ndarray, beta: complex) -> complex:
+def delta_hat_assembled(sf: ShockFront, B: np.ndarray, xi_t, beta) -> np.ndarray:
     """Stability function rebuilt from B-tensor blocks and raw stress jumps.
 
     q^T [ (beta s^2 I + G_1) [[U_1]] - i sum_j xi_j [[sigma_j]] ]; the
     closed form delta_v1 equals (i/alpha) times this.
     """
     d = sf.dim
-    q = sf.V @ np.concatenate(([1j * beta], xi_t.astype(complex)))
-    G1 = g_matrices(B, beta, xi_t)[0]
+    beta, xi_t = np.asarray(beta, dtype=complex), np.asarray(xi_t, dtype=float)
+    G1 = g_matrices(B, beta, xi_t)[..., 0, :, :]
     jump_U1 = (sf.plus.U[:, 0] - sf.minus.U[:, 0]).astype(complex)
-    sig_p = piola_kirchhoff(sf.material, sf.plus.U)
-    sig_m = piola_kirchhoff(sf.material, sf.minus.U)
-    vec = (beta * sf.speed**2 * np.eye(d, dtype=complex) + G1) @ jump_U1
+    jump_sig = _stress_jump(sf)
+    vec = (beta[..., None, None] * sf.speed**2 * np.eye(d, dtype=complex) + G1) @ jump_U1
     for j in range(2, d + 1):
-        xi_j = xi_t[j - 2]
-        if xi_j != 0.0:
-            vec -= 1j * xi_j * (sig_p[:, j - 1] - sig_m[:, j - 1])
-    return complex(q @ vec)
+        vec = vec - 1j * xi_t[..., j - 2, None] * jump_sig[:, j - 1]
+    return (_q_vector(sf, beta, xi_t)[..., None, :] @ vec[..., :, None])[..., 0, 0]
 
 
-def delta_v1_raw(sf: ShockFront, lam: complex, xi_t: np.ndarray) -> complex:
+def delta_v1_raw(sf: ShockFront, lam, xi_t) -> np.ndarray:
     """delta_v1 as the raw double sum over transverse indices, before the square is
     completed: (kappa2+ - s^2)(theta11 beta^2 - 2i beta eta - Nsq)
     - alpha (s^2 - mu)/J+ xi_t.Theta_TT xi_t."""
-    coeffs = freq_coeffs(sf, xi_t)
-    beta = complex(stable_beta_values(sf, lam, xi_t))
+    xi = np.asarray(xi_t, dtype=float)
+    coeffs = freq_coeffs(sf, xi)
+    beta = stable_beta_values(sf, lam, xi)
     k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
-    xi = xi_t
-    ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * float(
-        xi @ sf.Theta[1:, 1:] @ xi
-    )
-    return (k2 - s * s) * th11 * beta * beta - 2j * beta * (k2 - s * s) * coeffs.eta - ssum
+    quad = (xi[..., None, :] @ sf.Theta[1:, 1:] @ xi[..., :, None])[..., 0, 0]
+    ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * quad
+    # p beta as Python rounds it
+    p, br, bi = (k2 - s * s) * th11 * beta, beta.real, beta.imag
+    p_beta = p.real * br - p.imag * bi + 1j * (p.real * bi + p.imag * br)
+    return p_beta - 2j * beta * (k2 - s * s) * coeffs.eta - ssum
 
 
-def hersh_counts(sf: ShockFront, B: np.ndarray, lam: complex, xi_t: np.ndarray):
-    """(stable count, size of the -lambda/s cluster) from dense eigenvalues.
+def hersh_counts(sf: ShockFront, B: np.ndarray, lam, xi_t):
+    """(stable count, size of the -lambda/s cluster) from dense eigenvalues, each (...).
 
     For an extreme front on Re lambda > 0 the stable count must be
     exactly one, and -lambda/s (which has positive real part) must
     appear with multiplicity d^2 - d.
     """
-    cal = assemble_calA(sf, B, lam, xi_t)
-    vals = dense_eig(cal)
-    ref = -lam / sf.speed
-    tol = EIG_CLUSTER_TOL * max(np.linalg.norm(cal, 2), 1.0)
-    in_cluster = np.abs(vals - ref) <= tol
-    others = vals[~in_cluster]
-    stable = int(np.sum(others.real < 0))
-    return stable, int(np.sum(in_cluster))
+    vals, norm = _eig_and_norm(assemble_calA(sf, B, lam, xi_t))
+    ref = -np.asarray(lam, dtype=complex) / sf.speed
+    tol = EIG_CLUSTER_TOL * np.maximum(norm, 1.0)
+    in_cluster = np.abs(vals - ref[..., None]) <= tol[..., None]
+    stable = np.sum(~in_cluster & (vals.real < 0), axis=-1)
+    return stable, np.sum(in_cluster, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +528,10 @@ def _check_shock_identities(t: _Tracker, sf: ShockFront, rng, ctx: str):
     jump_U1 = sf.plus.U[:, 0] - sf.minus.U[:, 0]
     jump_v = sf.plus.v - sf.minus.v
     t.record("rh_velocity", _rel(np.linalg.norm(-sf.speed * jump_U1 - jump_v), scale), 1e-11, ctx)
-    sig_p = piola_kirchhoff(m, sf.plus.U)
-    sig_m = piola_kirchhoff(m, sf.minus.U)
+    jump_sig = _stress_jump(sf)
     t.record(
         "rh_momentum",
-        _rel(np.linalg.norm(-sf.speed * jump_v - (sig_p[:, 0] - sig_m[:, 0])), scale),
+        _rel(np.linalg.norm(-sf.speed * jump_v - jump_sig[:, 0]), scale),
         1e-11,
         ctx,
     )
@@ -526,7 +543,7 @@ def _check_shock_identities(t: _Tracker, sf: ShockFront, rng, ctx: str):
                 (sf.speed**2 - m.mu) * sf.V[:, j]
                 + float(m.h1(sf.Jminus)) * sf.M[:, j]
             )
-        err = np.linalg.norm((sig_p[:, j] - sig_m[:, j]) - closed)
+        err = np.linalg.norm(jump_sig[:, j] - closed)
         t.record("stress_jump_closed_form", _rel(err, max(scale, np.linalg.norm(closed))), 1e-11, ctx)
 
     cof_m = cofactor(sf.minus.U)
@@ -597,65 +614,72 @@ def _check_material_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, rng, 
     )
 
 
-def _check_frequency_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, lam: complex,
-                                xi_t: np.ndarray, ctx: str):
-    beta = complex(stable_beta_values(sf, lam, xi_t))
-    t.record("beta_residual", beta_residual(sf, lam, xi_t, beta), 1e-11, ctx)
-    t.record("beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5, ctx)
-    t.record(
-        "beta_not_curl_artifact",
-        0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0,
-        0.5,
-        ctx,
-    )
-
-    gamma = complex(freq_map_values(sf, lam, xi_t))
-    back = complex(freq_unmap_values(sf, gamma, xi_t))
-    t.record("map_roundtrip", abs(back - lam), 1e-13, ctx)
-
-    coeffs = freq_coeffs(sf, xi_t)
-    t.record("P_nonnegative", 0.0 if coeffs.P >= 0 else 1.0, 0.5, ctx)
-    t.record("zeta_nonnegative", 0.0 if coeffs.zeta >= 0 else 1.0, 0.5, ctx)
-    slack = coeffs.zeta - (sf.tau * coeffs.eta) ** 2
-    t.record("zeta_tau_margin", 0.0 if slack >= -1e-13 else 1.0, 0.5, ctx)
-
-    v1c = complex(delta_v1_values(sf, lam, xi_t))
-    v1r = delta_v1_raw(sf, lam, xi_t)
-    t.record("v1_raw_vs_completed", _rel(abs(v1c - v1r), 1.0 + abs(v1c)), 1e-12, ctx)
-
-    v2 = complex(delta_v2_values(sf, gamma, xi_t))
-    factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
-    t.record("v1_vs_v2_mapped", _rel(abs(v1c - factor * v2), 1.0 + abs(v1c)), 1e-10, ctx)
-
-    hat = delta_hat_assembled(sf, B, xi_t, beta)
-    t.record(
-        "v1_vs_assembled",
-        _rel(abs(v1c - 1j / sf.alpha * hat), 1.0 + abs(v1c)),
-        1e-10,
-        ctx,
-    )
-
-    l = formula_left_eigenvector(sf, B, lam, xi_t, beta)
-    t.record("left_eigvec_residual", left_eigvec_residual(sf, B, lam, xi_t, l, beta), 1e-10, ctx)
-
-    K = jump_vector(sf, lam, xi_t)
-    lk = complex(l @ K)
-    t.record(
-        "jump_product_identity",
-        _rel(abs(lk - (lam + beta * sf.speed) * hat), 1.0 + abs(lk)),
-        1e-10,
-        ctx,
-    )
-
-    stable, cluster = hersh_counts(sf, B, lam, xi_t)
-    t.record("hersh_stable_count", 0.0 if stable == 1 else 1.0, 0.5, ctx)
-    t.record("hersh_cluster_size", 0.0 if cluster == sf.dim**2 - sf.dim else 1.0, 0.5, ctx)
-
+def _check_frequency_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, lams: np.ndarray,
+                                xis: np.ndarray, ctx: str):
+    """The frequency identities at lams (m,) and xis (m, k): computed on the stack, recorded
+    frequency by frequency."""
+    betas = stable_beta_values(sf, lams, xis)
+    residuals = beta_residual(sf, lams, xis, betas)
+    gammas = freq_map_values(sf, lams, xis)
+    backs = freq_unmap_values(sf, gammas, xis)
+    coeffs = freq_coeffs(sf, xis)
+    v1cs = delta_v1_values(sf, lams, xis)
+    v1rs = delta_v1_raw(sf, lams, xis)
+    v2s = delta_v2_values(sf, gammas, xis)
+    hats = delta_hat_assembled(sf, B, xis, betas)
+    ls = formula_left_eigenvector(sf, B, lams, xis, betas)
+    lresids = left_eigvec_residual(sf, B, lams, xis, ls, betas)
+    Ks = jump_vector(sf, lams, xis)
+    stables, clusters = hersh_counts(sf, B, lams, xis)
     if sf.rho < 0:
-        f_minus, f_plus = (complex(f) for f in v3_factors_values(sf, gamma, xi_t))
-        prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
-        t.record("v3_factorization", _rel(abs(prod - v1c), 1.0 + abs(v1c)), 1e-11, ctx)
-        t.record("v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5, ctx)
+        factors = v3_factors_values(sf, gammas, xis)
+    factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
+    for i, lam in enumerate(lams.tolist()):
+        beta = complex(betas[i])
+        t.record("beta_residual", float(residuals[i]), 1e-11, ctx)
+        t.record("beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5, ctx)
+        t.record(
+            "beta_not_curl_artifact",
+            0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0,
+            0.5,
+            ctx,
+        )
+        t.record("map_roundtrip", abs(complex(backs[i]) - lam), 1e-13, ctx)
+
+        P, zeta, eta = float(coeffs.P[i]), float(coeffs.zeta[i]), float(coeffs.eta[i])
+        t.record("P_nonnegative", 0.0 if P >= 0 else 1.0, 0.5, ctx)
+        t.record("zeta_nonnegative", 0.0 if zeta >= 0 else 1.0, 0.5, ctx)
+        slack = zeta - (sf.tau * eta) ** 2
+        t.record("zeta_tau_margin", 0.0 if slack >= -1e-13 else 1.0, 0.5, ctx)
+
+        v1c, v1r, v2 = complex(v1cs[i]), complex(v1rs[i]), complex(v2s[i])
+        t.record("v1_raw_vs_completed", _rel(abs(v1c - v1r), 1.0 + abs(v1c)), 1e-12, ctx)
+        t.record("v1_vs_v2_mapped", _rel(abs(v1c - factor * v2), 1.0 + abs(v1c)), 1e-10, ctx)
+
+        hat = complex(hats[i])
+        t.record(
+            "v1_vs_assembled",
+            _rel(abs(v1c - 1j / sf.alpha * hat), 1.0 + abs(v1c)),
+            1e-10,
+            ctx,
+        )
+        t.record("left_eigvec_residual", float(lresids[i]), 1e-10, ctx)
+        lk = complex(ls[i] @ Ks[i])
+        t.record(
+            "jump_product_identity",
+            _rel(abs(lk - (lam + beta * sf.speed) * hat), 1.0 + abs(lk)),
+            1e-10,
+            ctx,
+        )
+
+        t.record("hersh_stable_count", 0.0 if stables[i] == 1 else 1.0, 0.5, ctx)
+        t.record("hersh_cluster_size", 0.0 if clusters[i] == sf.dim**2 - sf.dim else 1.0, 0.5, ctx)
+
+        if sf.rho < 0:
+            f_minus, f_plus = (complex(f[i]) for f in factors)
+            prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
+            t.record("v3_factorization", _rel(abs(prod - v1c), 1.0 + abs(v1c)), 1e-11, ctx)
+            t.record("v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5, ctx)
 
 
 def _check_negative_control(t: _Tracker, sf: ShockFront, rng, ctx: str):
@@ -692,8 +716,8 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             del fd["pass"]
             for name, err in fd.items():
                 t.record(f"fd_{name}", err, 1e-5, ctx)
-            for _ in range(3):
-                _check_frequency_identities(t, sf, B, *sample_frequency(rng, d), ctx)
+            lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
+            _check_frequency_identities(t, sf, B, np.array(lams), np.array(xis), ctx)
             _check_negative_control(t, sf, rng, ctx)
             if sf.rho < 0 and d not in winding_done:
                 winding_done.add(d)

@@ -11,7 +11,7 @@ and v- = v+ + s alpha V1.  Besides the states, a ShockFront caches all
 the scalar/tensor geometry the stability analysis consumes: the Gram
 matrix theta of the cofactor columns, its 2x2-minor matrix Theta, the
 cofactor-jump matrix M, the transverse sound speeds kappa2 on both
-sides, the stability parameter rho and the positive constant tau.  A
+sides, h''(J+), the stability parameter rho and the positive constant tau.  A
 FrontStack holds the fronts of many intensities through one base state.
 """
 
@@ -110,6 +110,7 @@ class _Base:
     Theta: np.ndarray
     M: np.ndarray
     kappa2_plus: float
+    h2_plus: float  # h''(J+)
     alpha_max: float
 
     @property
@@ -119,10 +120,6 @@ class _Base:
     @property
     def theta11(self) -> float:
         return float(self.theta[0, 0])
-
-    @property
-    def h2_plus(self) -> float:
-        return float(self.material.h2(self.Jplus))
 
     def _base(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(_Base)}
@@ -205,14 +202,14 @@ def _live(errors: list) -> np.ndarray:
 
 def _h3_signs(m: MaterialModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sign of h''' on each [lo, hi] at the 258 points np.linspace puts there (-1, 0 or +1),
-    or 2 where both strict signs occur."""
+    2 where both strict signs occur, or 3 where a sample is NaN and has no sign to read."""
     t, width = np.arange(H3_SAMPLES + 2.0), (hi - lo)[:, None]
     step = width / (H3_SAMPLES + 1)
     J = np.where(step == 0, t / (H3_SAMPLES + 1) * width, t * step) + lo[:, None]
     J[:, -1] = hi
     vals = np.asarray(m.h3(J.ravel()), dtype=float).reshape(J.shape)
     pos, neg = np.any(vals > 0, axis=1), np.any(vals < 0, axis=1)
-    return np.where(pos & neg, 2, pos.astype(int) - neg)
+    return np.where(np.isnan(vals).any(axis=1), 3, np.where(pos & neg, 2, pos.astype(int) - neg))
 
 
 def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -259,6 +256,8 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
         lo, hi = np.minimum(Jp, Jm), np.maximum(Jp, Jm)
         live, sign = _live(errors), np.zeros(n, dtype=int)
         sign[live] = _h3_signs(m, lo[live], hi[live])
+        _reject(errors, sign == 3, lambda i: AlphaOutOfRange(
+            f"h''' is not a number on the jump interval ({lo[i]:.6g}, {hi[i]:.6g})"))
         _reject(errors, sign == 2, lambda i: HtripleSignChange(
             f"h''' changes sign on ({lo[i]:.6g}, {hi[i]:.6g}); unsupported shock regime"))
         _reject(errors, sign != np.where(alphas < 0, -1, 1), lambda i: WrongSignForMaterial(
@@ -281,7 +280,7 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
     fronts = FrontStack(
         material=m, plus=plus, Jplus=Jp, V=V, theta=theta,
         Theta=theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :]), M=_m_matrix(U_plus, V),
-        kappa2_plus=k2p, alpha_max=a_max, minus=SimpleNamespace(U=U_minus, v=v_minus),
+        kappa2_plus=k2p, h2_plus=h2p, alpha_max=a_max, minus=SimpleNamespace(U=U_minus, v=v_minus),
         alpha=col(alphas), speed=col(s), Jminus=col(Jm), kappa2_minus=col(k2m), rho=col(rho),
         tau=col(tau), errors=errors)
     live = np.flatnonzero(_live(errors))

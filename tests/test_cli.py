@@ -523,7 +523,8 @@ def _grid_case(capsys, scenario, var, restrict, xi, re, im, n, fmt):
 
 
 LAMBDA_CASES = [
-    # the grid starts at Re = -0.0 (CSV "-0", JSON 0) and has a node at lambda = 0
+    # --grid-re=-0,1 starts at Re = +0.0 (linspace adds the start to 0 * step) and has a
+    # node at lambda = 0; GAMMA_CASES below puts -0.0 on the axis
     (CG2 + ("--alpha=-3",), "0.7", "-0,1", "-1,1", "7,5"),
     (CG2 + ("--alpha=-1",), "0", "-0,1", "-1,1", "3,3"),
     (FOAM4, "0.3,-0.2,0.5", "0,1", "-1,1", "6,6"),
@@ -558,6 +559,30 @@ def test_restricted_grid_equals_per_cell_loop(capsys, case):
     out, ref = _grid_case(capsys, scenario, "gamma", True, xi, re, im, n, "json")
     assert out == ref
     assert "null" in ref
+
+
+GAMMA_CASES = [
+    # Re runs down to -0.0 (linspace keeps the sign of its endpoint only: a start of -0
+    # gives +0), which CSV prints as "-0" and JSON as 0; the odd Im axis has a node at 0
+    (CG2 + ("--alpha=-3",), "1", "1,-0", "-1,1", "5,3"),
+    (FOAM4, "0.3,-0.2,0.5", "0,2", "-2,2", "6,7"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", GAMMA_CASES)
+def test_gamma_grid_equals_per_cell_loop(capsys, case, fmt):
+    scenario, xi, re, im, n = case
+    out, ref = _grid_case(capsys, scenario, "gamma", False, xi, re, im, n, fmt)
+    assert out == ref
+    if re == "1,-0":
+        if fmt == "csv":
+            assert [r.split(",")[:2] for r in out.splitlines()[1:] if r.startswith("-")] == [
+                ["-0", "-1"], ["-0", "0"], ["-0", "1"]]
+        else:
+            cells = json.loads(out)
+            assert [(c["re"], c["im"]) for c in cells[4::5]] == [(0, -1), (0, 0), (0, 1)]
+            assert "-0," not in out and '"im": 0,' in out
 
 
 def test_lambda_grid_zero_frequency_is_empty_cell(capsys):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hadshock.cli
 from hadshock.errors import (AlphaOutOfRange, BadModuli, NonPositiveJacobian, UnknownModel,
                              ZeroFrequency)
 from hadshock.linalg import cofactor
@@ -377,12 +378,34 @@ def test_custom_law_overflow_is_domain_error():
     })
     assert m.h2(2.0) == 1.25
     with np.errstate(over="ignore"):  # the overflow raises the flag that numpy's would
-        assert m.h2(1e300) == np.inf
+        assert np.isnan(m.h2(1e300))  # it overflows, but its sign is unknown
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AlphaOutOfRange):
             build(m, ElasticState(np.eye(2)), -1e300)
         assert build(m, ElasticState(np.eye(2)), -0.3).speed < 0
+
+
+@pytest.mark.parametrize("alpha", [-1e120, -1e300])
+def test_custom_h3_overflow_has_no_sign(monkeypatch, capsys, alpha):
+    # h''' = -2/J^3 through math.pow overflows on the jump interval; an overflow has no
+    # known sign, so the front is out of range, not one where h''' changes sign
+    m = catalog("custom", {
+        "d": 2, "mu": 1.0,
+        "h": lambda J: -math.log(J) + 0.5 * (J - 1.0) ** 2 - 1.0,
+        "h1": lambda J: -1.0 / J + (J - 1.0),
+        "h2": lambda J: 1.0 / J**2 + 1.0,
+        "h3": lambda J: -2.0 / math.pow(J, 3),
+    })
+    with np.errstate(over="ignore"):  # math.pow raises the flag that numpy's would
+        assert np.isnan(m.h3(1e120))
+    assert build(m, ElasticState(np.eye(2)), -1e3).speed < 0
+    monkeypatch.setattr(hadshock.cli, "_material_from_args", lambda args: m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hadshock.cli.main(["shock", "--dim=2", f"--alpha={alpha!r}"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "AlphaOutOfRange: h''' is not a number on the jump interval (1, ")
 
 
 def test_energy_stack_with_one_nonpositive_det_raises(cg2):

@@ -1,4 +1,5 @@
 import cmath
+import collections
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hadshock import oracle
 from hadshock.cli import main
 from hadshock.errors import CharacteristicSpeed, NoConvergence, WrongSignForMaterial
 from hadshock.linalg import cofactor
-from hadshock.lopatinskii import delta_v1_values, stable_beta_values
+from hadshock.lopatinskii import beta_residual, delta_v1_values, stable_beta_values
 from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, energy
 from hadshock.oracle import (
     _fd_cof_derivative_err,
@@ -17,6 +18,7 @@ from hadshock.oracle import (
     assemble_calA,
     assemble_symbol,
     delta_hat_assembled,
+    delta_v1_raw,
     dense_eig,
     fd_check_suite,
     formula_left_eigenvector,
@@ -194,6 +196,88 @@ def test_hersh_counts(shock_pool, frequency_sampler):
             stable, cluster = hersh_counts(sf, b_blocks(sf.material, sf.plus.U), *sample())
             assert stable == 1
             assert cluster == d * d - d
+
+
+def _frequency_functions(sf, B, lam, xi, beta):
+    """Every frequency function of the oracle (and beta_residual) at lam (...), xi (..., k)."""
+    l = formula_left_eigenvector(sf, B, lam, xi, beta)
+    return {
+        "delta_v1_raw": delta_v1_raw(sf, lam, xi),
+        "delta_hat_assembled": delta_hat_assembled(sf, B, xi, beta),
+        "formula_left_eigenvector": l,
+        "jump_vector": jump_vector(sf, lam, xi),
+        "assemble_calA": assemble_calA(sf, B, lam, xi),
+        "left_eigvec_residual": left_eigvec_residual(sf, B, lam, xi, l, beta),
+        "beta_residual": beta_residual(sf, lam, xi, beta),
+        "hersh_counts": np.stack(hersh_counts(sf, B, lam, xi), axis=-1),
+    }
+
+
+def _bits(x):
+    return np.ascontiguousarray(np.atleast_1d(x)).view(np.uint64)
+
+
+def python_complex_forms(sf, lam, xi, beta):
+    """beta_residual and delta_v1_raw at one frequency in Python complex arithmetic, as
+    verify computed them before the stacks; numpy's vector complex product may fuse."""
+    c = freq_coeffs(sf, xi)
+    s, k2, th11 = sf.speed, sf.kappa2_plus, sf.theta11
+    residual = abs((k2 - s * s) * beta * beta - 2.0 * (lam * s + 1j * sf.h2_plus * c.eta) * beta
+                   - (lam * lam + c.omega))
+    ssum = (k2 - s * s) * c.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * float(
+        xi @ sf.Theta[1:, 1:] @ xi)
+    raw = (k2 - s * s) * th11 * beta * beta - 2j * beta * (k2 - s * s) * c.eta - ssum
+    return {"beta_residual": residual, "delta_v1_raw": raw}
+
+
+def test_frequency_stack_equals_single_calls_bit_for_bit(shock_pool):
+    # verify computes each scenario's frequencies as one stack; element i must be the
+    # call on frequency i alone, as verify made it before, to the last bit
+    rng = np.random.default_rng(131)
+    checked = 0
+    for d, pool in shock_pool.items():
+        for sf in pool[:6]:
+            B = b_blocks(sf.material, sf.plus.U)
+            lams, xis = (np.array(v) for v in zip(*(sample_frequency(rng, d) for _ in range(3))))
+            betas = stable_beta_values(sf, lams, xis)
+            stacked = _frequency_functions(sf, B, lams, xis, betas)
+            for i in range(3):
+                single = _frequency_functions(sf, B, complex(lams[i]), xis[i], complex(betas[i]))
+                forms = python_complex_forms(sf, complex(lams[i]), xis[i], complex(betas[i]))
+                for name, value in forms.items():
+                    assert np.array_equal(_bits(value), _bits(single[name])), name
+                for name, value in single.items():
+                    assert np.shape(value) == stacked[name].shape[1:], name
+                    assert np.array_equal(_bits(value), _bits(stacked[name][i])), name
+            cal = stacked["assemble_calA"]
+            assert np.array_equal(_bits([dense_eig(c) for c in cal]), _bits(dense_eig(cal)))
+            checked += 1
+    assert checked == 18
+
+
+def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
+    calls = collections.Counter()
+    for name in ("piola_kirchhoff", "char_speeds"):
+        def counted(*args, _f=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    # per scenario, whatever its number of frequencies: one stacked stress pair each for the
+    # shock identities, jump_vector and delta_hat_assembled; char_speeds for the material
+    # checks and in the two symbol factorisations (left-eigenvector residual, Hersh counts)
+    rep = verify_suite(seed=7, scenarios=2, dims=(2, 3))
+    assert rep["ok"] and rep["checks"]["beta_residual"]["count"] == 12
+    assert calls["piola_kirchhoff"] <= 3 * 4 and calls["char_speeds"] <= 3 * 4
+    sf = cg2_shock
+    B = b_blocks(sf.material, sf.plus.U)
+    counts = []
+    for n in (1, 7):
+        calls.clear()
+        lams = np.full(n, 0.6 + 0.3j)
+        xis = np.full((n, 1), 0.55)
+        _frequency_functions(sf, B, lams, xis, stable_beta_values(sf, lams, xis))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"piola_kirchhoff": 2, "char_speeds": 3}
 
 
 def test_dense_eig_examples():
