@@ -20,7 +20,7 @@ from .errors import BadParams, DegenerateModuli, InvalidBracket
 from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
-                    _live, build, freq_coeffs)
+                    _live, _surface_term, build, freq_coeffs)
 
 __all__ = [
     "UNIFORM",
@@ -80,33 +80,22 @@ def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
 #   - the whole eigenspace of a reached multiple eigenvalue;
 #   - the segments t w_c + e, w_c = (theta_TT - lam_c I)^+ theta_1T and e in
 #     the eigenspace, of an eigenvalue that b does not reach.
-# Each 1-D piece is sampled on a fixed grid in a parameter u in (0, 1), at
-# both signs of xi, and the lowest sampled local minima are refined by
-# repeatedly shrinking their brackets; refining only the best sample can
-# land in the wrong basin where a piece turns fast.
+# On each 1-D piece y(u), at both signs of xi, the minima of G are the roots where the
+# closed-form dG/du turns from negative to non-negative (_piece_minima).
 
 ROUNDING_RTOL = 1.4e-14  # relative size of rounding noise in theta and its eigenvalues
 REACH_RTOL = 1e-10  # |b| share below which an eigenspace counts as unreached
-MAX_REFINED = 32  # lowest sampled local minima refined per kind of piece
-ZOOM_NODES = 17  # each refinement round shrinks a bracket 8-fold
-ZOOM_ROUNDS = 17
-SEARCH_ROWS = 32  # fronts searched together
-
-
-def _curve_samples() -> np.ndarray:
-    """u in (0, 1), log-dense at both ends where the sigma-curve turns fast."""
-    ends = 10.0 ** np.linspace(-15.0, -1.0, 113)
-    return np.sort(np.concatenate([np.linspace(0.0, 1.0, 513)[1:-1], ends, 1.0 - ends]))
+MAX_STEPS = 64  # Illinois steps per bracket; the bracket usually collapses in far fewer
 
 
 def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
     """The rank-deficient set in eigen-coordinates.
 
     Returns its isolated points as rows, and its 1-D pieces grouped as
-    (y, count, samples): y(piece, u) gives rows y for arrays of piece
-    indices below count and parameters u.  A coupling b at rounding level
-    (|b| <= sqrt(theta11 lam_max) bounds it) counts as zero: then only the
-    eigenvectors remain.
+    (y, count, samples): y(piece, u) gives the rows y and their derivatives
+    dy/du for arrays of piece indices below count and parameters u.  A coupling
+    b at rounding level (|b| <= sqrt(theta11 lam_max) bounds it) counts as zero:
+    then only the eigenvectors remain.
     """
     k = lam.size
     eye = np.eye(k)
@@ -132,16 +121,22 @@ def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
     anchor = np.r_[poles[0], poles]
     gap = np.r_[-scale, np.diff(poles), scale]
     infinite = np.r_[True, np.zeros(poles.size - 1, dtype=bool), True]
+    coupled = (b_eff != 0.0)[None, :]
 
     def curve(piece, u):
         g = gap[piece]
         off = np.where(infinite[piece], g * u / (1.0 - u), g * u)
+        dsigma = np.where(infinite[piece], g / ((1.0 - u) * (1.0 - u)), g)
         D = (snap[None, :] - anchor[piece][:, None]) - off[:, None]
-        out = np.zeros_like(D)
-        np.divide(b_eff, D, out=out, where=(b_eff != 0.0)[None, :])
-        return out
+        y, dy = np.zeros_like(D), np.zeros_like(D)
+        np.divide(b_eff, D, out=y, where=coupled)
+        np.divide(y * dsigma[:, None], D, out=dy, where=coupled)  # y' = b sigma' / D^2
+        return y, dy
 
-    pieces = [(curve, anchor.size, _curve_samples())]
+    # u in (0, 1), log-dense at both ends where the curve turns fast
+    ends = 10.0 ** np.linspace(-15.0, -1.0, 113)
+    us = np.sort(np.concatenate([np.linspace(0.0, 1.0, 513)[1:-1], ends, 1.0 - ends]))[::16]
+    pieces = [(curve, anchor.size, us)]
 
     # arcs cos(pi u / 2) y0 + sin(pi u / 2) y1 between orthonormal y0, y1
     y0, y1 = [], []
@@ -164,57 +159,63 @@ def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
         y0, y1 = np.array(y0), np.array(y1)
 
         def arc(piece, u):
-            return (np.cos(0.5 * np.pi * u)[:, None] * y0[piece]
-                    + np.sin(0.5 * np.pi * u)[:, None] * y1[piece])
+            c, s = np.cos(0.5 * np.pi * u)[:, None], np.sin(0.5 * np.pi * u)[:, None]
+            return c * y0[piece] + s * y1[piece], 0.5 * np.pi * (c * y1[piece] - s * y0[piece])
 
-        pieces.append((arc, len(y0), np.linspace(0.0, 1.0, 257)))
+        pieces.append((arc, len(y0), np.linspace(0.0, 1.0, 17)))
     return points, pieces
 
 
-def _sphere_coeffs(sf, lam: np.ndarray, b: np.ndarray, Y: np.ndarray):
-    """eta, P and zeta of the unit directions along the eigen-coordinate rows Y."""
-    sq = Y * Y
-    norm2 = sq.sum(axis=1)
-    eta = Y @ b / np.sqrt(norm2)
-    _, P, zeta = _coeff_algebra(sf, eta, sq @ lam / norm2, 1.0)
-    return eta, P, zeta
+def _criterion_slope(fr, lam: np.ndarray, b: np.ndarray, y: np.ndarray, dy: np.ndarray):
+    """G at the unit directions v = y / |y| of the eigen-coordinate rows y (..., k), and
+    dG/du along a piece y(u) with y' = dy, by the chain rule through N = v^T lam v and
+    eta = b.v: G' = 2a (zeta' / (2 sqrt(zeta)) + tau eta') - c P' with a = sqrt(zeta) +
+    tau eta and c = rho kappa2+ / (s^2 theta11)."""
+    norm = np.sqrt((y * y).sum(axis=-1))[..., None]
+    v = y / norm
+    dv = (dy - v * (v * dy).sum(axis=-1)[..., None]) / norm
+    N, eta = (v * v) @ lam, v @ b
+    dN, deta = 2.0 * (v * dv) @ lam, dv @ b
+    _, P, zeta = _coeff_algebra(fr, eta, N, 1.0)
+    w, h2 = np.sqrt(np.maximum(zeta, 0.0)), fr.h2_plus
+    dzeta = h2 * dN - 2.0 * h2 * h2 * eta * deta / fr.kappa2_plus
+    dP = fr.theta11 * dN - 2.0 * eta * deta
+    dG = 2.0 * (w + fr.tau * eta) * (0.5 * dzeta / w + fr.tau * deta) - _surface_term(fr, dP)
+    return _criterion(fr, eta, P, zeta), dG
 
 
 def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
     """Lowest G of each front on the pieces y(piece, u), either sign of xi: (value, piece, u).
-    The samples do not move with alpha, so G is one (fronts x samples) array, and the
-    lowest brackets of every front are refined together."""
+    Each sample interval where dG/du turns from negative to non-negative brackets a root,
+    and Illinois steps run on the brackets of all fronts as one array, each bracket
+    stopping on its own, so no front's result depends on the others."""
     n, n_u = fr.rho.shape[0], us.size
-    piece = np.repeat(np.arange(n_pieces), n_u)
-    eta, P, zeta = _sphere_coeffs(fr, lam, b, y(piece, np.tile(us, n_pieces)))
-    vals = np.stack([_criterion(fr, eta, P, zeta), _criterion(fr, -eta, P, zeta)], axis=1)
-    vals = vals.reshape(n, 2 * n_pieces, n_u)
-    # sampled local minima (leftmost point of a plateau), lowest first
-    pad = np.pad(vals, ((0, 0), (0, 0), (1, 1)), constant_values=np.inf)
-    is_min = ((vals < pad[..., :-2]) & (vals <= pad[..., 2:])).reshape(n, 2 * n_pieces * n_u)
-    slots = np.argsort(np.where(is_min, vals.reshape(is_min.shape), np.inf), axis=1,
-                       kind="stable")[:, :MAX_REFINED]
-    front, slot = np.nonzero(np.take_along_axis(is_min, slots, axis=1))
-    row, i = np.divmod(slots[front, slot], n_u)
-    sign = np.where(row < n_pieces, 1.0, -1.0)[:, None]
-    piece = row % n_pieces
-    lo, hi = us[np.maximum(i - 1, 0)], us[np.minimum(i + 1, n_u - 1)]
-    at = fr.rows(front)
-    zoom = np.linspace(0.0, 1.0, ZOOM_NODES)
-    k = np.arange(front.size)
-    for _ in range(ZOOM_ROUNDS):
-        u = lo[:, None] + (hi - lo)[:, None] * zoom[None, :]
-        eta, P, zeta = (c.reshape(u.shape) for c in _sphere_coeffs(
-            fr, lam, b, y(np.repeat(piece, ZOOM_NODES), u.ravel())))
-        g = _criterion(at, sign * eta, P, zeta)
-        j = np.argmin(g, axis=1)
-        lo = u[k, np.maximum(j - 1, 0)]
-        hi = u[k, np.minimum(j + 1, ZOOM_NODES - 1)]
-    best, pick = np.full((n, MAX_REFINED), np.inf), np.zeros((n, MAX_REFINED), dtype=int)
-    best[front, slot], pick[front, slot] = g[k, j], k
-    first = np.argmin(best, axis=1)  # each front's first bracket with the lowest value
-    won = pick[np.arange(n), first]
-    return best[np.arange(n), first], piece[won], u[won, j[won]]
+    Y, dY = y(np.repeat(np.arange(n_pieces), n_u), np.tile(us, n_pieces))
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    g, dg = (v.reshape(2, n, n_pieces, n_u)
+             for v in _criterion_slope(fr, lam, b, sign * Y, sign * dY))
+    side, front, piece, i = slot = np.nonzero((dg[..., :-1] < 0) & (dg[..., 1:] >= 0))
+    right = (side, front, piece, i + 1)
+    # Illinois: (u1, s1) is the latest point, (u0, s0) the bracket end on the other side
+    u0, s0, u1, s1, g1 = us[i], dg[slot], us[i + 1], dg[right], g[right]
+    at, k = fr.rows(front), np.arange(front.size)
+    for _ in range(MAX_STEPS):
+        if not k.size:
+            break
+        x = u1[k] - s1[k] * (u1[k] - u0[k]) / (s1[k] - s0[k])
+        yx, dyx = (sign[side[k], 0] * v[:, None] for v in y(piece[k], x))
+        gx, sx = (v[:, 0] for v in _criterion_slope(at.rows(k), lam, b, yx, dyx))
+        moving = ((x - u0[k]) * (x - u1[k]) < 0) & (sx != 0)
+        flip = (sx < 0) != (s1[k] < 0)
+        u0[k], s0[k] = np.where(flip, u1[k], u0[k]), np.where(flip, s1[k], 0.5 * s0[k])
+        u1[k], s1[k], g1[k] = x, sx, gx
+        k = k[moving]
+    u = np.broadcast_to(us, g.shape).copy()
+    lower = g1 < g[slot]  # a root, unless the sample at its bracket's left end is lower
+    u[slot], g[slot] = np.where(lower, u1, u[slot]), np.where(lower, g1, g[slot])
+    g, u = (np.moveaxis(v, 1, 0).reshape(n, 2 * n_pieces * n_u) for v in (g, u))
+    j = np.argmin(g, axis=1)  # each front's first candidate with the lowest value
+    return g[np.arange(n), j], (j // n_u) % n_pieces, u[np.arange(n), j]
 
 
 def _sphere_minima(fr: FrontStack) -> tuple:
@@ -228,15 +229,15 @@ def _sphere_minima(fr: FrontStack) -> tuple:
         lam, vecs = np.linalg.eigh(fr.theta[1:, 1:])
         b = vecs.T @ fr.theta[0, 1:]
         points, pieces = _critical_set(lam, b, fr.theta11)
-        eta, P, zeta = _sphere_coeffs(fr, lam, b, points)
-        vals = np.minimum(_criterion(fr, eta, P, zeta), _criterion(fr, -eta, P, zeta))
+        both_signs = np.stack([points, -points])[:, None]
+        vals = _criterion_slope(fr, lam, b, both_signs, 0.0 * both_signs)[0].min(axis=0)
         i = np.argmin(vals, axis=1)
         best_val, y = vals[np.arange(n), i], points[i]
         for fn, count, us in pieces:
             val, piece, u = _piece_minima(fr, lam, b, fn, count, us)
             better = val < best_val
             best_val = np.where(better, val, best_val)
-            y = np.where(better[:, None], fn(piece, u), y)
+            y = np.where(better[:, None], fn(piece, u)[0], y)
         xi = (vecs @ y[..., None])[..., 0]
         xi /= np.sqrt(xi[:, None, :] @ xi[..., None])[:, 0]
     first = xi[np.arange(n), np.argmax(xi != 0, axis=1)]
@@ -260,14 +261,14 @@ def classify_stack(fronts: FrontStack) -> list:
     """Uniform or weak stability of each front of a stack, in one array pass.
 
     rho <= 0 short-circuits to Uniform with no sphere search.  For rho > 0 the
-    criterion G is minimized over the unit sphere of transverse directions (two
-    points when it is {-1, +1}; otherwise the 1-D set where the minimum must lie,
-    from one eigendecomposition of theta_TT per SEARCH_ROWS fronts).  A minimum within
-    +/-1e-10 of zero is Weak with the ``marginal`` flag, since the exact threshold
-    carries the root at t = sqrt(zeta); a Weak verdict's witness is the minimizing
-    direction and its imaginary-axis root.  A row gets its verdict, or the typed error
-    that stopped it in build_stack or of the first check here it fails.  The alpha > 0
-    warning is given once per call.
+    criterion G is minimized over the unit sphere of transverse directions (two points
+    when it is {-1, +1}; otherwise over the set where the minimum must lie, its isolated
+    points and the roots of dG/du on its 1-D pieces, from one eigendecomposition of
+    theta_TT).  A minimum within +/-1e-10 of zero is Weak with the ``marginal`` flag,
+    since the exact threshold carries the root at t = sqrt(zeta); a Weak verdict's witness
+    is the minimizing direction and its imaginary-axis root.  A row gets its verdict, or
+    the typed error that stopped it in build_stack or of the first check here it fails.
+    The alpha > 0 warning is given once per call.
     """
     out = list(fronts.errors)
     live = np.flatnonzero(_live(out))
@@ -283,9 +284,7 @@ def classify_stack(fronts: FrontStack) -> list:
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]))
     searched = live[rho > 0]
     fr = fronts.rows(searched)
-    # a few fronts at a time, as the sphere search holds (fronts x samples) arrays
-    parts = np.array_split(np.arange(searched.size), searched.size // SEARCH_ROWS + 1)
-    x_best, v_best = (np.concatenate(r) for r in zip(*(_sphere_minima(fr.rows(p)) for p in parts)))
+    x_best, v_best = _sphere_minima(fr)
     weak = v_best < MARGINAL_BAND
     for i, v in zip(searched[~weak], v_best[~weak].tolist()):
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]), min_criterion=v)

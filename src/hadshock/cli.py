@@ -288,8 +288,6 @@ def _cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.alpha_range)
     if args.steps < 0:
         raise ConfigError(f"--steps must not be negative, got {args.steps}")
-    if not np.isfinite(hi - lo):
-        raise ConfigError(f"--alpha-range is too wide: {hi!r} - {lo!r} overflows")
     alphas = np.linspace(lo, hi, args.steps)
     verdicts = classifier.classify_stack(shock.build_stack(m, state, alphas))
     rows = [(alpha, None, None, f"error:{type(v).__name__}") if isinstance(v, HadshockError)
@@ -308,10 +306,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_range(text: str):
+    """(lo, hi) of a range flag; its width must be finite, so linspace can place nodes in it."""
     vals = _floats(text, "range")
     if len(vals) != 2:
         raise ConfigError(f"range needs two comma-separated numbers, got {text!r}")
-    return float(vals[0]), float(vals[1])
+    lo, hi = float(vals[0]), float(vals[1])
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"range {text!r} is too wide: {hi!r} - {lo!r} overflows")
+    return lo, hi
 
 
 def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -319,7 +321,7 @@ def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
     Solves |lambda(gamma, m*dir)|^2 + m^2 = 1 for the magnitude m >= 0
     of every cell at once; cells where gamma lies outside the hemisphere
-    are NaN.
+    are NaN (the square root there is invalid; the grid runs under np.errstate).
     """
     k2, s = sf.kappa2_plus, sf.speed
     eta_dir = float(sf.theta[0, 1:] @ direction)
@@ -329,8 +331,7 @@ def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
     A = 1.0 + a * a
     B = -2.0 * a * w.imag
     C = np.hypot(w.real, w.imag) ** 2 - 1.0
-    with np.errstate(invalid="ignore"):
-        m = (-B + np.sqrt(B * B - 4.0 * A * C)) / (2 * A)
+    m = (-B + np.sqrt(B * B - 4.0 * A * C)) / (2 * A)
     m[~(m >= 0)] = np.nan
     return m[..., None] * direction
 
@@ -387,14 +388,15 @@ def _cmd_grid(args) -> int:
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
     grid = res[None, :] + 1j * ims[:, None]  # row i holds Im = ims[i]
-    if args.var == "lambda":
-        vals = lopatinskii.delta_v1_values(sf, grid, xi)
-    else:
-        if args.restrict_gamma_tilde:
-            if not np.any(xi):
-                raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
-            xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
-        vals = lopatinskii.delta_v2_values(sf, grid, xi)
+    with np.errstate(all="ignore"):  # a node too large to evaluate is an empty cell
+        if args.var == "lambda":
+            vals = lopatinskii.delta_v1_values(sf, grid, xi)
+        else:
+            if args.restrict_gamma_tilde:
+                if not np.any(xi):
+                    raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
+                xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
+            vals = lopatinskii.delta_v2_values(sf, grid, xi)
     _emit(_grid_text(res, ims, vals, args.format), args.out)
     return 0
 

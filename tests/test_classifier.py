@@ -6,6 +6,8 @@ import pytest
 from hadshock.classifier import (
     UNIFORM,
     WEAK,
+    _critical_set,
+    _criterion_slope,
     cg_alpha_star,
     classify,
     classify_stack,
@@ -17,7 +19,7 @@ from hadshock.errors import BadParams, DegenerateModuli, HadshockError, InvalidB
 from hadshock.lopatinskii import delta_v2_values, winding
 from hadshock.materials import catalog
 from hadshock.oracle import random_shock, sphere_min_reference
-from hadshock.shock import ElasticState, build, build_stack
+from hadshock.shock import ElasticState, FrontStack, build, build_stack
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -221,6 +223,35 @@ def _arc_and_segment_base():
     V = np.diag([1.0, 0.8, 1.0, 1.0, 1.3])
     V[2:5, 0] = [0.3, 0.2, 0.1]
     return _from_cofactor(V)
+
+
+@pytest.mark.parametrize("base", ["coupled", "arc_and_segment"])
+def test_criterion_slope_matches_central_difference(base):
+    # the closed-form dG/du along every piece of the critical set, at both signs of xi,
+    # against a central difference of criterion_values at the unit directions
+    U = (np.eye(4) + 0.3 * np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4))
+         if base == "coupled" else _arc_and_segment_base())
+    m = catalog("simo-taylor", {"d": U.shape[0], "mu": 1.0, "kappa": 2.5})
+    sf = build(m, ElasticState(U), -3.0)
+    fr = FrontStack.of(sf)
+    lam, vecs = np.linalg.eigh(sf.theta[1:, 1:])
+    b = vecs.T @ sf.theta[0, 1:]
+    _, pieces = _critical_set(lam, b, sf.theta11)
+    # the coupled base has only the curve; the other adds an arc and a segment
+    assert [count for _, count, _ in pieces] == ([4] if base == "coupled" else [3, 2])
+    u, h = np.linspace(0.1, 0.9, 9), 1e-6
+    for fn, count, _ in pieces:
+        for piece in range(count):
+            at = np.full(u.size, piece)
+            y, dy = fn(at, u)
+            for sign in (1.0, -1.0):
+                g, slope = _criterion_slope(fr, lam, b, sign * y, sign * dy)
+                xi = [sign * (vecs @ fn(at, u + t)[0].T).T for t in (h, -h, 0.0)]
+                g_plus, g_minus, g_at = (criterion_values(sf, x / np.linalg.norm(x, axis=1)[:, None])
+                                         for x in xi)
+                np.testing.assert_allclose(g[0], g_at, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(slope[0], (g_plus - g_minus) / (2.0 * h),
+                                           rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,26 @@ def test_overflowing_sweep_range_is_config_error(capsys):
                     "--format=json")
     assert code == 0
     assert [row["alpha"] for row in json.loads(out)] == [-1e308, -5.5e307, -1e307]
+
+
+@pytest.mark.parametrize("flag", ["--grid-re", "--grid-im"])
+def test_overflowing_grid_range_is_config_error(capsys, flag):
+    code = main(["grid", *CG2, "--alpha=-3", f"{flag}=-1e308,1e308", "--grid-n=3,3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("var", ["gamma", "lambda"])
+def test_huge_grid_nodes_are_empty_cells_without_warnings(capsys, var):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["grid", *CG2, "--alpha=-3", "--grid-re=1e200,2e200", "--grid-n=2,2",
+                     f"--var={var}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",,,,") for row in rows)
 
 
 def test_negative_verify_seed_is_config_error(capsys):
