@@ -86,6 +86,7 @@ def criterion_values(sf: ShockFront, points: np.ndarray) -> np.ndarray:
 ROUNDING_RTOL = 1.4e-14  # relative size of rounding noise in theta and its eigenvalues
 REACH_RTOL = 1e-10  # |b| share below which an eigenspace counts as unreached
 MAX_STEPS = 64  # Illinois steps per bracket; the bracket usually collapses in far fewer
+WIDTH_RTOL = 4.0 * np.finfo(float).eps  # a bracket this narrow relative to u has converged
 
 
 def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
@@ -166,29 +167,43 @@ def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
     return points, pieces
 
 
+def _unit(y: np.ndarray) -> tuple:
+    """The rows y (..., k) scaled to unit length, and their lengths (..., 1)."""
+    norm = np.sqrt((y * y).sum(axis=-1))[..., None]
+    return y / norm, norm
+
+
+def _eigen_criterion(fr, lam: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple:
+    """G at the unit directions v (..., k) in eigen-coordinates, through N = v^T lam v and
+    eta = b.v; also eta and zeta."""
+    eta = v @ b
+    _, P, zeta = _coeff_algebra(fr, eta, (v * v) @ lam, 1.0)
+    return _criterion(fr, eta, P, zeta), eta, zeta
+
+
 def _criterion_slope(fr, lam: np.ndarray, b: np.ndarray, y: np.ndarray, dy: np.ndarray):
     """G at the unit directions v = y / |y| of the eigen-coordinate rows y (..., k), and
-    dG/du along a piece y(u) with y' = dy, by the chain rule through N = v^T lam v and
-    eta = b.v: G' = 2a (zeta' / (2 sqrt(zeta)) + tau eta') - c P' with a = sqrt(zeta) +
-    tau eta and c = rho kappa2+ / (s^2 theta11)."""
-    norm = np.sqrt((y * y).sum(axis=-1))[..., None]
-    v = y / norm
+    dG/du along a piece y(u) with y' = dy, by the chain rule through N and eta:
+    G' = 2a (zeta' / (2 sqrt(zeta)) + tau eta') - c P' with a = sqrt(zeta) + tau eta and
+    c = rho kappa2+ / (s^2 theta11)."""
+    v, norm = _unit(y)
     dv = (dy - v * (v * dy).sum(axis=-1)[..., None]) / norm
-    N, eta = (v * v) @ lam, v @ b
+    g, eta, zeta = _eigen_criterion(fr, lam, b, v)
     dN, deta = 2.0 * (v * dv) @ lam, dv @ b
-    _, P, zeta = _coeff_algebra(fr, eta, N, 1.0)
     w, h2 = np.sqrt(np.maximum(zeta, 0.0)), fr.h2_plus
     dzeta = h2 * dN - 2.0 * h2 * h2 * eta * deta / fr.kappa2_plus
     dP = fr.theta11 * dN - 2.0 * eta * deta
     dG = 2.0 * (w + fr.tau * eta) * (0.5 * dzeta / w + fr.tau * deta) - _surface_term(fr, dP)
-    return _criterion(fr, eta, P, zeta), dG
+    return g, dG
 
 
 def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
     """Lowest G of each front on the pieces y(piece, u), either sign of xi: (value, piece, u).
     Each sample interval where dG/du turns from negative to non-negative brackets a root,
     and Illinois steps run on the brackets of all fronts as one array, each bracket
-    stopping on its own, so no front's result depends on the others."""
+    stopping on its own, so no front's result depends on the others.  A bracket stops when
+    its new point is not strictly inside or has slope exactly 0, or once it is no wider
+    than WIDTH_RTOL relative to u, where a further step moves u by a few ulps at most."""
     n, n_u = fr.rho.shape[0], us.size
     Y, dY = y(np.repeat(np.arange(n_pieces), n_u), np.tile(us, n_pieces))
     sign = np.array([1.0, -1.0])[:, None, None, None]
@@ -209,7 +224,7 @@ def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> t
         flip = (sx < 0) != (s1[k] < 0)
         u0[k], s0[k] = np.where(flip, u1[k], u0[k]), np.where(flip, s1[k], 0.5 * s0[k])
         u1[k], s1[k], g1[k] = x, sx, gx
-        k = k[moving]
+        k = k[moving & (np.abs(x - u0[k]) > WIDTH_RTOL * np.maximum(x, u0[k]))]  # u >= 0
     u = np.broadcast_to(us, g.shape).copy()
     lower = g1 < g[slot]  # a root, unless the sample at its bracket's left end is lower
     u[slot], g[slot] = np.where(lower, u1, u[slot]), np.where(lower, g1, g[slot])
@@ -229,8 +244,8 @@ def _sphere_minima(fr: FrontStack) -> tuple:
         lam, vecs = np.linalg.eigh(fr.theta[1:, 1:])
         b = vecs.T @ fr.theta[0, 1:]
         points, pieces = _critical_set(lam, b, fr.theta11)
-        both_signs = np.stack([points, -points])[:, None]
-        vals = _criterion_slope(fr, lam, b, both_signs, 0.0 * both_signs)[0].min(axis=0)
+        unit = _unit(points)[0]
+        vals = _eigen_criterion(fr, lam, b, np.stack([unit, -unit])[:, None])[0].min(axis=0)
         i = np.argmin(vals, axis=1)
         best_val, y = vals[np.arange(n), i], points[i]
         for fn, count, us in pieces:

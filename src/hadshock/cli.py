@@ -8,15 +8,24 @@ Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
 failure.  A grid is evaluated as one array over all its nodes, and its
 text formats each axis value once and only the four stability-function
 columns per node; the rows of a sweep are one batch of fronts.
-``HADSHOCK_THREADS`` is ignored.
+``HADSHOCK_THREADS`` is ignored.  The CLI runs OpenBLAS on one thread:
+importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
+unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, which
+then wins.  Every matrix here is at most 8 x 8, far below OpenBLAS's
+threading threshold, so more workers would only spin idle.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from itertools import product
+
+# OpenBLAS reads its thread count once, when numpy loads it
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -8,6 +8,8 @@ from hadshock.classifier import (
     WEAK,
     _critical_set,
     _criterion_slope,
+    _eigen_criterion,
+    _unit,
     cg_alpha_star,
     classify,
     classify_stack,
@@ -252,6 +254,23 @@ def test_criterion_slope_matches_central_difference(base):
                 np.testing.assert_allclose(g[0], g_at, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(slope[0], (g_plus - g_minus) / (2.0 * h),
                                            rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("base", ["coupled", "arc_and_segment"])
+def test_eigen_criterion_matches_criterion_values(base):
+    # G at the isolated points of the critical set and at random rows, both signs, taken
+    # in eigen-coordinates as the sphere search takes it, against criterion_values
+    U = (np.eye(4) + 0.3 * np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4))
+         if base == "coupled" else _arc_and_segment_base())
+    m = catalog("simo-taylor", {"d": U.shape[0], "mu": 1.0, "kappa": 2.5})
+    sf = build(m, ElasticState(U), -3.0)
+    lam, vecs = np.linalg.eigh(sf.theta[1:, 1:])
+    b = vecs.T @ sf.theta[0, 1:]
+    points, _ = _critical_set(lam, b, sf.theta11)
+    y = np.vstack([points, np.random.default_rng(6).standard_normal((20, lam.size))])
+    v = _unit(np.vstack([y, -y]))[0]
+    g = _eigen_criterion(FrontStack.of(sf), lam, b, v)[0][0]
+    np.testing.assert_allclose(g, criterion_values(sf, v @ vecs.T), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

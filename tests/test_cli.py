@@ -346,12 +346,21 @@ def test_verification_error_exits_4(capsys, monkeypatch):
     assert code == 4
 
 
+def _fresh_python(code, **env):
+    """Stdout of ``code`` run by a fresh interpreter on this package, with the BLAS thread
+    variables of this process dropped and ``env`` added."""
+    src = os.path.dirname(os.path.dirname(hadshock.__file__))
+    child = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child.update(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def test_verdict_path_imports_no_scipy():
     # a weak d=4 verdict with theta_1T != 0 (sphere search plus imaginary-axis
     # root), a d=4 sweep, a shock report and a grid, in a fresh interpreter:
     # none loads scipy or numpy.random
-    src = os.path.dirname(os.path.dirname(hadshock.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     d4 = ["--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
           "--Uplus=1,0.3,0,0,0,1,0,0,0.2,0,1,0,0,0,0,1"]
     code = (
@@ -365,9 +374,30 @@ def test_verdict_path_imports_no_scipy():
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "                        or m == 'numpy.random')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == []
+    assert json.loads(_fresh_python(code)) == []
+
+
+def test_bare_package_import_loads_no_numpy():
+    code = "import sys, hadshock; print('numpy' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+THREADS = ("import os, hadshock.cli; "
+           "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_runs_one_blas_thread():
+    # the idle OpenBLAS workers of a default numpy import would spin in every process
+    assert _fresh_python(THREADS).split() == ["1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc and two CPUs")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_the_users_blas_threads(var):
+    blas = "2" if var == "OPENBLAS_NUM_THREADS" else "None"
+    assert _fresh_python(THREADS, **{var: "2"}).split() == [blas, "2"]
 
 
 def test_jump_residual_exits_4(capsys, monkeypatch):

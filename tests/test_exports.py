@@ -61,3 +61,12 @@ def test_every_exported_name_is_used(name):
 def test_allowlist_names_exports():
     exported = {n for name in EXPORTERS for n in importlib.import_module(name).__all__}
     assert NOT_CALLED_INSIDE <= exported
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    # the package's one name -> module table cannot drift from the modules it points at
+    assert hadshock.__all__ == list(hadshock._HOME)
+    for name, home in hadshock._HOME.items():
+        module = importlib.import_module(f"hadshock.{home}")
+        assert name in module.__all__, name
+        assert getattr(hadshock, name) is getattr(module, name), name
