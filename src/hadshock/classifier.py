@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParams, DegenerateModuli, InvalidBracket
+from .errors import AlphaOutOfRange, BadParams, DegenerateModuli, InvalidBracket
 from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
@@ -87,6 +87,8 @@ ROUNDING_RTOL = 1.4e-14  # relative size of rounding noise in theta and its eige
 REACH_RTOL = 1e-10  # |b| share below which an eigenspace counts as unreached
 MAX_STEPS = 64  # Illinois steps per bracket; the bracket usually collapses in far fewer
 WIDTH_RTOL = 4.0 * np.finfo(float).eps  # a bracket this narrow relative to u has converged
+# dG/du within SLOPE_NOISE |grad_v G| |dy| / |y| of zero has the sign of its rounding error
+SLOPE_NOISE = 64.0 * np.finfo(float).eps
 
 
 def _critical_set(lam: np.ndarray, b: np.ndarray, theta11: float) -> tuple:
@@ -182,10 +184,13 @@ def _eigen_criterion(fr, lam: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple
 
 
 def _criterion_slope(fr, lam: np.ndarray, b: np.ndarray, y: np.ndarray, dy: np.ndarray):
-    """G at the unit directions v = y / |y| of the eigen-coordinate rows y (..., k), and
+    """G at the unit directions v = y / |y| of the eigen-coordinate rows y (..., k),
     dG/du along a piece y(u) with y' = dy, by the chain rule through N and eta:
     G' = 2a (zeta' / (2 sqrt(zeta)) + tau eta') - c P' with a = sqrt(zeta) + tau eta and
-    c = rho kappa2+ / (s^2 theta11)."""
+    c = rho kappa2+ / (s^2 theta11), and the rounding level of that G'.  The tangent
+    dv = (dy - v (v.dy)) / |y| cancels where dy is nearly parallel to y, near a pole of
+    the curve, and carries an error of about eps |dy| / |y|; G' is the gradient of G
+    along dv, so its rounding level is SLOPE_NOISE |grad_v G| |dy| / |y|."""
     v, norm = _unit(y)
     dv = (dy - v * (v * dy).sum(axis=-1)[..., None]) / norm
     g, eta, zeta = _eigen_criterion(fr, lam, b, v)
@@ -193,8 +198,14 @@ def _criterion_slope(fr, lam: np.ndarray, b: np.ndarray, y: np.ndarray, dy: np.n
     w, h2 = np.sqrt(np.maximum(zeta, 0.0)), fr.h2_plus
     dzeta = h2 * dN - 2.0 * h2 * h2 * eta * deta / fr.kappa2_plus
     dP = fr.theta11 * dN - 2.0 * eta * deta
-    dG = 2.0 * (w + fr.tau * eta) * (0.5 * dzeta / w + fr.tau * deta) - _surface_term(fr, dP)
-    return g, dG
+    a, da, surface = w + fr.tau * eta, 0.5 * dzeta / w + fr.tau * deta, _surface_term(fr, dP)
+    # dG/dN and dG/deta; |G_v| <= 2 lam_max |G_N| + |b| |G_eta| scales the error of dv
+    c = _surface_term(fr, 1.0)
+    g_N = a * h2 / w - c * fr.theta11
+    g_eta = 2.0 * a * (fr.tau - h2 * h2 * eta / (fr.kappa2_plus * w)) + 2.0 * c * eta
+    grad = 2.0 * lam[-1] * np.abs(g_N) + np.linalg.norm(b) * np.abs(g_eta)
+    noise = SLOPE_NOISE * grad * np.sqrt((dy * dy).sum(axis=-1)) / norm[..., 0]
+    return g, 2.0 * a * da - surface, noise
 
 
 def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> tuple:
@@ -202,29 +213,35 @@ def _piece_minima(fr: FrontStack, lam, b, y, n_pieces: int, us: np.ndarray) -> t
     Each sample interval where dG/du turns from negative to non-negative brackets a root,
     and Illinois steps run on the brackets of all fronts as one array, each bracket
     stopping on its own, so no front's result depends on the others.  A bracket stops when
-    its new point is not strictly inside or has slope exactly 0, or once it is no wider
-    than WIDTH_RTOL relative to u, where a further step moves u by a few ulps at most."""
+    its new point is not strictly inside or has slope exactly 0, once it is no wider
+    than WIDTH_RTOL relative to u, where a further step moves u by a few ulps at most, or
+    once the slopes at both its ends are within their rounding level, where G is flat to
+    rounding and the side of a further step is noise."""
     n, n_u = fr.rho.shape[0], us.size
     Y, dY = y(np.repeat(np.arange(n_pieces), n_u), np.tile(us, n_pieces))
     sign = np.array([1.0, -1.0])[:, None, None, None]
-    g, dg = (v.reshape(2, n, n_pieces, n_u)
-             for v in _criterion_slope(fr, lam, b, sign * Y, sign * dY))
+    g, dg, noise = (v.reshape(2, n, n_pieces, n_u)
+                    for v in _criterion_slope(fr, lam, b, sign * Y, sign * dY))
     side, front, piece, i = slot = np.nonzero((dg[..., :-1] < 0) & (dg[..., 1:] >= 0))
     right = (side, front, piece, i + 1)
-    # Illinois: (u1, s1) is the latest point, (u0, s0) the bracket end on the other side
-    u0, s0, u1, s1, g1 = us[i], dg[slot], us[i + 1], dg[right], g[right]
+    # Illinois: (u1, s1) is the latest point, (u0, s0) the bracket end on the other side;
+    # e0 and e1 are the rounding levels of their slopes
+    u0, s0, e0, u1, s1, e1, g1 = (us[i], dg[slot], noise[slot], us[i + 1], dg[right],
+                                  noise[right], g[right])
     at, k = fr.rows(front), np.arange(front.size)
     for _ in range(MAX_STEPS):
         if not k.size:
             break
         x = u1[k] - s1[k] * (u1[k] - u0[k]) / (s1[k] - s0[k])
         yx, dyx = (sign[side[k], 0] * v[:, None] for v in y(piece[k], x))
-        gx, sx = (v[:, 0] for v in _criterion_slope(at.rows(k), lam, b, yx, dyx))
+        gx, sx, ex = (v[:, 0] for v in _criterion_slope(at.rows(k), lam, b, yx, dyx))
         moving = ((x - u0[k]) * (x - u1[k]) < 0) & (sx != 0)
         flip = (sx < 0) != (s1[k] < 0)
-        u0[k], s0[k] = np.where(flip, u1[k], u0[k]), np.where(flip, s1[k], 0.5 * s0[k])
-        u1[k], s1[k], g1[k] = x, sx, gx
-        k = k[moving & (np.abs(x - u0[k]) > WIDTH_RTOL * np.maximum(x, u0[k]))]  # u >= 0
+        u0[k], s0[k], e0[k] = (np.where(flip, u1[k], u0[k]), np.where(flip, s1[k], 0.5 * s0[k]),
+                               np.where(flip, e1[k], e0[k]))
+        u1[k], s1[k], e1[k], g1[k] = x, sx, ex, gx
+        wide = np.abs(x - u0[k]) > WIDTH_RTOL * np.maximum(x, u0[k])  # u >= 0
+        k = k[moving & wide & ((np.abs(s0[k]) > e0[k]) | (np.abs(sx) > ex))]
     u = np.broadcast_to(us, g.shape).copy()
     lower = g1 < g[slot]  # a root, unless the sample at its bracket's left end is lower
     u[slot], g[slot] = np.where(lower, u1, u[slot]), np.where(lower, g1, g[slot])
@@ -282,7 +299,8 @@ def classify_stack(fronts: FrontStack) -> list:
     theta_TT).  A minimum within +/-1e-10 of zero is Weak with the ``marginal`` flag,
     since the exact threshold carries the root at t = sqrt(zeta); a Weak verdict's witness
     is the minimizing direction and its imaginary-axis root.  A row gets its verdict, or
-    the typed error that stopped it in build_stack or of the first check here it fails.
+    the typed error that stopped it in build_stack or of the first check here it fails; a
+    searched row whose h''(J+)^2 overflows is AlphaOutOfRange.
     The alpha > 0 warning is given once per call.
     """
     out = list(fronts.errors)
@@ -298,6 +316,13 @@ def classify_stack(fronts: FrontStack) -> list:
     for i in live[rho <= 0]:
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]))
     searched = live[rho > 0]
+    with np.errstate(over="ignore"):
+        h2_sq = np.float64(fronts.h2_plus) ** 2
+    if np.isinf(h2_sq):  # G takes h''(J+)^2, so it has no float value on any front
+        for i in searched:
+            out[i] = AlphaOutOfRange(
+                f"alpha = {fronts.alpha[i, 0]} overflows the criterion: h''(J+)^2 is not finite")
+        return out
     fr = fronts.rows(searched)
     x_best, v_best = _sphere_minima(fr)
     weak = v_best < MARGINAL_BAND

@@ -12,7 +12,11 @@ columns per node; the rows of a sweep are one batch of fronts.
 importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, which
 then wins.  Every matrix here is at most 8 x 8, far below OpenBLAS's
-threading threshold, so more workers would only spin idle.
+threading threshold, so more workers would only spin idle.  The script entry
+``run`` (the ``hadshock`` script and ``python -m hadshock.cli``) flushes stdout
+and stderr after ``main`` returns and ends the process with ``os._exit``, which
+skips the interpreter's teardown; ``main(argv)`` returns its exit code and keeps
+the normal interpreter lifecycle.
 """
 
 import argparse
@@ -32,7 +36,7 @@ import numpy as np
 from . import classifier, lopatinskii, materials, oracle, shock
 from .errors import ConfigError, HadshockError, VerificationError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -545,5 +549,23 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The script entry: main() on sys.argv, then the end of the process.
+
+    Once both output streams are flushed (``--out`` files are closed inside main), the
+    process ends with ``os._exit``, skipping the interpreter's teardown, which only frees
+    objects.  An exception from main, argparse's SystemExit included, propagates and exits
+    as before; so does a failed flush, through the normal exit path that reports it.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

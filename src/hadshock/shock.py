@@ -67,8 +67,10 @@ class ElasticState:
         self.v = np.asarray(self.v, dtype=float)
         if self.v.shape != (d,):
             raise ValueError("v must be a d-vector")
-        if np.linalg.det(self.U) <= 0:
-            raise NonPositiveJacobian(f"det U = {np.linalg.det(self.U)} <= 0")
+        with np.errstate(all="ignore"):  # a det that overflows is inf, which build rejects
+            det = np.linalg.det(self.U)
+        if det <= 0:
+            raise NonPositiveJacobian(f"det U = {det} <= 0")
 
     @property
     def dim(self) -> int:
@@ -182,11 +184,23 @@ class FrontStack(_Base):
 def alpha_max(U_plus: np.ndarray) -> float:
     """Upper limit of admissible positive intensities: J+ / |V1|^2."""
     U_plus = np.asarray(U_plus, dtype=float)
-    J = float(np.linalg.det(U_plus))
-    if J <= 0:
-        raise NonPositiveJacobian(f"det U = {J} <= 0")
-    v1 = cofactor(U_plus)[:, 0]
-    return J / float(v1 @ v1)
+    with np.errstate(all="ignore"):
+        J = float(np.linalg.det(U_plus))
+        if J <= 0:
+            raise NonPositiveJacobian(f"det U = {J} <= 0")
+        v1 = cofactor(U_plus)[:, 0]
+        return _alpha_max(J, float(v1 @ v1))
+
+
+def _alpha_max(J: float, th11: float) -> float:
+    """alpha_max = J+ / |V1|^2 from th11 = |V1|^2.  AlphaOutOfRange when th11 or the
+    quotient is zero or not finite: the cofactor column under- or overflowed, and no
+    intensity range exists."""
+    a_max = J / th11 if th11 > 0 else np.inf
+    if not (0 < th11 < np.inf and 0 < a_max < np.inf):
+        raise AlphaOutOfRange(f"alpha_max = J+ / |V1|^2 = {J!r} / {th11!r} is not a positive "
+                              "finite number")
+    return a_max
 
 
 def _reject(errors: list, bad, make) -> None:
@@ -237,18 +251,19 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
     the volume-ratio interval of the jump (negative for alpha < 0, positive for alpha
     > 0), then passes the jump conditions and strict Lax margins; a row keeps the typed
     error of the first check it fails.  J+, V, theta, Theta, M, kappa2+ and h''(J+) are
-    computed once.  Floating-point warnings are off: an overflowing row fails a check.
+    computed once; a base state whose alpha_max is zero or not finite raises
+    AlphaOutOfRange.  Floating-point warnings are off: an overflowing row fails a check.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     n, U_plus = alphas.size, plus.U
-    Jp = float(np.linalg.det(U_plus))
-    V = cofactor(U_plus)
-    v1 = V[:, 0]
-    th11 = float(v1 @ v1)  # the criterion reads theta[0, 0], which may differ in the last bit
-    a_max, theta, h2p = Jp / th11, V.T @ V, float(m.h2(Jp))
-    k2p = m.mu + h2p * th11
     errors = [None] * n
     with np.errstate(all="ignore"):
+        Jp = float(np.linalg.det(U_plus))
+        V = cofactor(U_plus)
+        v1 = V[:, 0]
+        th11 = float(v1 @ v1)  # the criterion reads theta[0, 0], which may differ in the last bit
+        a_max, theta, h2p = _alpha_max(Jp, th11), V.T @ V, float(m.h2(Jp))
+        k2p = m.mu + h2p * th11
         _reject(errors, ~np.isfinite(alphas) | (alphas == 0.0) | (alphas >= a_max),
                 lambda i: AlphaOutOfRange(
                     f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alphas[i]}"))
@@ -276,15 +291,14 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
         k2m = m.mu + h2m * th11  # first cofactor column is shared
         rho = (s_sq - m.mu) * (1.0 / th11 - alphas / Jp) - h2p
         tau = -m.mu * np.sqrt(k2p - s_sq) / (s * np.sqrt(k2p) * th11)
-    col = functools.partial(np.expand_dims, axis=1)
-    fronts = FrontStack(
-        material=m, plus=plus, Jplus=Jp, V=V, theta=theta,
-        Theta=theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :]), M=_m_matrix(U_plus, V),
-        kappa2_plus=k2p, h2_plus=h2p, alpha_max=a_max, minus=SimpleNamespace(U=U_minus, v=v_minus),
-        alpha=col(alphas), speed=col(s), Jminus=col(Jm), kappa2_minus=col(k2m), rho=col(rho),
-        tau=col(tau), errors=errors)
-    live = np.flatnonzero(_live(errors))
-    with np.errstate(all="ignore"):
+        col = functools.partial(np.expand_dims, axis=1)
+        fronts = FrontStack(
+            material=m, plus=plus, Jplus=Jp, V=V, theta=theta,
+            Theta=theta[0, 0] * theta - np.outer(theta[:, 0], theta[0, :]),
+            M=_m_matrix(U_plus, V), kappa2_plus=k2p, h2_plus=h2p, alpha_max=a_max,
+            minus=SimpleNamespace(U=U_minus, v=v_minus), alpha=col(alphas), speed=col(s),
+            Jminus=col(Jm), kappa2_minus=col(k2m), rho=col(rho), tau=col(tau), errors=errors)
+        live = np.flatnonzero(_live(errors))
         for i, error in zip(live, _jump_and_lax_errors(fronts.rows(live))):
             errors[i] = error
     return fronts
@@ -354,7 +368,8 @@ def _coeff_algebra(sf: ShockFront, eta, Nsq, norms):
     eta2 = eta * eta
     omega = sf.material.mu * norms + h2p * Nsq
     P = sf.theta11 * Nsq - eta2
-    zeta = omega - h2p**2 * eta2 / sf.kappa2_plus
+    # numpy's scalar power rounds as Python's float power does, but overflows to inf
+    zeta = omega - np.float64(h2p) ** 2 * eta2 / sf.kappa2_plus
     return omega, P, zeta
 
 

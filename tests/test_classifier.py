@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from hadshock.classifier import (
     reference_delta,
     transition_alpha,
 )
-from hadshock.errors import BadParams, DegenerateModuli, HadshockError, InvalidBracket
+from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, HadshockError,
+                             InvalidBracket)
 from hadshock.lopatinskii import delta_v2_values, winding
 from hadshock.materials import catalog
 from hadshock.oracle import random_shock, sphere_min_reference
@@ -247,7 +249,7 @@ def test_criterion_slope_matches_central_difference(base):
             at = np.full(u.size, piece)
             y, dy = fn(at, u)
             for sign in (1.0, -1.0):
-                g, slope = _criterion_slope(fr, lam, b, sign * y, sign * dy)
+                g, slope, _ = _criterion_slope(fr, lam, b, sign * y, sign * dy)
                 xi = [sign * (vecs @ fn(at, u + t)[0].T).T for t in (h, -h, 0.0)]
                 g_plus, g_minus, g_at = (criterion_values(sf, x / np.linalg.norm(x, axis=1)[:, None])
                                          for x in xi)
@@ -334,6 +336,21 @@ def test_sweep_rows_equal_per_front_errors_and_edges():
     cg = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0})
     for steps in (0, 1):  # --steps 0 and 1
         assert len(_rows_match_per_front(cg, np.eye(2), np.linspace(-5.0, 0.5, steps))) == steps
+
+
+def test_overflowing_criterion_is_typed_error_row(cg2):
+    # G takes h''(J+)^2; where that overflows, a searched row is an error, not a verdict
+    # from an infinite zeta, and nothing warns; rho <= 0 rows are still uniform
+    fronts = build_stack(cg2, ElasticState(np.eye(2)), [-8.0, -0.3])
+    assert fronts.rho[0, 0] > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weak, _ = classify_stack(fronts)
+        huge = dataclasses.replace(fronts, h2_plus=1e160, rho=np.array([[1.0], [-1.0]]))
+        err, uniform = classify_stack(huge)
+    assert weak.kind == WEAK
+    assert isinstance(err, AlphaOutOfRange) and "h''(J+)^2" in str(err)
+    assert (uniform.kind, uniform.min_criterion) == (UNIFORM, None)
 
 
 def test_positive_alpha_warns_once_per_stack():

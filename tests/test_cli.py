@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -335,6 +336,39 @@ def test_overflowing_jump_scale_is_domain_error(capsys):
     assert captured.err.startswith("AlphaOutOfRange: ") and captured.err.count("\n") == 1
 
 
+def _identity_times(scale, d):
+    return ",".join(repr(float(x)) for x in (scale * np.eye(d)).ravel())
+
+
+@pytest.mark.parametrize("argv", [
+    # |V1|^2 = 1e-426 underflows to 0, so alpha_max = J+ / |V1|^2 has no value
+    ("shock", "--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
+     f"--Uplus={_identity_times(1e-71, 4)}", "--alpha=-1"),
+    # h''(J+) overflows in cosh
+    ("shock", "--material=bischoff-arruda-grosh", "--mu=1", "--cbar=1", "--b=300", "--dim=2",
+     "--Uplus=2,0,0,2", "--alpha=0.1"),
+    # det U+ overflows
+    ("shock", "--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=3",
+     f"--Uplus={_identity_times(1e154, 3)}", "--alpha=-1"),
+])
+def test_extreme_base_state_exits_3_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("AlphaOutOfRange: ") and captured.err.count("\n") == 1
+
+
+def test_overflowing_criterion_ends_as_error_rows(capsys):
+    # h''(J+) is about 1e155, so h''(J+)^2 overflows: no row may raise OverflowError
+    code = main(["sweep", "--material=ogden-foam", "--mu=313.5", "--c1=31.43", "--dim=7",
+                 f"--Uplus={_identity_times(0.22477467, 7)}", "--alpha-range=-10,-0.001",
+                 "--steps=5"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 5 and all(r.endswith(",error:AlphaOutOfRange") for r in rows)
+
+
 def test_verification_error_exits_4(capsys, monkeypatch):
     import hadshock.cli as cli
 
@@ -346,15 +380,59 @@ def test_verification_error_exits_4(capsys, monkeypatch):
     assert code == 4
 
 
-def _fresh_python(code, **env):
-    """Stdout of ``code`` run by a fresh interpreter on this package, with the BLAS thread
-    variables of this process dropped and ``env`` added."""
+def _fresh_run(code, **env):
+    """``code`` run to its end by a fresh interpreter on this package, with the BLAS thread
+    variables of this process dropped and ``env`` added: its exit code, stdout and stderr."""
     src = os.path.dirname(os.path.dirname(hadshock.__file__))
     child = {k: v for k, v in os.environ.items()
              if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     child.update(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
-                          text=True, timeout=120, check=True).stdout
+                          text=True, timeout=120)
+
+
+def _fresh_python(code, **env):
+    """Stdout of ``code`` run by a fresh interpreter (_fresh_run), which must exit 0."""
+    done = _fresh_run(code, **env)
+    done.check_returncode()
+    return done.stdout
+
+
+# runs hadshock.cli as ``python -m hadshock.cli`` does, after registering an atexit probe
+AS_SCRIPT = ("import atexit, os, runpy, sys\n"
+             "atexit.register(os.write, 2, b'interpreter teardown ran\\n')\n"
+             "sys.argv = ['hadshock', *{argv!r}]\n"
+             "runpy.run_module('hadshock.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("shock", *CG2, "--alpha=-1"),
+    ("sweep", *CG2, "--alpha-range=-9,-0.1", "--steps=7", "--format=json"),
+    ("grid", *CG2, "--alpha=-3", "--grid-n=4,3"),
+    ("shock", "--material=nosuch", "--alpha=-1"),  # exit 2
+    ("shock", *CG2, "--alpha=1"),  # exit 3
+    ("material", "check", "--name=ogden-hill", "--mu=1", "--b=0.5", "--dim=3"),  # exit 4
+])
+def test_script_ends_without_teardown(capsys, argv):
+    # the script path flushes and leaves by os._exit: no atexit handler runs, and output
+    # and exit code are those of main(argv) in this process
+    code = main(list(argv))
+    want = capsys.readouterr()
+    done = _fresh_run(AS_SCRIPT.format(argv=list(argv)))
+    assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
+
+
+def test_installed_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hadshock"]
+    with open(main.__code__.co_filename) as fh:
+        tree = ast.parse(fh.read())
+    (main_block,) = [node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (call,) = main_block.body
+    assert target == "hadshock.cli:" + ast.unparse(call.value.func)
 
 
 def test_verdict_path_imports_no_scipy():
@@ -665,25 +743,27 @@ def test_negative_value_after_space_reads_as_equals_form(capsys, argv):
     assert (code, out) == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
 
 
-FUZZ_FLAGS = {  # mostly admissible values, some out of range, a few malformed
+FUZZ_FLAGS = {  # mostly admissible values, some out of range or extreme, a few malformed
     "--material": ("ciarlet-geymonat", "blatz", "ogden-foam", "ogden-hill", "simo-miehe", "nosuch"),
     "--dim": ("2", "3", "4", "1", "x"),
-    "--mu": ("1", "0.5", "2", "1e-3", "0", "-1"),
-    "--kappa": ("2", "1", "0.5", "5", "-2"),
-    "--c1": ("1", "2", "-1"),
-    "--b": ("0.5", "1", "-1"),
+    "--mu": ("1", "0.5", "2", "1e-3", "0", "-1", "1e-71", "1e154", "1e300"),
+    "--kappa": ("2", "1", "0.5", "5", "-2", "1e-300", "1e71", "1e154"),
+    "--c1": ("1", "2", "-1", "1e-154", "1e71"),
+    "--b": ("0.5", "1", "-1", "1e-71", "1e300"),
     "--alpha": ("-0.3", "-1e-2", "-8", "-2", "0.5", "-1e-14", "-1e8", "-1e12", "-1e300", "nan",
-                "abc"),
+                "abc", "-1e-71", "-1e-154", "-1e-300", "-1e71", "-1e154", "1e-300"),
     "--Uplus": ("identity", "1,0,0,1", "1,0.3,0,1", "0,0,0,0", "-1,0,0,1", "1,2",
-                "1,0,0,0,1,0,0,0,1"),
-    "--vplus": ("zero", "1,0", "0.5,-0.2", "x,y"),
+                "1,0,0,0,1,0,0,0,1", "1e-71,0,0,1e-71", "1e154,0,0,1e154", "1e-300,0,0,1",
+                "1e300,0,0,1e-300", "1e71,0,0,0,1e71,0,0,0,1e71", _identity_times(1e-71, 4)),
+    "--vplus": ("zero", "1,0", "0.5,-0.2", "x,y", "1e300,-1e300", "1e-154,0"),
     "--alpha-range": ("-3,-0.1", "-5,-0.1", "-1e-2,-1e-3", "0.1,0.5", "-1,1", "1,2,3",
-                      "-1e308,1e308", "-2,0.5", "-0.5,3", "0.5,2"),
+                      "-1e308,1e308", "-2,0.5", "-0.5,3", "0.5,2", "-1e154,-1e-154",
+                      "-1e-300,-1e-71"),
     "--steps": ("0", "1", "3", "-1"),
-    "--grid-re": ("0,2", "-1,1", "0,0", "1,2,3"),
-    "--grid-im": ("-1,1", "-2,2", "0,0", "x"),
+    "--grid-re": ("0,2", "-1,1", "0,0", "1,2,3", "0,1e154", "-1e300,1e300"),
+    "--grid-im": ("-1,1", "-2,2", "0,0", "x", "-1e154,1e154", "1e-300,1e-71"),
     "--grid-n": ("3,3", "2,2", "4,3", "1,1", "3,x"),
-    "--xi": ("1", "1,0", "0", "0,0", "nan", "0.3,-0.2,0.5"),
+    "--xi": ("1", "1,0", "0", "0,0", "nan", "0.3,-0.2,0.5", "1e300", "1e300,1e-300", "1e-154"),
     "--var": ("gamma", "lambda"),
     "--format": ("json", "csv", "xml"),
     "--seed": ("0", "3", "-1"),
@@ -721,14 +801,18 @@ def _argv(draw):
     return argv if extra is None else argv + [extra]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=_argv())
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argument vector
-            code = exc.code
+        except SystemExit as exc:  # argparse rejects the argument vector, with its usage
+            code, parsed = exc.code, False
+        else:
+            parsed = True
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if parsed:  # a typed error is one stderr line and no output; a report, ok or not, none
+        assert err.getvalue().count("\n") == (out.getvalue() == ""), (argv, err.getvalue())

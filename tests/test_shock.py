@@ -372,3 +372,16 @@ def test_jump_scale_overflow_is_typed_error():
         fronts = build_stack(m, ElasticState(np.eye(2)), [-0.3, -1.3e154, -1e300])
     assert fronts.errors[0] is None
     assert all(isinstance(e, AlphaOutOfRange) for e in fronts.errors[1:])
+
+
+def test_underflowing_cofactor_column_is_typed_error():
+    # det U+ = 1e-284 is positive, but |V1|^2 = 1e-426 underflows to 0: no intensity range
+    U = 1e-71 * np.eye(4)
+    m = catalog("ciarlet-geymonat", {"d": 4, "mu": 1.0, "kappa": 2.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlphaOutOfRange, match="alpha_max"):
+            alpha_max(U)
+        with pytest.raises(AlphaOutOfRange, match="alpha_max"):
+            build_stack(m, ElasticState(U), [-1.0, -0.5])
+
