@@ -196,8 +196,8 @@ def _alpha_max(J: float, th11: float) -> float:
     """alpha_max = J+ / |V1|^2 from th11 = |V1|^2.  AlphaOutOfRange when th11 or the
     quotient is zero or not finite: the cofactor column under- or overflowed, and no
     intensity range exists."""
-    a_max = J / th11 if th11 > 0 else np.inf
-    if not (0 < th11 < np.inf and 0 < a_max < np.inf):
+    a_max = J / th11 if 0 < th11 < np.inf else np.nan
+    if not 0 < a_max < np.inf:
         raise AlphaOutOfRange(f"alpha_max = J+ / |V1|^2 = {J!r} / {th11!r} is not a positive "
                               "finite number")
     return a_max
