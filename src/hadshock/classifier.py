@@ -300,7 +300,8 @@ def classify_stack(fronts: FrontStack) -> list:
     since the exact threshold carries the root at t = sqrt(zeta); a Weak verdict's witness
     is the minimizing direction and its imaginary-axis root.  A row gets its verdict, or
     the typed error that stopped it in build_stack or of the first check here it fails; a
-    searched row whose h''(J+)^2 overflows is AlphaOutOfRange.
+    row whose rho is not finite, or whose h''(J+)^2 or sphere minimum overflows, is
+    AlphaOutOfRange.
     The alpha > 0 warning is given once per call.
     """
     out = list(fronts.errors)
@@ -312,6 +313,10 @@ def classify_stack(fronts: FrontStack) -> list:
     if np.any(fronts.alpha[live] > 0):
         warnings.warn("classification is certified for the h''' < 0, alpha < 0 regime; "
                       "alpha > 0 results are best-effort", stacklevel=2)
+    finite = np.isfinite(fronts.rho[live, 0])
+    for i in live[~finite]:
+        out[i] = AlphaOutOfRange(f"alpha = {fronts.alpha[i, 0]} gives rho = {fronts.rho[i, 0]}")
+    live = live[finite]
     rho = fronts.rho[live, 0]
     for i in live[rho <= 0]:
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]))
@@ -324,9 +329,15 @@ def classify_stack(fronts: FrontStack) -> list:
                 f"alpha = {fronts.alpha[i, 0]} overflows the criterion: h''(J+)^2 is not finite")
         return out
     fr = fronts.rows(searched)
-    x_best, v_best = _sphere_minima(fr)
-    weak = v_best < MARGINAL_BAND
-    for i, v in zip(searched[~weak], v_best[~weak].tolist()):
+    with np.errstate(all="ignore"):  # a front whose search overflows has no finite minimum
+        x_best, v_best = _sphere_minima(fr)
+    lost = ~np.isfinite(v_best)
+    for i in searched[lost]:
+        out[i] = AlphaOutOfRange(f"alpha = {fronts.alpha[i, 0]} overflows the criterion: its "
+                                 "minimum over the sphere is not finite")
+    weak = (v_best < MARGINAL_BAND) & ~lost
+    uniform = ~weak & ~lost
+    for i, v in zip(searched[uniform], v_best[uniform].tolist()):
         out[i] = StabilityVerdict(kind=UNIFORM, rho=float(fronts.rho[i, 0]), min_criterion=v)
     fw, x_weak, v_weak = fr.rows(np.flatnonzero(weak)), x_best[weak], v_best[weak]
     coeffs = freq_coeffs(fw, x_weak[:, None, :])

@@ -6,8 +6,12 @@ significant digits); grids and sweeps are CSV (9 significant digits) or,
 with --format=json, JSON.  Every number printed comes from a library call.
 Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
 failure.  A grid is evaluated as one array over all its nodes, and its
-text formats each axis value once and only the four stability-function
-columns per node; the rows of a sweep are one batch of fronts.
+text is written one Im row at a time, each row filled by one format call,
+so the whole grid's text is never held; each axis value is formatted once,
+and a node formats only its four stability-function columns.  The rows of a
+sweep are one batch of fronts.  Every command writes its output through one
+path that flushes it, so a failed write (a full disk, a closed pipe) is a
+configuration error.
 ``HADSHOCK_THREADS`` is ignored.  The CLI runs OpenBLAS on one thread:
 importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, which
@@ -25,7 +29,6 @@ import math
 import os
 import re
 import sys
-from itertools import product
 
 # OpenBLAS reads its thread count once, when numpy loads it
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
@@ -75,12 +78,22 @@ def _csv_cell(x) -> str:
     return "" if x is None else str(x)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(text, out_path):
+    """Write text, a string or an iterable of string chunks, to the file out_path or to
+    stdout, add a newline unless the text ends with one, and flush: a failed write raises
+    OSError here, which main reports."""
+    fh = open(out_path, "w") if out_path else sys.stdout
+    try:
+        last = ""
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk)
+            last = chunk
+        if not last.endswith("\n"):
+            fh.write("\n")
+        fh.flush()
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -352,38 +365,45 @@ def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
 GRID_KEYS = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
 
 
-def _grid_text(res: np.ndarray, ims: np.ndarray, vals: np.ndarray, fmt: str) -> str:
-    """CSV or JSON of the grid values vals (n_im, n_re) at res + i ims, a row per node with
-    Re varying fastest, one %-template per row.
+def _grid_rows(res: np.ndarray, ims: np.ndarray, vals: np.ndarray, fmt: str):
+    """CSV or JSON of the grid values vals (n_im, n_re) at res + i ims, a record per node with
+    Re varying fastest, as chunks of text: one chunk per Im row, filled by one %.
 
     Each axis value is formatted once.  Each pattern of finite delta columns has its own
-    template, with an empty CSV field or a JSON null where a value is not finite (its
-    ``%.0s`` takes the value and prints nothing).
+    record template, with an empty CSV field or a JSON null where a value is not finite (its
+    ``%.0s`` takes the value and prints nothing); a row's format string joins the templates
+    of its records, and its arguments are the rows of one reused (n_re, 6) object array.
     """
     deltas = np.stack([vals.real, vals.imag, np.hypot(vals.real, vals.imag), np.angle(vals)],
-                      axis=-1).reshape(-1, len(GRID_KEYS) - 2)
+                      axis=-1)
     if fmt == "json":
-        cell, missing = "%.17g", "null"
+        cell, missing, sep = "%.17g", "null", ", "
         res, ims, deltas = res + 0.0, ims + 0.0, deltas + 0.0  # no negative zeros, as in to_json
     else:
-        cell, missing = "%.9g", ""
+        cell, missing, sep = "%.9g", "", "\n"
     re_text, im_text = ([cell % x if math.isfinite(x) else missing for x in axis.tolist()]
                         for axis in (res, ims))
-    bits = [1 << i for i in range(deltas.shape[1])]
-    codes = (np.isfinite(deltas) @ bits).tolist()  # which delta columns are finite
+    bits = [1 << i for i in range(deltas.shape[-1])]
+    codes = np.isfinite(deltas) @ bits  # which delta columns are finite, per node
     templates = {}
-    for code in set(codes):
+    for code in np.unique(codes).tolist():
         fields = ["%s", "%s"] + [cell if code & b else missing + "%.0s" for b in bits]
         if fmt == "json":
             fields = [f"{json.dumps(key)}: {f}" for key, f in zip(GRID_KEYS, fields)]
             templates[code] = "{" + ", ".join(fields) + "}"
         else:
             templates[code] = ",".join(fields)
-    rows = [templates[c] % (re, im, *row)
-            for (im, re), row, c in zip(product(im_text, re_text), deltas.tolist(), codes)]
+    args = np.empty((len(re_text), len(GRID_KEYS)), dtype=object)
+    args[:, 0] = re_text
+    lead = "[" if fmt == "json" else ",".join(GRID_KEYS) + "\n"
+    for im, row_codes, row_deltas in zip(im_text, codes, deltas):
+        args[:, 1] = im
+        args[:, 2:] = row_deltas
+        yield lead + sep.join(map(templates.__getitem__, row_codes.tolist())) % tuple(
+            args.ravel().tolist())
+        lead = sep
     if fmt == "json":
-        return "[" + ", ".join(rows) + "]"
-    return "\n".join([",".join(GRID_KEYS)] + rows)
+        yield "]"
 
 
 def _cmd_grid(args) -> int:
@@ -410,7 +430,7 @@ def _cmd_grid(args) -> int:
                     raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
                 xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
             vals = lopatinskii.delta_v2_values(sf, grid, xi)
-    _emit(_grid_text(res, ims, vals, args.format), args.out)
+    _emit(_grid_rows(res, ims, vals, args.format), args.out)
     return 0
 
 
@@ -555,15 +575,16 @@ def run() -> None:
     Once both output streams are flushed (``--out`` files are closed inside main), the
     process ends with ``os._exit``, skipping the interpreter's teardown, which only frees
     objects.  An exception from main, argparse's SystemExit included, propagates and exits
-    as before; so does a failed flush, through the normal exit path that reports it.
+    as before.  A flush that fails here fails on output whose write main has already
+    reported: every write to stdout is _emit's, which flushes, and stderr is line-buffered.
     """
     code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+        except OSError:
+            pass
     os._exit(code)
 
 

@@ -251,8 +251,9 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
     the volume-ratio interval of the jump (negative for alpha < 0, positive for alpha
     > 0), then passes the jump conditions and strict Lax margins; a row keeps the typed
     error of the first check it fails.  J+, V, theta, Theta, M, kappa2+ and h''(J+) are
-    computed once; a base state whose alpha_max is zero or not finite raises
-    AlphaOutOfRange.  Floating-point warnings are off: an overflowing row fails a check.
+    computed once; a base state whose alpha_max is zero or not finite, or whose h''(J+) or
+    kappa2+ is not finite, raises AlphaOutOfRange.  Floating-point warnings are off: an
+    overflowing row fails a check.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     n, U_plus = alphas.size, plus.U
@@ -264,6 +265,9 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
         th11 = float(v1 @ v1)  # the criterion reads theta[0, 0], which may differ in the last bit
         a_max, theta, h2p = _alpha_max(Jp, th11), V.T @ V, float(m.h2(Jp))
         k2p = m.mu + h2p * th11
+        if not np.isfinite(k2p):  # also catches h''(J+), since th11 > 0
+            raise AlphaOutOfRange(f"the base state's h''(J+) = {h2p!r} or kappa2+ = {k2p!r} "
+                                  "is not finite")
         _reject(errors, ~np.isfinite(alphas) | (alphas == 0.0) | (alphas >= a_max),
                 lambda i: AlphaOutOfRange(
                     f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alphas[i]}"))

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadshock.classifier import (
     UNIFORM,
     WEAK,
+    StabilityVerdict,
     _critical_set,
     _criterion_slope,
     _eigen_criterion,
@@ -21,7 +24,7 @@ from hadshock.classifier import (
 from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, HadshockError,
                              InvalidBracket)
 from hadshock.lopatinskii import delta_v2_values, winding
-from hadshock.materials import catalog
+from hadshock.materials import CATALOG_NAMES, catalog
 from hadshock.oracle import random_shock, sphere_min_reference
 from hadshock.shock import ElasticState, FrontStack, build, build_stack
 
@@ -351,6 +354,57 @@ def test_overflowing_criterion_is_typed_error_row(cg2):
     assert weak.kind == WEAK
     assert isinstance(err, AlphaOutOfRange) and "h''(J+)^2" in str(err)
     assert (uniform.kind, uniform.min_criterion) == (UNIFORM, None)
+
+
+def _property_base(family, exponent, seed, d):
+    """One of four base-state families: a scaled identity, a near-identity and a scaled
+    Gaussian matrix, whose magnitude exponent picks from [0, 1], and a diagonal matrix with
+    entries 10^[-8, 8]; seed draws the noise and the diagonal."""
+    rng = np.random.default_rng(seed)
+    if family == "identity":
+        return 10.0 ** (-3.0 + 6.0 * exponent) * np.eye(d)
+    if family == "near-identity":
+        return np.eye(d) + 10.0 ** (-12.0 + 12.0 * exponent) * rng.standard_normal((d, d))
+    if family == "gaussian":
+        return 10.0 ** (-100.0 + 200.0 * exponent) * rng.standard_normal((d, d))
+    return np.diag(10.0 ** rng.uniform(-8.0, 8.0, d))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(CATALOG_NAMES), d=st.integers(2, 8),
+       moduli=st.lists(st.floats(-6.0, 8.0), min_size=5, max_size=5),
+       family=st.sampled_from(["identity", "near-identity", "gaussian", "diagonal"]),
+       exponent=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       alphas=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)),
+                       min_size=1, max_size=12))
+def test_every_stack_row_is_a_finite_verdict_or_a_typed_error(name, d, moduli, family,
+                                                              exponent, seed, alphas):
+    # moduli log-uniform in 10^[-6, 8], intensities +-10^[-300, 300]: a row ends as a
+    # verdict with finite numbers or as a typed error, and no float warning leaks
+    mu, kappa, c1, b, cbar = (10.0 ** e for e in moduli)
+    alphas = np.array([sign * 10.0 ** e for sign, e in alphas])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message="classification is certified")
+        try:
+            m = catalog(name, {"d": d, "mu": mu, "kappa": kappa, "c1": c1, "b": b,
+                               "cbar": cbar})
+            fronts = build_stack(m, ElasticState(_property_base(family, exponent, seed, d)),
+                                 alphas)
+        except HadshockError:
+            return
+        rows = classify_stack(fronts)
+    assert len(rows) == alphas.size
+    for row in rows:
+        if isinstance(row, HadshockError):
+            continue
+        assert isinstance(row, StabilityVerdict), row
+        numbers = [row.rho]
+        if row.min_criterion is not None:
+            numbers.append(row.min_criterion)
+        if row.witness is not None:
+            numbers += [row.witness.t_root, row.witness.criterion_value, *row.witness.xi_t]
+        assert np.all(np.isfinite(numbers)), row
 
 
 def test_positive_alpha_warns_once_per_stack():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,33 @@ def test_out_file(capsys, tmp_path):
 CG2 = ("--material", "ciarlet-geymonat", "--mu", "1", "--kappa", "2", "--dim", "2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid", *CG2, "--alpha=-3", "--grid-n=7,5"),
+    ("grid", *CG2, "--alpha=-3", "--grid-n=7,5", "--format=json"),
+    ("sweep", *CG2, "--alpha-range=-9,-0.1", "--steps=7"),
+    ("shock", *CG2, "--alpha=-1"),
+])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, f"--out={target}") == (code, "")
+    assert code == 0 and target.read_bytes() == out.encode()
+
+
+def test_grid_text_is_never_held_whole():
+    # a 200 x 200 JSON grid is 7.5 MB of text; it is written one Im row at a time
+    argv = ["grid", *CG2, "--alpha=-3", "--grid-n=200,200", "--format=json"]
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(argv) == 0  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_grid_n_needs_two_integers(capsys):
     code, _ = run(capsys, "grid", *CG2, "--alpha", "-1", "--grid-n", "10")
     assert code == 2
@@ -350,6 +378,11 @@ def _identity_times(scale, d):
     # det U+ overflows
     ("shock", "--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=3",
      f"--Uplus={_identity_times(1e154, 3)}", "--alpha=-1"),
+    # h''(J+) = kappa2+ = inf at J+ = 1e-160, so rho would be NaN
+    ("classify", "--material=blatz", "--mu=1", "--kappa=2", "--dim=2",
+     "--Uplus=1e-80,0,0,1e-80", "--alpha=-1.5e9"),
+    ("sweep", "--material=blatz", "--mu=1", "--kappa=2", "--dim=2",
+     "--Uplus=1e-80,0,0,1e-80", "--alpha-range=-1e10,-1e9", "--steps=3"),
 ])
 def test_extreme_base_state_exits_3_with_one_line(capsys, argv):
     code = main(list(argv))
@@ -380,15 +413,16 @@ def test_verification_error_exits_4(capsys, monkeypatch):
     assert code == 4
 
 
-def _fresh_run(code, **env):
+def _fresh_run(code, stdout=subprocess.PIPE, **env):
     """``code`` run to its end by a fresh interpreter on this package, with the BLAS thread
-    variables of this process dropped and ``env`` added: its exit code, stdout and stderr."""
+    variables and PYTHONUNBUFFERED of this process dropped and ``env`` added, its stdout
+    going to ``stdout``: its exit code, stdout and stderr."""
     src = os.path.dirname(os.path.dirname(hadshock.__file__))
     child = {k: v for k, v in os.environ.items()
-             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONUNBUFFERED")}
     child.update(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=child, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _fresh_python(code, **env):
@@ -420,6 +454,21 @@ def test_script_ends_without_teardown(capsys, argv):
     want = capsys.readouterr()
     done = _fresh_run(AS_SCRIPT.format(argv=list(argv)))
     assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("shock", *CG2, "--alpha=-1"),
+    ("grid", *CG2, "--alpha=-3", "--grid-n=3,3"),
+    ("grid", *CG2, "--alpha=-3", "--grid-n=200,200", "--format=json"),
+])
+def test_script_write_error_exits_2_with_one_line(argv):
+    # stdout is block-buffered, so a small report fails only when it is flushed: _emit
+    # flushes, main reports the error, and nothing is left for the interpreter to report
+    with open("/dev/full", "w") as full:
+        done = _fresh_run(AS_SCRIPT.format(argv=list(argv)), stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
 
 
 def test_installed_script_is_the_main_block_entry():
