@@ -11,8 +11,7 @@ degree two, so the sphere search decides the sign globally.
 """
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +40,7 @@ WEAK = "weak"
 MARGINAL_BAND = 1e-10
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     """Frequency direction and imaginary-axis root certifying weak stability."""
 
     xi_t: np.ndarray
@@ -50,8 +48,7 @@ class Witness:
     criterion_value: float
 
 
-@dataclass
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     kind: str
     rho: float
     min_criterion: Optional[float] = None

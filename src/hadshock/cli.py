@@ -16,7 +16,10 @@ configuration error.
 importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, which
 then wins.  Every matrix here is at most 8 x 8, far below OpenBLAS's
-threading threshold, so more workers would only spin idle.  The script entry
+threading threshold, so more workers would only spin idle.  Importing this
+module also freezes (``gc.freeze``) the objects that exist once its imports
+are done, with the cyclic garbage collector paused while they run, so no later
+collection scans them; the collector is left on or off as it was.  The script entry
 ``run`` (the ``hadshock`` script and ``python -m hadshock.cli``) flushes stdout
 and stderr after ``main`` returns and ends the process with ``os._exit``, which
 skips the interpreter's teardown; ``main(argv)`` returns its exit code and keeps
@@ -24,6 +27,7 @@ the normal interpreter lifecycle.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -33,11 +37,19 @@ import sys
 # OpenBLAS reads its thread count once, when numpy loads it
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# what the imports below make lives until the process ends, so a collection would only
+# rescan it: collect nothing while they run, then move it out of every later collection
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
 import numpy as np
 
 from . import classifier, lopatinskii, materials, oracle, shock
 from .errors import ConfigError, HadshockError, VerificationError
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 __all__ = ["main", "run"]
 

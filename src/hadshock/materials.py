@@ -15,7 +15,7 @@ deformation, which is what the shock machinery relies on.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class MaterialModel:
             raise BadModuli(f"shear modulus must be positive, got {self.mu}")
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of sampling the material hypotheses on a J-grid."""
 
     h2_positive: bool
@@ -93,8 +92,7 @@ class HypothesisReport:
         )
 
 
-@dataclass
-class AcousticSpectrum:
+class AcousticSpectrum(NamedTuple):
     """Eigenvalues of the acoustic tensor: kappa1 (d-1 fold) and kappa2 (simple)."""
 
     kappa1: float

@@ -19,7 +19,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     WrongSignForMaterial,
 )
 from .linalg import cofactor
-from .materials import MaterialModel, piola_kirchhoff
+from .materials import MaterialModel, _jacobian, piola_kirchhoff
 
 __all__ = [
     "ElasticState",
@@ -77,8 +77,7 @@ class ElasticState:
         return self.U.shape[0]
 
 
-@dataclass
-class FrequencyCoefficients:
+class FrequencyCoefficients(NamedTuple):
     """Coefficients of a transverse frequency (or a stack of them) on a given shock.
 
     eta couples the front-normal cofactor column to the transverse ones,
@@ -94,8 +93,7 @@ class FrequencyCoefficients:
     zeta: float
 
 
-@dataclass
-class LaxReport:
+class LaxReport(NamedTuple):
     ok: bool
     margins: tuple
 
@@ -317,7 +315,7 @@ def _jump_and_lax_errors(fr) -> list:
     s, base, U_plus = fr.speed, fr.residual_scale(), fr.plus.U
     jump_U1, jump_v = U_plus[:, 0] - fr.minus.U[..., 0], fr.plus.v - fr.minus.v
     sig_p = piola_kirchhoff(fr.material, U_plus)[:, 0]
-    sig_m = piola_kirchhoff(fr.material, fr.minus.U)[..., 0]
+    sig_m = _minus_stress_column(fr)
     terms = (norm(-s * jump_U1 - jump_v), np.abs(s) * norm(jump_U1) + norm(jump_v),
              norm(-s * jump_v - (sig_p - sig_m)),
              np.abs(s) * norm(jump_v) + norm(sig_p) + norm(sig_m))
@@ -332,6 +330,14 @@ def _jump_and_lax_errors(fr) -> list:
     _reject(errors, ~np.all(np.greater(margins, 0), axis=0), lambda i: WrongSignForMaterial(
         f"constructed front violates strict Lax margins {tuple(float(v[i]) for v in margins)}"))
     return errors
+
+
+def _minus_stress_column(fr):
+    """First column of the Piola-Kirchhoff stress of U-, mu U-[:, 0] + h'(det U-) V1, bit
+    for bit that of piola_kirchhoff: U- differs from U+ only in its first column, which no
+    minor of the first cofactor column reads, so that column is V1."""
+    h1 = np.asarray(fr.material.h1(_jacobian(fr.minus.U)), dtype=float)
+    return fr.material.mu * fr.minus.U[..., 0] + h1[..., None] * fr.V[:, 0]
 
 
 def _lax_margins(fr) -> tuple:

@@ -519,6 +519,26 @@ def test_cli_runs_one_blas_thread():
     assert _fresh_python(THREADS).split() == ["1", "1"]
 
 
+# the collector's switch and freeze count after the import, then whether a cycle made
+# afterwards is collected
+GC_STATE = ("import gc, weakref\n"
+            "{before}"
+            "import hadshock.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "class Node: pass\n"
+            "node = Node(); node.self = node; alive = weakref.ref(node); del node\n"
+            "gc.collect()\n"
+            "print(alive() is None)\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_freezes_and_keeps_the_gc_switch(enabled):
+    # the objects the import made are frozen out of every later collection, the collector is
+    # left on or off as it was, and garbage made afterwards is still collected
+    before = "" if enabled else "gc.disable()\n"
+    assert _fresh_python(GC_STATE.format(before=before)).split() == [str(enabled), "True", "True"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
                     reason="needs /proc and two CPUs")
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

@@ -70,3 +70,22 @@ def test_package_exports_resolve_to_their_home_modules():
         module = importlib.import_module(f"hadshock.{home}")
         assert name in module.__all__, name
         assert getattr(hadshock, name) is getattr(module, name), name
+
+
+def test_record_fields_keep_their_order():
+    # the records are named tuples, so building or unpacking one by position follows this order
+    from hadshock import classifier, materials, shock
+
+    records = (materials.HypothesisReport, materials.AcousticSpectrum,
+               shock.FrequencyCoefficients, shock.LaxReport, classifier.Witness,
+               classifier.StabilityVerdict)
+    assert {r.__name__: r._fields for r in records} == {
+        "HypothesisReport": ("h2_positive", "h3_negative", "free_stress", "bulk_relation",
+                             "poisson", "lame_first", "J_grid", "fd_consistent",
+                             "fd_max_rel_err", "effective_bulk", "h_nonincreasing"),
+        "AcousticSpectrum": ("kappa1", "mult1", "kappa2", "mult2", "eigvec2"),
+        "FrequencyCoefficients": ("eta", "omega", "Nsq", "P", "zeta"),
+        "LaxReport": ("ok", "margins"),
+        "Witness": ("xi_t", "t_root", "criterion_value"),
+        "StabilityVerdict": ("kind", "rho", "min_criterion", "witness", "marginal"),
+    }

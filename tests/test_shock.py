@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hadshock.errors import (
     WrongSignForMaterial,
 )
 from hadshock.linalg import cofactor
-from hadshock.materials import catalog, piola_kirchhoff
+from hadshock.materials import CATALOG_NAMES, catalog, piola_kirchhoff
 from hadshock.shock import (
     ElasticState,
     alpha_max,
@@ -343,15 +344,37 @@ def test_jump_check_catches_1e9_relative_changes(cg2, monkeypatch, case, alpha):
     assert isinstance(shock._jump_and_lax_errors(moved)[0], VerificationError)
 
     k = int(np.argmax(np.abs(piola_kirchhoff(m, sf.minus.U)[:, 0])))
+    stress_column = shock._minus_stress_column
 
-    def skewed(material, U):  # one entry of sigma- moved by 1e-9 relative
-        sig = piola_kirchhoff(material, U)
-        if U is sf.minus.U:
-            sig[k, 0] *= 1 + 1e-9
+    def skewed(fr):  # one entry of sigma- e1 moved by 1e-9 relative
+        sig = stress_column(fr)
+        sig[..., k] *= 1 + 1e-9
         return sig
 
-    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    monkeypatch.setattr(shock, "_minus_stress_column", skewed)
     assert isinstance(shock._jump_and_lax_errors(sf)[0], VerificationError)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_minus_stress_column_is_piola_kirchhoff_bit_for_bit(d):
+    # U- differs from U+ only in its first column, which no minor of the first cofactor
+    # column reads, so sigma- e1 = mu U-[:, 0] + h'(det U-) V1 to the last bit
+    rng = np.random.default_rng(90 + d)
+    for name in CATALOG_NAMES:
+        m = catalog(name, {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2})
+        for _ in range(3):
+            U = np.eye(d) + 0.4 * rng.uniform(-1, 1, (d, d))
+            while np.linalg.det(U) <= 0.2:
+                U = np.eye(d) + 0.4 * rng.uniform(-1, 1, (d, d))
+            V, a_max = cofactor(U), alpha_max(U)
+            alphas = np.r_[-(10.0 ** rng.uniform(-3, 2, 5)), a_max * rng.uniform(0, 1, 2),
+                           a_max * (1 - 1e-9)]
+            Um = U - alphas[:, None, None] * np.outer(V[:, 0], np.eye(d)[0])
+            for minus in (Um, Um[-1]):  # a stack, and one front near alpha_max
+                got = shock._minus_stress_column(
+                    SimpleNamespace(material=m, minus=SimpleNamespace(U=minus), V=V))
+                want = piola_kirchhoff(m, minus)[..., 0]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, d)
 
 
 def test_huge_alpha_raises_without_warning(cg2):
