@@ -8,6 +8,8 @@ entry point runs all identity checks over randomized Lax-front
 scenarios and reports the worst error per identity.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .classifier import criterion_values
@@ -59,6 +61,7 @@ EIG_CLUSTER_TOL = 1e-7
 SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_reference polishes
 MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
 CONTROL_NODES = 24  # nodes per axis of the negative-control grid
+STACK_BYTES = 1 << 16  # verify's largest array per stacked call: bounds a stack's memory
 
 # The assembly functions take the B-blocks ``b_blocks(m, U)`` (at U+ for a
 # front), so that one scenario computes them once for every check.
@@ -66,18 +69,19 @@ CONTROL_NODES = 24  # nodes per axis of the negative-control grid
 
 def assemble_Aj(B: np.ndarray, j: int) -> np.ndarray:
     """Flux Jacobian in the j-th coordinate direction (1-based j), a dense
-    (d^2+d) x (d^2+d) complex matrix.
+    (d^2+d) x (d^2+d) complex matrix, or a stack of them for B-blocks (..., d, d, d, d).
 
     State ordering: the d columns of U stacked first, velocity last.
     Block (j, v) holds -I_d and the velocity row holds the second
     derivative blocks -B_i^j.
     """
-    d = B.shape[0]
+    d = B.shape[-1]
     n = d * d + d
-    A = np.zeros((n, n))
-    A[(j - 1) * d : j * d, d * d :] = -np.eye(d)
+    A = np.zeros(B.shape[:-4] + (n, n))
+    A[..., (j - 1) * d : j * d, d * d :] = -np.eye(d)
     # column block i of the velocity row is -B_i^j
-    A[d * d :, : d * d] = -B[:, j - 1].transpose(1, 0, 2).reshape(d, d * d)
+    A[..., d * d :, : d * d] = -np.moveaxis(B[..., j - 1, :, :], -3, -2).reshape(
+        B.shape[:-4] + (d, d * d))
     return A.astype(complex)
 
 
@@ -93,11 +97,15 @@ def assemble_symbol(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 # The frequency functions take stacks, lam (...) and xi_t (..., k); one frequency is a 0-d
-# lam with a 1-D xi_t.  What does not depend on the frequency (the stress pair, the
+# lam with a 1-D xi_t.  verify_suite also hands them a dimension's scenarios as one stack
+# (_Scenarios): each field of the front gains a leading scenario axis, a scalar as an
+# (S, 1) column against frequencies (S, m), a matrix as (S, 1, d, d), and the B-blocks come
+# as (S, 1, d, d, d, d).  What does not depend on the frequency (the stress pair, the
 # characteristic-speed guard, A^j, A^1 - s I and its norm) is computed once per call, and
 # the dense work is one stacked solve, eig and svd.  Element i of a stack has the bits of
 # the call on frequency i: stacked linear algebra and matmul run the same LAPACK/BLAS call
-# per slice, and a complex product that one frequency takes in Python arithmetic is
+# per slice as long as the operands are C-contiguous (numpy's non-BLAS matmul loop rounds
+# differently), and a complex product that one frequency takes in Python arithmetic is
 # written out in real parts (numpy's vector loop may fuse its multiply-adds).
 
 
@@ -108,32 +116,39 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
-def _stress_jump(sf: ShockFront) -> np.ndarray:
-    """[[P]] = P(U+) - P(U-) of the first Piola-Kirchhoff stress, from one stacked call."""
+def _stress_jump(sf) -> np.ndarray:
+    """[[P]] = P(U+) - P(U-) of the first Piola-Kirchhoff stress, from one stacked call; a
+    scenario stack carries the jumps its scenarios computed."""
+    if isinstance(sf, _Scenarios):
+        return sf.stress_jump
     P = piola_kirchhoff(sf.material, np.stack((sf.plus.U, sf.minus.U)))
     return P[0] - P[1]
 
 
 def _calA_factors(sf: ShockFront, B: np.ndarray, lam, xi_t):
     """(lambda I + i sum xi_j A^j, A^1 - s I) at U+: the first (..., n, n) over the
-    frequencies, the second one (n, n); the frequency symbol is num denom^(-1)."""
+    frequencies, the second one (n, n) per front; the frequency symbol is num denom^(-1)."""
     d = sf.dim
     n = d * d + d
-    speeds = [v for v, _ in char_speeds(sf.material, sf.plus.U)]
-    if min(abs(v - sf.speed) for v in speeds) < 1e-10 * (1.0 + abs(sf.speed)):
-        raise CharacteristicSpeed(f"s = {sf.speed} is characteristic for U+")
+    s = np.asarray(sf.speed)
+    speeds = sf.speeds if isinstance(sf, _Scenarios) else np.array(
+        [v for v, _ in char_speeds(sf.material, sf.plus.U)])
+    near = np.min(np.abs(speeds - s[..., None]), axis=-1) < 1e-10 * (1.0 + np.abs(s))
+    if np.any(near):
+        raise CharacteristicSpeed(f"s = {float(s[near][0])} is characteristic for U+")
     xi_t = np.asarray(xi_t, dtype=float)
     num = np.asarray(lam, dtype=complex)[..., None, None] * np.eye(n, dtype=complex)
     for j in range(2, d + 1):
         num = num + 1j * xi_t[..., j - 2, None, None] * assemble_Aj(B, j)
-    return num, assemble_Aj(B, 1) - sf.speed * np.eye(n, dtype=complex)
+    return num, assemble_Aj(B, 1) - s[..., None, None] * np.eye(n, dtype=complex)
 
 
 def assemble_calA(sf: ShockFront, B: np.ndarray, lam, xi_t) -> np.ndarray:
     """Frequency symbol (lambda I + i sum xi_j A^j)(A^1 - s I)^(-1) at U+, (..., n, n)."""
     num, denom = _calA_factors(sf, B, lam, xi_t)
     # right-multiplication by the inverse via a solve on the transpose
-    return np.swapaxes(np.linalg.solve(denom.T, np.swapaxes(num, -1, -2)), -1, -2)
+    return np.swapaxes(np.linalg.solve(np.swapaxes(denom, -1, -2), np.swapaxes(num, -1, -2)),
+                       -1, -2)
 
 
 def left_eigvec_residual(sf: ShockFront, B: np.ndarray, lam, xi_t, l: np.ndarray,
@@ -144,22 +159,23 @@ def left_eigvec_residual(sf: ShockFront, B: np.ndarray, lam, xi_t, l: np.ndarray
     num, denom = _calA_factors(sf, B, lam, xi_t)
     row = l[..., None, :]
     resid = (row @ num)[..., 0, :] - np.asarray(beta)[..., None] * (row @ denom)[..., 0, :]
-    return _norms(resid) / (_norms(l) * max(1.0, np.linalg.norm(denom, 2)))
+    return _norms(resid) / (_norms(l) * np.maximum(1.0, np.linalg.norm(denom, 2, axis=(-2, -1))))
 
 
 def jump_vector(sf: ShockFront, lam, xi_t) -> np.ndarray:
     """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps, (..., n)."""
     d = sf.dim
-    n = d * d + d
     xi_t = np.asarray(xi_t, dtype=float)
     jump_v = sf.plus.v - sf.minus.v
-    jump_u = np.concatenate(((sf.plus.U - sf.minus.U).T.ravel(), jump_v)).astype(complex)
+    jump_U = np.swapaxes(sf.plus.U - sf.minus.U, -1, -2)  # rows are the columns of [[U]]
+    jump_u = np.concatenate((jump_U.reshape(jump_U.shape[:-2] + (d * d,)), jump_v),
+                            axis=-1).astype(complex)
     jump_sig = _stress_jump(sf)
     K = np.asarray(lam, dtype=complex)[..., None] * jump_u
     for j in range(2, d + 1):
-        fj = np.zeros(n, dtype=complex)
-        fj[(j - 1) * d : j * d] = -jump_v
-        fj[d * d :] = -jump_sig[:, j - 1]
+        fj = np.zeros_like(jump_u)
+        fj[..., (j - 1) * d : j * d] = -jump_v
+        fj[..., d * d :] = -jump_sig[..., :, j - 1]
         K = K + 1j * xi_t[..., j - 2, None] * fj
     return K
 
@@ -193,9 +209,9 @@ def dense_eig(A: np.ndarray) -> np.ndarray:
 def g_matrices(B: np.ndarray, beta, xi_t) -> np.ndarray:
     """The d complex blocks -beta B_k^1 + i sum_j xi_j B_k^j, block k at [..., k, :, :]."""
     xi_t, B = np.asarray(xi_t, dtype=float), np.ascontiguousarray(B)  # row-major blocks for BLAS
-    G = -np.asarray(beta, dtype=complex)[..., None, None, None] * B[:, 0].astype(complex)
-    for j in range(1, B.shape[0]):
-        G = G + 1j * xi_t[..., j - 1, None, None, None] * B[:, j]
+    G = -np.asarray(beta, dtype=complex)[..., None, None, None] * B[..., 0, :, :].astype(complex)
+    for j in range(1, B.shape[-1]):
+        G = G + 1j * xi_t[..., j - 1, None, None, None] * B[..., j, :, :]
     return G
 
 
@@ -225,11 +241,13 @@ def delta_hat_assembled(sf: ShockFront, B: np.ndarray, xi_t, beta) -> np.ndarray
     d = sf.dim
     beta, xi_t = np.asarray(beta, dtype=complex), np.asarray(xi_t, dtype=float)
     G1 = g_matrices(B, beta, xi_t)[..., 0, :, :]
-    jump_U1 = (sf.plus.U[:, 0] - sf.minus.U[:, 0]).astype(complex)
+    jump_U1 = (sf.plus.U[..., 0] - sf.minus.U[..., 0]).astype(complex)
     jump_sig = _stress_jump(sf)
-    vec = (beta[..., None, None] * sf.speed**2 * np.eye(d, dtype=complex) + G1) @ jump_U1
+    s_sq = np.float_power(sf.speed, 2)[..., None, None]  # libm pow, as Python's s**2
+    vec = ((beta[..., None, None] * s_sq * np.eye(d, dtype=complex) + G1)
+           @ jump_U1[..., None])[..., 0]
     for j in range(2, d + 1):
-        vec = vec - 1j * xi_t[..., j - 2, None] * jump_sig[:, j - 1]
+        vec = vec - 1j * xi_t[..., j - 2, None] * jump_sig[..., :, j - 1]
     return (_q_vector(sf, beta, xi_t)[..., None, :] @ vec[..., :, None])[..., 0, 0]
 
 
@@ -241,7 +259,7 @@ def delta_v1_raw(sf: ShockFront, lam, xi_t) -> np.ndarray:
     coeffs = freq_coeffs(sf, xi)
     beta = stable_beta_values(sf, lam, xi)
     k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
-    quad = (xi[..., None, :] @ sf.Theta[1:, 1:] @ xi[..., :, None])[..., 0, 0]
+    quad = (xi[..., None, :] @ sf.Theta[..., 1:, 1:] @ xi[..., :, None])[..., 0, 0]
     ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * quad
     # p beta as Python rounds it
     p, br, bi = (k2 - s * s) * th11 * beta, beta.real, beta.imag
@@ -508,7 +526,9 @@ class _Tracker:
         self.failure = None
 
     def record(self, name: str, err: float, tol: float, context: str):
-        entry = self.checks.setdefault(name, {"max_err": 0.0, "tol": tol, "count": 0})
+        entry = self.checks.get(name)
+        if entry is None:
+            entry = self.checks[name] = {"max_err": 0.0, "tol": tol, "count": 0}
         entry["count"] += 1
         if err > entry["max_err"]:
             entry["max_err"] = err
@@ -520,20 +540,20 @@ class _Tracker:
         return self.failure is None
 
 
-def _check_shock_identities(t: _Tracker, sf: ShockFront, rng, ctx: str):
+# The check functions yield (name, err, tol); verify_suite records them with the scenario.
+
+def _shock_identities(sf: ShockFront, jump_sig: np.ndarray):
     m, d = sf.material, sf.dim
     scale = sf.residual_scale()
     v1 = sf.V[:, 0]
 
     jump_U1 = sf.plus.U[:, 0] - sf.minus.U[:, 0]
     jump_v = sf.plus.v - sf.minus.v
-    t.record("rh_velocity", _rel(np.linalg.norm(-sf.speed * jump_U1 - jump_v), scale), 1e-11, ctx)
-    jump_sig = _stress_jump(sf)
-    t.record(
+    yield "rh_velocity", _rel(np.linalg.norm(-sf.speed * jump_U1 - jump_v), scale), 1e-11
+    yield (
         "rh_momentum",
         _rel(np.linalg.norm(-sf.speed * jump_v - jump_sig[:, 0]), scale),
         1e-11,
-        ctx,
     )
     for j in range(d):
         if j == 0:
@@ -544,186 +564,276 @@ def _check_shock_identities(t: _Tracker, sf: ShockFront, rng, ctx: str):
                 + float(m.h1(sf.Jminus)) * sf.M[:, j]
             )
         err = np.linalg.norm(jump_sig[:, j] - closed)
-        t.record("stress_jump_closed_form", _rel(err, max(scale, np.linalg.norm(closed))), 1e-11, ctx)
+        yield "stress_jump_closed_form", _rel(err, max(scale, np.linalg.norm(closed))), 1e-11
 
     cof_m = cofactor(sf.minus.U)
     err = np.abs(cofactor(sf.plus.U) - sf.alpha * sf.M - cof_m).max()
-    t.record("cofactor_jump", _rel(err, max(1.0, np.abs(cof_m).max())), 1e-11, ctx)
+    yield "cofactor_jump", _rel(err, max(1.0, np.abs(cof_m).max())), 1e-11
 
     prod = sf.V.T @ sf.M
-    t.record(
+    yield (
         "gram_minor_product",
         _rel(np.abs(prod - sf.Theta / sf.Jplus).max(), max(1.0, np.abs(prod).max())),
         1e-10,
-        ctx,
     )
 
     amp = np.linalg.norm(sf.plus.U - sf.minus.U)
-    t.record(
+    yield (
         "amplitude_scaling",
         _rel(abs(amp - abs(sf.alpha) * np.linalg.norm(v1)), max(1.0, amp)),
         1e-13,
-        ctx,
     )
 
     alt = (sf.speed**2 - m.mu) * sf.Jminus / (sf.theta11 * sf.Jplus) - float(m.h2(sf.Jplus))
-    t.record("rho_identity", _rel(abs(sf.rho - alt), max(1.0, abs(sf.rho))), 1e-13, ctx)
-    t.record("speed_supersonic", 0.0 if sf.speed**2 > m.mu else 1.0, 0.5, ctx)
+    yield "rho_identity", _rel(abs(sf.rho - alt), max(1.0, abs(sf.rho))), 1e-13
+    yield "speed_supersonic", 0.0 if sf.speed**2 > m.mu else 1.0, 0.5
 
 
-def _check_material_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, rng, ctx: str):
+def _symmetric_eigvals(Q: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric Q by the symmetric solver, with every
+    eigenpair checked to ||Q v - lambda v|| <= 1e-9 ||Q|| as dense_eig checks them."""
+    try:
+        vals, vecs = np.linalg.eigh(Q)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    res = np.linalg.norm(Q @ vecs - vecs * vals, axis=0)
+    if np.any(res > 1e-9 * max(np.abs(vals).max(), 1e-30)):  # ||Q||_2 = max |lambda|
+        raise NoConvergence(f"eigenpair residual {res.max():.3e} exceeds 1e-9 * ||Q||")
+    return vals
+
+
+def _material_identities(sf: ShockFront, B: np.ndarray, table: list, xi: np.ndarray):
     m, d, U = sf.material, sf.dim, sf.plus.U
-    xi = rng.standard_normal(d)
     Q = acoustic_tensor(m, U, xi)
-    Qsum = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            Qsum += xi[i] * xi[j] * B[i, j]
-    t.record("acoustic_double_sum", _rel(np.abs(Q - Qsum).max(), max(1.0, np.abs(Q).max())), 1e-11, ctx)
+    # the terms xi_i xi_j B_i^j added one after another in row-major (i, j) order
+    Qsum = np.add.reduce(((xi[:, None] * xi)[..., None, None] * B).reshape(d * d, d, d))
+    yield "acoustic_double_sum", _rel(np.abs(Q - Qsum).max(), max(1.0, np.abs(Q).max())), 1e-11
 
     spec = acoustic_spectrum(m, U, xi)
-    evals = np.sort(dense_eig(Q.astype(complex)).real)
     expect = np.sort(np.r_[[spec.kappa1] * spec.mult1, [spec.kappa2]])
-    t.record(
+    yield (
         "acoustic_spectrum_vs_eig",
-        _rel(np.abs(evals - expect).max(), max(1.0, abs(spec.kappa2))),
+        _rel(np.abs(_symmetric_eigvals(Q) - expect).max(), max(1.0, abs(spec.kappa2))),
         1e-9,
-        ctx,
     )
     resid = Q @ spec.eigvec2 - spec.kappa2 * spec.eigvec2
-    t.record(
+    yield (
         "acoustic_eigvec",
         _rel(np.linalg.norm(resid), max(1.0, abs(spec.kappa2)) * np.linalg.norm(spec.eigvec2)),
         1e-11,
-        ctx,
     )
 
-    for i in range(d):
-        for j in range(d):
-            t.record("btensor_transpose_symmetry", np.abs(B[j, i] - B[i, j].T).max(), 1e-12, ctx)
+    # |B_j^i - (B_i^j)^T| in row-major (i, j) order
+    for err in np.abs(np.swapaxes(B, 0, 1) - np.swapaxes(B, 2, 3)).max(axis=(2, 3)).ravel():
+        yield "btensor_transpose_symmetry", err, 1e-12
 
-    table = char_speeds(m, U)
     A1 = assemble_symbol(B, np.eye(d)[0])
     vals = np.sort(dense_eig(A1).real)
     expect = np.sort(np.concatenate([[v] * mult for v, mult in table]))
-    t.record(
+    yield (
         "char_speeds_vs_eig",
         _rel(np.abs(vals - expect).max(), max(1.0, np.abs(expect).max())),
         1e-8,
-        ctx,
     )
 
 
-def _check_frequency_identities(t: _Tracker, sf: ShockFront, B: np.ndarray, lams: np.ndarray,
-                                xis: np.ndarray, ctx: str):
-    """The frequency identities at lams (m,) and xis (m, k): computed on the stack, recorded
-    frequency by frequency."""
+def _draw(rng: "np.random.Generator", d: int, k: int) -> SimpleNamespace:
+    """Scenario k of dimension d: its front; what depends on the material (the B-blocks, the
+    stress jump and the characteristic speeds), once; the values of its shock, material and
+    FD checks; its three frequencies and its control direction.  The rng draws come in the
+    order in which verify has always made them."""
+    sf = random_shock(rng, d)
+    m, U = sf.material, sf.plus.U
+    B = b_blocks(m, U)
+    jump_sig = _stress_jump(sf)
+    table = char_speeds(m, U)
+    records = [*_shock_identities(sf, jump_sig),
+               *_material_identities(sf, B, table, rng.standard_normal(d))]
+    fd = fd_check_suite(m, U, B, seed=int(rng.integers(2**31)))
+    del fd["pass"]
+    records += [(f"fd_{name}", err, 1e-5) for name, err in fd.items()]
+    lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
+    xi = rng.standard_normal(d - 1)
+    return SimpleNamespace(
+        sf=sf, B=B, stress_jump=jump_sig, speeds=np.array([v for v, _ in table]),
+        records=records, lams=np.array(lams), xis=np.array(xis),
+        control_xi=xi / np.linalg.norm(xi),
+        ctx=f"d={d} scenario={k} material={m.name} alpha={sf.alpha:.4f}")
+
+
+class _Scenarios:
+    """Scenarios of one dimension as one front for the frequency functions: the ShockFront
+    fields they read with a leading scenario axis (scalars as (S, 1) columns, vectors
+    (S, 1, d), matrices (S, 1, d, d)), and the stress jumps and characteristic speeds the
+    scenarios computed, since the material differs between them."""
+
+    _COLUMNS = ("alpha", "speed", "rho", "tau", "kappa2_plus", "h2_plus", "theta11", "Jplus")
+
+    def __init__(self, drawn: list):
+        fronts = [sc.sf for sc in drawn]
+
+        def stack(values):
+            return np.stack(list(values))[:, None]
+
+        self.dim = fronts[0].dim
+        for name in self._COLUMNS:
+            setattr(self, name, np.array([[getattr(f, name)] for f in fronts]))
+        self.material = SimpleNamespace(mu=np.array([[f.material.mu] for f in fronts]))
+        self.plus = SimpleNamespace(U=stack(f.plus.U for f in fronts),
+                                    v=stack(f.plus.v for f in fronts))
+        self.minus = SimpleNamespace(U=stack(f.minus.U for f in fronts),
+                                     v=stack(f.minus.v for f in fronts))
+        self.V = stack(f.V for f in fronts)
+        self.theta = stack(f.theta for f in fronts)
+        self.Theta = stack(f.Theta for f in fronts)
+        self.stress_jump = stack(sc.stress_jump for sc in drawn)
+        self.speeds = stack(sc.speeds for sc in drawn)
+
+
+def _frequency_values(drawn: list) -> dict:
+    """Every frequency function at the scenarios' frequencies, as one stack: (S, 3, ...)."""
+    sf = _Scenarios(drawn)
+    B = np.stack([sc.B for sc in drawn])[:, None]
+    lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
     betas = stable_beta_values(sf, lams, xis)
-    residuals = beta_residual(sf, lams, xis, betas)
-    gammas = freq_map_values(sf, lams, xis)
-    backs = freq_unmap_values(sf, gammas, xis)
+    out = {"beta": betas, "beta_residual": beta_residual(sf, lams, xis, betas)}
+    out["gamma"] = freq_map_values(sf, lams, xis)
+    out["back"] = freq_unmap_values(sf, out["gamma"], xis)
     coeffs = freq_coeffs(sf, xis)
-    v1cs = delta_v1_values(sf, lams, xis)
-    v1rs = delta_v1_raw(sf, lams, xis)
-    v2s = delta_v2_values(sf, gammas, xis)
-    hats = delta_hat_assembled(sf, B, xis, betas)
-    ls = formula_left_eigenvector(sf, B, lams, xis, betas)
-    lresids = left_eigvec_residual(sf, B, lams, xis, ls, betas)
-    Ks = jump_vector(sf, lams, xis)
-    stables, clusters = hersh_counts(sf, B, lams, xis)
+    out.update(P=coeffs.P, zeta=coeffs.zeta, eta=coeffs.eta)
+    out["v1c"] = delta_v1_values(sf, lams, xis)
+    out["v1r"] = delta_v1_raw(sf, lams, xis)
+    out["v2"] = delta_v2_values(sf, out["gamma"], xis)
+    out["hat"] = delta_hat_assembled(sf, B, xis, betas)
+    out["l"] = formula_left_eigenvector(sf, B, lams, xis, betas)
+    out["l_residual"] = left_eigvec_residual(sf, B, lams, xis, out["l"], betas)
+    out["K"] = jump_vector(sf, lams, xis)
+    out["stable"], out["cluster"] = hersh_counts(sf, B, lams, xis)
+    return out
+
+
+def _control_values(drawn: list) -> dict:
+    """min |delta_v2| of each scenario over the negative-control grid Re gamma in
+    [0.01, 2], Im gamma in [-2, 2] at its control direction, as one stack: (S,)."""
+    re = np.linspace(0.01, 2.0, CONTROL_NODES)
+    im = np.linspace(-2.0, 2.0, CONTROL_NODES)
+    G = (re[None, :] + 1j * im[:, None]).ravel()
+    xi = np.stack([sc.control_xi for sc in drawn])[:, None, :]
+    return {"control_min": np.abs(delta_v2_values(_Scenarios(drawn), G, xi)).min(axis=-1)}
+
+
+def _per_scenario(stage, drawn: list, size: int):
+    """(rows, None): stage over the scenarios drawn, as many at a time as fit STACK_BYTES at
+    size bytes each, split into one dict per scenario.  When a stack raises, its scenarios
+    are redone alone, in order: (the rows before the first that raises, its exception)."""
+    rows, step = [], max(1, STACK_BYTES // size)
+    for start in range(0, len(drawn), step):
+        part = drawn[start : start + step]
+        try:
+            values = stage(part)
+        except Exception:
+            for sc in part:
+                try:
+                    values = stage([sc])
+                except Exception as exc:
+                    return rows, exc
+                rows.append({name: v[0] for name, v in values.items()})
+            raise
+        rows += [{name: v[k] for name, v in values.items()} for k in range(len(part))]
+    return rows, None
+
+
+def _frequency_identities(sf: ShockFront, sc: SimpleNamespace, v: dict):
+    """The frequency checks of one scenario, from its rows v of the stack."""
     if sf.rho < 0:
-        factors = v3_factors_values(sf, gammas, xis)
+        factors = v3_factors_values(sf, v["gamma"], sc.xis)
     factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
-    for i, lam in enumerate(lams.tolist()):
-        beta = complex(betas[i])
-        t.record("beta_residual", float(residuals[i]), 1e-11, ctx)
-        t.record("beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5, ctx)
-        t.record(
-            "beta_not_curl_artifact",
-            0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0,
-            0.5,
-            ctx,
-        )
-        t.record("map_roundtrip", abs(complex(backs[i]) - lam), 1e-13, ctx)
+    for i, lam in enumerate(sc.lams.tolist()):
+        beta = complex(v["beta"][i])
+        yield "beta_residual", float(v["beta_residual"][i]), 1e-11
+        yield "beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5
+        yield "beta_not_curl_artifact", 0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0, 0.5
+        yield "map_roundtrip", abs(complex(v["back"][i]) - lam), 1e-13
 
-        P, zeta, eta = float(coeffs.P[i]), float(coeffs.zeta[i]), float(coeffs.eta[i])
-        t.record("P_nonnegative", 0.0 if P >= 0 else 1.0, 0.5, ctx)
-        t.record("zeta_nonnegative", 0.0 if zeta >= 0 else 1.0, 0.5, ctx)
+        P, zeta, eta = float(v["P"][i]), float(v["zeta"][i]), float(v["eta"][i])
+        yield "P_nonnegative", 0.0 if P >= 0 else 1.0, 0.5
+        yield "zeta_nonnegative", 0.0 if zeta >= 0 else 1.0, 0.5
         slack = zeta - (sf.tau * eta) ** 2
-        t.record("zeta_tau_margin", 0.0 if slack >= -1e-13 else 1.0, 0.5, ctx)
+        yield "zeta_tau_margin", 0.0 if slack >= -1e-13 else 1.0, 0.5
 
-        v1c, v1r, v2 = complex(v1cs[i]), complex(v1rs[i]), complex(v2s[i])
-        t.record("v1_raw_vs_completed", _rel(abs(v1c - v1r), 1.0 + abs(v1c)), 1e-12, ctx)
-        t.record("v1_vs_v2_mapped", _rel(abs(v1c - factor * v2), 1.0 + abs(v1c)), 1e-10, ctx)
+        v1c, v1r, v2 = complex(v["v1c"][i]), complex(v["v1r"][i]), complex(v["v2"][i])
+        yield "v1_raw_vs_completed", _rel(abs(v1c - v1r), 1.0 + abs(v1c)), 1e-12
+        yield "v1_vs_v2_mapped", _rel(abs(v1c - factor * v2), 1.0 + abs(v1c)), 1e-10
 
-        hat = complex(hats[i])
-        t.record(
-            "v1_vs_assembled",
-            _rel(abs(v1c - 1j / sf.alpha * hat), 1.0 + abs(v1c)),
-            1e-10,
-            ctx,
-        )
-        t.record("left_eigvec_residual", float(lresids[i]), 1e-10, ctx)
-        lk = complex(ls[i] @ Ks[i])
-        t.record(
+        hat = complex(v["hat"][i])
+        yield "v1_vs_assembled", _rel(abs(v1c - 1j / sf.alpha * hat), 1.0 + abs(v1c)), 1e-10
+        yield "left_eigvec_residual", float(v["l_residual"][i]), 1e-10
+        lk = complex(v["l"][i] @ v["K"][i])
+        yield (
             "jump_product_identity",
             _rel(abs(lk - (lam + beta * sf.speed) * hat), 1.0 + abs(lk)),
             1e-10,
-            ctx,
         )
 
-        t.record("hersh_stable_count", 0.0 if stables[i] == 1 else 1.0, 0.5, ctx)
-        t.record("hersh_cluster_size", 0.0 if clusters[i] == sf.dim**2 - sf.dim else 1.0, 0.5, ctx)
+        yield "hersh_stable_count", 0.0 if v["stable"][i] == 1 else 1.0, 0.5
+        yield "hersh_cluster_size", 0.0 if v["cluster"][i] == sf.dim**2 - sf.dim else 1.0, 0.5
 
         if sf.rho < 0:
             f_minus, f_plus = (complex(f[i]) for f in factors)
             prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
-            t.record("v3_factorization", _rel(abs(prod - v1c), 1.0 + abs(v1c)), 1e-11, ctx)
-            t.record("v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5, ctx)
-
-
-def _check_negative_control(t: _Tracker, sf: ShockFront, rng, ctx: str):
-    """No interior zeros: |v2| stays above 1e-6 on a Re gamma in [0.01, 2] grid."""
-    xi = rng.standard_normal(sf.dim - 1)
-    xi /= np.linalg.norm(xi)
-    re = np.linspace(0.01, 2.0, CONTROL_NODES)
-    im = np.linspace(-2.0, 2.0, CONTROL_NODES)
-    G = re[None, :] + 1j * im[:, None]
-    vals = delta_v2_values(sf, G, xi)
-    t.record("interior_nonvanishing", 0.0 if np.abs(vals).min() > 1e-6 else 1.0, 0.5, ctx)
+            yield "v3_factorization", _rel(abs(prod - v1c), 1.0 + abs(v1c)), 1e-11
+            yield "v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5
 
 
 def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     """Run every oracle identity over randomized scenarios per dimension.
 
-    Stops at the first violated identity.  The report carries the seed,
-    scenario counts, worst error per identity and the failure context if
-    any.
+    Each dimension draws its scenarios first, then evaluates their frequency and
+    negative-control checks as one stack, then records scenario by scenario: shock,
+    material, FD, frequency, control and (once per dimension, at the first rho < 0
+    front) winding checks.  Recording stops after the first scenario with a violated
+    identity.  An exception raised for a scenario propagates unless an earlier scenario
+    violated an identity.  The report carries the seed, scenario counts, worst error per
+    identity and the failure context if any.
     """
     rng = np.random.default_rng(seed)
     t = _Tracker()
     winding_done = set()
     for d in dims:
+        if not t.ok:
+            break
+        drawn, error = [], None
         for k in range(scenarios):
+            try:
+                drawn.append(_draw(rng, d, k))
+            except Exception as exc:  # raised once the recording reaches scenario k
+                error = exc
+                break
+        values = [{} for _ in drawn]
+        # the bytes of a scenario's share of each stage's largest array: its three complex
+        # frequency symbols (3, n, n), and its complex control grid
+        n = d * d + d
+        stages = ((_frequency_values, 48 * n * n), (_control_values, 16 * CONTROL_NODES**2))
+        for stage, size in stages:
+            rows, exc = _per_scenario(stage, drawn, size)
+            if exc is not None:
+                drawn, error = drawn[: len(rows)], exc
+            for v, row in zip(values, rows):
+                v.update(row)
+        for sc, v in zip(drawn, values):
             if not t.ok:
                 break
-            sf = random_shock(rng, d)
-            ctx = f"d={d} scenario={k} material={sf.material.name} alpha={sf.alpha:.4f}"
-            B = b_blocks(sf.material, sf.plus.U)
-            _check_shock_identities(t, sf, rng, ctx)
-            _check_material_identities(t, sf, B, rng, ctx)
-            fd = fd_check_suite(sf.material, sf.plus.U, B, seed=int(rng.integers(2**31)))
-            del fd["pass"]
-            for name, err in fd.items():
-                t.record(f"fd_{name}", err, 1e-5, ctx)
-            lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
-            _check_frequency_identities(t, sf, B, np.array(lams), np.array(xis), ctx)
-            _check_negative_control(t, sf, rng, ctx)
+            sf = sc.sf
+            records = [*sc.records, *_frequency_identities(sf, sc, v),
+                       ("interior_nonvanishing", 0.0 if v["control_min"] > 1e-6 else 1.0, 0.5)]
             if sf.rho < 0 and d not in winding_done:
                 winding_done.add(d)
-                xi = np.eye(d - 1)[0]
-                w = winding(sf, xi, R=20.0)
-                t.record("winding_interior_zeros", float(abs(w)), 0.5, ctx)
+                w = winding(sf, np.eye(d - 1)[0], R=20.0)
+                records.append(("winding_interior_zeros", float(abs(w)), 0.5))
+            for name, err, tol in records:
+                t.record(name, err, tol, sc.ctx)
+        if t.ok and error is not None:
+            raise error
     report = {
         "ok": t.ok,
         "seed": seed,

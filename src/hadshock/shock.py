@@ -31,7 +31,7 @@ from .errors import (
     WrongSignForMaterial,
 )
 from .linalg import cofactor
-from .materials import MaterialModel, _jacobian, piola_kirchhoff
+from .materials import MaterialModel, _jacobian
 
 __all__ = [
     "ElasticState",
@@ -314,7 +314,7 @@ def _jump_and_lax_errors(fr) -> list:
     norm = functools.partial(np.linalg.norm, axis=-1, keepdims=True)
     s, base, U_plus = fr.speed, fr.residual_scale(), fr.plus.U
     jump_U1, jump_v = U_plus[:, 0] - fr.minus.U[..., 0], fr.plus.v - fr.minus.v
-    sig_p = piola_kirchhoff(fr.material, U_plus)[:, 0]
+    sig_p = _stress_column(fr.material, U_plus, fr.Jplus, fr.V[:, 0])
     sig_m = _minus_stress_column(fr)
     terms = (norm(-s * jump_U1 - jump_v), np.abs(s) * norm(jump_U1) + norm(jump_v),
              norm(-s * jump_v - (sig_p - sig_m)),
@@ -332,12 +332,17 @@ def _jump_and_lax_errors(fr) -> list:
     return errors
 
 
+def _stress_column(m: MaterialModel, U: np.ndarray, J, v1: np.ndarray) -> np.ndarray:
+    """First column mu U[..., 0] + h'(J) v1 of the Piola-Kirchhoff stress of U (or of a
+    stack), given J = det U and the first cofactor column v1: bit for bit that of
+    piola_kirchhoff, without its det and cofactor."""
+    return m.mu * U[..., 0] + np.asarray(m.h1(J), dtype=float)[..., None] * v1
+
+
 def _minus_stress_column(fr):
-    """First column of the Piola-Kirchhoff stress of U-, mu U-[:, 0] + h'(det U-) V1, bit
-    for bit that of piola_kirchhoff: U- differs from U+ only in its first column, which no
-    minor of the first cofactor column reads, so that column is V1."""
-    h1 = np.asarray(fr.material.h1(_jacobian(fr.minus.U)), dtype=float)
-    return fr.material.mu * fr.minus.U[..., 0] + h1[..., None] * fr.V[:, 0]
+    """First column of the Piola-Kirchhoff stress of U-: U- differs from U+ only in its
+    first column, which no minor of the first cofactor column reads, so that column is V1."""
+    return _stress_column(fr.material, fr.minus.U, _jacobian(fr.minus.U), fr.V[:, 0])
 
 
 def _lax_margins(fr) -> tuple:
@@ -378,8 +383,9 @@ def _coeff_algebra(sf: ShockFront, eta, Nsq, norms):
     eta2 = eta * eta
     omega = sf.material.mu * norms + h2p * Nsq
     P = sf.theta11 * Nsq - eta2
-    # numpy's scalar power rounds as Python's float power does, but overflows to inf
-    zeta = omega - np.float64(h2p) ** 2 * eta2 / sf.kappa2_plus
+    # float_power rounds each entry as Python's float power (libm pow) does, but overflows
+    # to inf; an array's ** 2 would square instead, which differs in the last bit
+    zeta = omega - np.float_power(h2p, 2) * eta2 / sf.kappa2_plus
     return omega, P, zeta
 
 
@@ -407,8 +413,8 @@ def freq_coeffs(sf: ShockFront, xi_t) -> FrequencyCoefficients:
         raise ValueError(f"xi_t must have length {sf.dim - 1}")
     th = sf.theta
     row, col = xi_t[..., None, :], xi_t[..., :, None]
-    eta = (row @ th[0, 1:, None])[..., 0, 0]
-    Nsq = (row @ th[1:, 1:] @ col)[..., 0, 0]
+    eta = (row @ th[..., 0, 1:, None])[..., 0, 0]
+    Nsq = (row @ th[..., 1:, 1:] @ col)[..., 0, 0]
     norms = (row @ col)[..., 0, 0]
     if xi_t.ndim == 1:
         eta, Nsq, norms = float(eta), float(Nsq), float(norms)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadshock
-from hadshock import lopatinskii, materials, shock
+from hadshock import lopatinskii, shock
 from hadshock.classifier import reference_delta
 from hadshock.cli import _csv_cell, main, to_json
 from hadshock.errors import VerificationError
@@ -548,10 +548,12 @@ def test_cli_keeps_the_users_blas_threads(var):
 
 
 def test_jump_residual_exits_4(capsys, monkeypatch):
-    def skewed(m, U):
-        return materials.piola_kirchhoff(m, U) + 1e-6 * U
+    stress_column = shock._stress_column
 
-    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    def skewed(m, U, J, v1):  # sigma e1 of both states moved by 1e-6 U e1
+        return stress_column(m, U, J, v1) + 1e-6 * U[..., 0]
+
+    monkeypatch.setattr(shock, "_stress_column", skewed)
     code, _ = run(capsys, "shock", *CG2, "--alpha", "-1")
     assert code == 4
 

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hadshock import oracle
 from hadshock.cli import main
 from hadshock.errors import CharacteristicSpeed, NoConvergence, WrongSignForMaterial
 from hadshock.linalg import cofactor
-from hadshock.lopatinskii import beta_residual, delta_v1_values, stable_beta_values
+from hadshock.lopatinskii import (
+    beta_residual,
+    delta_v1_values,
+    delta_v2_values,
+    freq_map_values,
+    freq_unmap_values,
+    stable_beta_values,
+)
 from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, energy
 from hadshock.oracle import (
     _fd_cof_derivative_err,
@@ -255,6 +263,187 @@ def test_frequency_stack_equals_single_calls_bit_for_bit(shock_pool):
     assert checked == 18
 
 
+def _scenarios_with_both_rho_signs(d, count):
+    """count verify scenarios of dimension d, among them fronts with rho < 0 and rho > 0."""
+    rng = np.random.default_rng(2000 + d)
+    drawn = [oracle._draw(rng, d, k) for k in range(count)]
+    while len({bool(sc.sf.rho < 0) for sc in drawn}) < 2:
+        drawn.append(oracle._draw(rng, d, len(drawn)))
+    return drawn
+
+
+def _single_frequency_values(sf, B, lam, xi):
+    """What verify's frequency stack holds for one scenario at one frequency, from the calls
+    on the front and frequency alone."""
+    beta = stable_beta_values(sf, lam, xi)
+    gamma = freq_map_values(sf, lam, xi)
+    coeffs = freq_coeffs(sf, xi)
+    l = formula_left_eigenvector(sf, B, lam, xi, beta)
+    stable, cluster = hersh_counts(sf, B, lam, xi)
+    return {
+        "beta": beta, "beta_residual": beta_residual(sf, lam, xi, beta), "gamma": gamma,
+        "back": freq_unmap_values(sf, gamma, xi), "P": coeffs.P, "zeta": coeffs.zeta,
+        "eta": coeffs.eta, "v1c": delta_v1_values(sf, lam, xi), "v1r": delta_v1_raw(sf, lam, xi),
+        "v2": delta_v2_values(sf, gamma, xi), "hat": delta_hat_assembled(sf, B, xi, beta),
+        "l": l, "l_residual": left_eigvec_residual(sf, B, lam, xi, l, beta),
+        "K": jump_vector(sf, lam, xi), "stable": stable, "cluster": cluster,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_scenario_stack_equals_single_calls_bit_for_bit(d):
+    # verify evaluates a dimension's scenarios as one stack; element (k, i) must be the call
+    # on scenario k's front at its frequency i alone, and the one-scenario stack that
+    # verify falls back to when a stack raises, to the last bit
+    drawn = _scenarios_with_both_rho_signs(d, 4)
+    stacked = oracle._frequency_values(drawn)
+    S = len(drawn)
+    sf_stack = oracle._Scenarios(drawn)
+    B = np.stack([sc.B for sc in drawn])[:, None]
+    lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
+    cal = assemble_calA(sf_stack, B, lams, xis)
+    assert cal.shape == (S, 3, d * d + d, d * d + d)
+    one_by_one = [[dense_eig(c) for c in row] for row in cal]
+    assert np.array_equal(_bits(dense_eig(cal)), _bits(one_by_one))
+    control = oracle._control_values(drawn)["control_min"]
+    re = np.linspace(0.01, 2.0, oracle.CONTROL_NODES)
+    im = np.linspace(-2.0, 2.0, oracle.CONTROL_NODES)
+    grid = re[None, :] + 1j * im[:, None]
+    control_grid = delta_v2_values(sf_stack, grid.ravel(),
+                                   np.stack([sc.control_xi for sc in drawn])[:, None, :])
+    for k, sc in enumerate(drawn):
+        alone = oracle._frequency_values([sc])
+        for name, value in stacked.items():
+            assert value.shape[:2] == (S, 3), name
+            assert np.array_equal(_bits(value[k]), _bits(alone[name][0])), name
+        for i in range(3):
+            lam, xi = complex(sc.lams[i]), sc.xis[i]
+            single = _single_frequency_values(sc.sf, sc.B, lam, xi)
+            assert single.keys() == stacked.keys()
+            for name, value in single.items():
+                assert np.shape(value) == stacked[name].shape[2:], name
+                assert np.array_equal(_bits(value), _bits(stacked[name][k, i])), name
+            assert np.array_equal(_bits(assemble_calA(sc.sf, sc.B, lam, xi)), _bits(cal[k, i]))
+        single_grid = delta_v2_values(sc.sf, grid, sc.control_xi)
+        assert np.array_equal(_bits(single_grid.ravel()), _bits(control_grid[k]))
+        assert control[k] == np.abs(single_grid).min()
+
+
+def test_verify_report_does_not_depend_on_the_stack_size(monkeypatch):
+    # one scenario per stacked call, a few, and a dimension's all at once
+    reports = []
+    for size in (1, 1 << 15, 1 << 30):
+        monkeypatch.setattr(oracle, "STACK_BYTES", size)
+        reports.append(json.dumps(verify_suite(seed=101, scenarios=7, dims=(2, 3, 4))))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _verify_fronts(seed, scenarios, dims):
+    """The fronts verify_suite draws, in order, from a run with every check intact."""
+    fronts = []
+    real = oracle.random_shock
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "random_shock", lambda *a: fronts.append(real(*a)) or fronts[-1])
+        assert verify_suite(seed=seed, scenarios=scenarios, dims=dims)["ok"]
+    return fronts
+
+
+def _fail_fd_at(monkeypatch, k, then=None):
+    """fd_check_suite fails its determinant check at its call k (0-based); at call k + 1 it
+    raises then, if given."""
+    calls = []
+    real = oracle.fd_check_suite
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k + 2 and then is not None:
+            raise then
+        report = real(*args, **kwargs)
+        if len(calls) == k + 1:
+            report["grad_det_vs_cofactor"] = 1.0
+        return report
+    monkeypatch.setattr(oracle, "fd_check_suite", patched)
+
+
+def _fail_frequency_at(monkeypatch, alpha):
+    """left_eigvec_residual reads 1 at every frequency of the front of intensity alpha."""
+    real = oracle.left_eigvec_residual
+
+    def patched(sf, *args):
+        out = real(sf, *args)
+        return np.where(np.asarray(sf.alpha) == alpha, 1.0, out)
+    monkeypatch.setattr(oracle, "left_eigvec_residual", patched)
+
+
+def _raise_in_jump_vector_at(monkeypatch, alpha, exc):
+    real = oracle.jump_vector
+
+    def patched(sf, *args):
+        if np.any(np.asarray(sf.alpha) == alpha):
+            raise exc
+        return real(sf, *args)
+    monkeypatch.setattr(oracle, "jump_vector", patched)
+
+
+@pytest.mark.parametrize("where", ["fd", "frequency"])
+def test_verify_stops_after_the_first_failing_scenario(monkeypatch, where):
+    k, seed = 2, 7
+    if where == "fd":
+        _fail_fd_at(monkeypatch, k)
+        check = "fd_grad_det_vs_cofactor"
+    else:
+        _fail_frequency_at(monkeypatch, _verify_fronts(seed, 5, (2,))[k].alpha)
+        check = "left_eigvec_residual"
+    rep = verify_suite(seed=seed, scenarios=5, dims=(2, 3))
+    assert not rep["ok"]
+    assert rep["first_failure"]["check"] == check
+    assert rep["first_failure"]["context"].startswith(f"d=2 scenario={k} ")
+    # scenario k is recorded whole, nothing after it
+    assert rep["checks"]["rh_velocity"]["count"] == k + 1
+    assert rep["checks"]["beta_residual"]["count"] == 3 * (k + 1)
+    assert rep["checks"]["interior_nonvanishing"]["count"] == k + 1
+    assert rep["checks"][check]["max_err"] == 1.0
+
+
+@pytest.mark.parametrize("where", ["draw", "stack"])
+def test_verify_exception_after_a_failure_reports_the_failure(monkeypatch, capsys, where):
+    k, seed = 1, 7
+    if where == "draw":
+        _fail_fd_at(monkeypatch, k, then=RuntimeError("not reached before the failure"))
+    else:
+        fronts = _verify_fronts(seed, 4, (2,))
+        _fail_fd_at(monkeypatch, k)
+        _raise_in_jump_vector_at(monkeypatch, fronts[k + 1].alpha,
+                                 RuntimeError("not reached before the failure"))
+    code = main(["verify", f"--seed={seed}", "--scenarios=4", "--dims=2,3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["first_failure"]["context"].startswith(f"d=2 scenario={k} ")
+    assert rep["checks"]["rh_velocity"]["count"] == k + 1
+
+
+def test_verify_exception_before_any_failure_propagates(monkeypatch, capsys):
+    k, seed = 2, 7
+    fronts = _verify_fronts(seed, 5, (2,))
+    # a failure at k + 1 is never recorded: the exception at k ends the run
+    _fail_fd_at(monkeypatch, k + 1)
+    _raise_in_jump_vector_at(monkeypatch, fronts[k].alpha,
+                             CharacteristicSpeed("s = -1.5 is characteristic for U+"))
+    assert main(["verify", f"--seed={seed}", "--scenarios=5", "--dims=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "CharacteristicSpeed: s = -1.5 is characteristic for U+\n"
+
+
+def test_verify_takes_the_acoustic_spectrum_from_the_symmetric_solver():
+    # complex geev does not converge on one d=4 acoustic tensor of this suite
+    rep = verify_suite(seed=175785237, scenarios=20, dims=(2, 3, 4))
+    assert rep["ok"], rep.get("first_failure")
+    assert rep["checks"]["acoustic_spectrum_vs_eig"]["count"] == 60
+    assert rep["checks"]["acoustic_spectrum_vs_eig"]["max_err"] <= 1e-14
+
+
 def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
     calls = collections.Counter()
     for name in ("piola_kirchhoff", "char_speeds"):
@@ -262,12 +451,11 @@ def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(oracle, name, counted)
-    # per scenario, whatever its number of frequencies: one stacked stress pair each for the
-    # shock identities, jump_vector and delta_hat_assembled; char_speeds for the material
-    # checks and in the two symbol factorisations (left-eigenvector residual, Hersh counts)
+    # per scenario, whatever its number of frequencies: one stacked stress pair and one
+    # char_speeds, which the scenario stack hands to every check that reads them
     rep = verify_suite(seed=7, scenarios=2, dims=(2, 3))
     assert rep["ok"] and rep["checks"]["beta_residual"]["count"] == 12
-    assert calls["piola_kirchhoff"] <= 3 * 4 and calls["char_speeds"] <= 3 * 4
+    assert calls == {"piola_kirchhoff": 4, "char_speeds": 4}
     sf = cg2_shock
     B = b_blocks(sf.material, sf.plus.U)
     counts = []

@@ -322,10 +322,12 @@ def test_amplitude_scaling(shock_pool):
 
 
 def test_jump_residual_is_verification_error(cg2, monkeypatch):
-    def skewed(m, U):
-        return piola_kirchhoff(m, U) + 1e-6 * U
+    stress_column = shock._stress_column
 
-    monkeypatch.setattr(shock, "piola_kirchhoff", skewed)
+    def skewed(m, U, J, v1):  # sigma e1 of both states moved by 1e-6 U e1
+        return stress_column(m, U, J, v1) + 1e-6 * U[..., 0]
+
+    monkeypatch.setattr(shock, "_stress_column", skewed)
     with pytest.raises(VerificationError, match="jump-condition residuals"):
         build(cg2, ElasticState(np.eye(2)), -0.3)
 
@@ -375,6 +377,23 @@ def test_minus_stress_column_is_piola_kirchhoff_bit_for_bit(d):
                     SimpleNamespace(material=m, minus=SimpleNamespace(U=minus), V=V))
                 want = piola_kirchhoff(m, minus)[..., 0]
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, d)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_plus_stress_column_is_piola_kirchhoff_bit_for_bit(d):
+    # the jump check takes sigma+ e1 as mu U+[:, 0] + h'(J+) V1 from the base state's det
+    # and cofactor, to the last bit of piola_kirchhoff's column
+    rng = np.random.default_rng(190 + d)
+    for name in CATALOG_NAMES:
+        m = catalog(name, {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2})
+        for _ in range(3):
+            U = np.eye(d) + 0.4 * rng.uniform(-1, 1, (d, d))
+            while np.linalg.det(U) <= 0.2:
+                U = np.eye(d) + 0.4 * rng.uniform(-1, 1, (d, d))
+            fronts = build_stack(m, ElasticState(U), [-0.5])
+            got = shock._stress_column(m, fronts.plus.U, fronts.Jplus, fronts.V[:, 0])
+            want = piola_kirchhoff(m, U)[:, 0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, d)
 
 
 def test_huge_alpha_raises_without_warning(cg2):
