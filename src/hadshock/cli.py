@@ -567,10 +567,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

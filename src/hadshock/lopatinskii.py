@@ -248,9 +248,11 @@ def _imag_roots(sf, coeffs) -> tuple:
         # delta_v2(i t) = R - (t - c u + tau eta)^2 is smooth in u, with an O(1)
         # slope at the root, so its value there is the residual of the root
         a_t = t - c * u + sf.tau * coeffs.eta
+        a_sq = a_t * a_t
+        # relative to the size of its terms, which grow with |alpha|
+        off = ~(np.abs(R - a_sq) <= 1e-10 * np.maximum(1.0, np.maximum(R, a_sq)))
         quad = ~none & (bv != 0.0)
-        failed = np.where(quad & degenerate_leading(qa, qb, qc), 1,
-                          np.where(quad & ~(np.abs(R - a_t * a_t) <= 1e-10), 2, 0))
+        failed = np.where(quad & degenerate_leading(qa, qb, qc), 1, np.where(quad & off, 2, 0))
     t = np.where(none, np.nan, np.where(bv == 0.0, np.sqrt(coeffs.zeta), t))
     return bv, t, failed
 
@@ -267,15 +269,16 @@ def _root_error(failed: int) -> Exception:
 
 MAX_PHASE_STEP = np.pi / 8.0  # a larger phase step between contour nodes is bisected
 ZERO_TOL = 1e-12  # |f| below this share of max |f| counts as a zero on the contour
+WINDING_NODES = 4096  # contour nodes before the first refinement round
 
 
-def winding_number(f: Callable, R: float, initial_nodes: int = 4096) -> int:
+def winding_number(f: Callable, R: float) -> int:
     """Winding of f around 0 along the D-shaped right-half-plane contour.
 
     The contour is the semicircle |w| = R, Re w >= 0, closed by the
     imaginary segment from iR to -iR, traversed counterclockwise.  f maps
     an array of contour points to an array of values; it is called once
-    on the initial nodes and once per refinement round.  Phase
+    on the WINDING_NODES initial nodes and once per refinement round.  Phase
     increments are accumulated node to node; every step larger than
     MAX_PHASE_STEP is bisected in the next round.  Raises
     ContourThroughZero if |f| falls below ZERO_TOL * max|f| at any node.
@@ -287,7 +290,7 @@ def winding_number(f: Callable, R: float, initial_nodes: int = 4096) -> int:
         arc = R * np.exp(1j * (-0.5 * np.pi + 2.0 * u * np.pi))
         return np.where(u < 0.5, arc, 1j * (R * (1.0 - 4.0 * (u - 0.5))))
 
-    u = np.linspace(0.0, 1.0, max(16, initial_nodes), endpoint=False)
+    u = np.linspace(0.0, 1.0, WINDING_NODES, endpoint=False)
     values = np.asarray(f(points(u)), dtype=complex)
     for _ in range(32):
         mags = np.abs(values)

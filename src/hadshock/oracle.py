@@ -41,6 +41,7 @@ __all__ = [
     "assemble_Aj",
     "assemble_symbol",
     "assemble_calA",
+    "stress_jump",
     "jump_vector",
     "dense_eig",
     "g_matrices",
@@ -98,15 +99,16 @@ def assemble_symbol(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 # The frequency functions take stacks, lam (...) and xi_t (..., k); one frequency is a 0-d
 # lam with a 1-D xi_t.  verify_suite also hands them a dimension's scenarios as one stack
-# (_Scenarios): each field of the front gains a leading scenario axis, a scalar as an
-# (S, 1) column against frequencies (S, m), a matrix as (S, 1, d, d), and the B-blocks come
-# as (S, 1, d, d, d, d).  What does not depend on the frequency (the stress pair, the
-# characteristic-speed guard, A^j, A^1 - s I and its norm) is computed once per call, and
-# the dense work is one stacked solve, eig and svd.  Element i of a stack has the bits of
-# the call on frequency i: stacked linear algebra and matmul run the same LAPACK/BLAS call
-# per slice as long as the operands are C-contiguous (numpy's non-BLAS matmul loop rounds
-# differently), and a complex product that one frequency takes in Python arithmetic is
-# written out in real parts (numpy's vector loop may fuse its multiply-adds).
+# (_stack_fronts): each field of the front gains a leading scenario axis, a scalar as an
+# (S, 1) column against frequencies (S, m), a matrix as (S, 1, d, d); the B-blocks and the
+# stress jump [[P]], which the caller passes next to the front, come as (S, 1, d, d, d, d)
+# and (S, 1, d, d).  The characteristic-speed guard reads its speeds from the front's
+# fields; A^j, A^1 - s I and its norm are computed once per call, and the dense work is one
+# stacked solve, eig and svd.  Element i of a stack has the bits of the call on frequency
+# i: stacked linear algebra and matmul run the same LAPACK/BLAS call per slice as long as
+# the operands are C-contiguous (numpy's non-BLAS matmul loop rounds differently), and a
+# complex product that one frequency takes in Python arithmetic is written out in real
+# parts (numpy's vector loop may fuse its multiply-adds).
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -116,11 +118,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
-def _stress_jump(sf) -> np.ndarray:
-    """[[P]] = P(U+) - P(U-) of the first Piola-Kirchhoff stress, from one stacked call; a
-    scenario stack carries the jumps its scenarios computed."""
-    if isinstance(sf, _Scenarios):
-        return sf.stress_jump
+def stress_jump(sf: ShockFront) -> np.ndarray:
+    """[[P]] = P(U+) - P(U-) of the first Piola-Kirchhoff stress, from one stacked call."""
     P = piola_kirchhoff(sf.material, np.stack((sf.plus.U, sf.minus.U)))
     return P[0] - P[1]
 
@@ -131,9 +130,12 @@ def _calA_factors(sf: ShockFront, B: np.ndarray, lam, xi_t):
     d = sf.dim
     n = d * d + d
     s = np.asarray(sf.speed)
-    speeds = sf.speeds if isinstance(sf, _Scenarios) else np.array(
-        [v for v, _ in char_speeds(sf.material, sf.plus.U)])
-    near = np.min(np.abs(speeds - s[..., None]), axis=-1) < 1e-10 * (1.0 + np.abs(s))
+    # |s| against the characteristic speeds' sizes 0, sqrt(mu) and sqrt(kappa2+), which are
+    # char_speeds' values at U+ bit for bit
+    a = np.abs(s)
+    gap = np.minimum.reduce([np.abs(a - c) for c in
+                             (0.0, np.sqrt(sf.material.mu), np.sqrt(sf.kappa2_plus))])
+    near = gap < 1e-10 * (1.0 + a)
     if np.any(near):
         raise CharacteristicSpeed(f"s = {float(s[near][0])} is characteristic for U+")
     xi_t = np.asarray(xi_t, dtype=float)
@@ -162,15 +164,15 @@ def left_eigvec_residual(sf: ShockFront, B: np.ndarray, lam, xi_t, l: np.ndarray
     return _norms(resid) / (_norms(l) * np.maximum(1.0, np.linalg.norm(denom, 2, axis=(-2, -1))))
 
 
-def jump_vector(sf: ShockFront, lam, xi_t) -> np.ndarray:
-    """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps, (..., n)."""
+def jump_vector(sf: ShockFront, jump_sig: np.ndarray, lam, xi_t) -> np.ndarray:
+    """lambda [[u]] + i sum_j xi_j [[f^j(u)]] from the raw state jumps and the stress jump
+    jump_sig (``stress_jump(sf)``), (..., n)."""
     d = sf.dim
     xi_t = np.asarray(xi_t, dtype=float)
     jump_v = sf.plus.v - sf.minus.v
     jump_U = np.swapaxes(sf.plus.U - sf.minus.U, -1, -2)  # rows are the columns of [[U]]
     jump_u = np.concatenate((jump_U.reshape(jump_U.shape[:-2] + (d * d,)), jump_v),
                             axis=-1).astype(complex)
-    jump_sig = _stress_jump(sf)
     K = np.asarray(lam, dtype=complex)[..., None] * jump_u
     for j in range(2, d + 1):
         fj = np.zeros_like(jump_u)
@@ -232,8 +234,10 @@ def formula_left_eigenvector(sf: ShockFront, B: np.ndarray, lam, xi_t, beta) -> 
     return np.concatenate((parts.reshape(q.shape[:-1] + (-1,)), last), axis=-1)
 
 
-def delta_hat_assembled(sf: ShockFront, B: np.ndarray, xi_t, beta) -> np.ndarray:
-    """Stability function rebuilt from B-tensor blocks and raw stress jumps.
+def delta_hat_assembled(sf: ShockFront, B: np.ndarray, jump_sig: np.ndarray, xi_t,
+                        beta) -> np.ndarray:
+    """Stability function rebuilt from B-tensor blocks and the raw stress jump jump_sig
+    (``stress_jump(sf)``).
 
     q^T [ (beta s^2 I + G_1) [[U_1]] - i sum_j xi_j [[sigma_j]] ]; the
     closed form delta_v1 equals (i/alpha) times this.
@@ -242,7 +246,6 @@ def delta_hat_assembled(sf: ShockFront, B: np.ndarray, xi_t, beta) -> np.ndarray
     beta, xi_t = np.asarray(beta, dtype=complex), np.asarray(xi_t, dtype=float)
     G1 = g_matrices(B, beta, xi_t)[..., 0, :, :]
     jump_U1 = (sf.plus.U[..., 0] - sf.minus.U[..., 0]).astype(complex)
-    jump_sig = _stress_jump(sf)
     s_sq = np.float_power(sf.speed, 2)[..., None, None]  # libm pow, as Python's s**2
     vec = ((beta[..., None, None] * s_sq * np.eye(d, dtype=complex) + G1)
            @ jump_U1[..., None])[..., 0]
@@ -361,23 +364,19 @@ def _moves(U: np.ndarray, step) -> np.ndarray:
     return X.reshape((2,) + U.shape + U.shape)
 
 
-def _fd_grad_det(U: np.ndarray) -> np.ndarray:
+def _fd_det_cofactor(U: np.ndarray, V: np.ndarray):
+    """(central-difference gradient of det at U, worst error of the closed-form derivative
+    of Cof U over all indices), from one stencil; V is Cof U."""
     step = 1e-6 * (1.0 + np.abs(U).max())
-    det = np.linalg.det(_moves(U, step))
-    return (det[0] - det[1]) / (2.0 * step)
-
-
-def _fd_cof_derivative_err(U: np.ndarray) -> float:
-    """Worst error of the closed-form derivative of Cof U over all indices."""
-    J = np.linalg.det(U)
-    V = cofactor(U)
-    step = 1e-6 * (1.0 + np.abs(U).max())
-    scale = max(1.0, float(np.abs(V).max()) ** 2 / J)
-    C = cofactor(_moves(U, step))
+    X = _moves(U, step)
+    det = np.linalg.det(X)
+    C = cofactor(X)
     fd = (C[0] - C[1]) / (2.0 * step)
+    J = np.linalg.det(U)
+    scale = max(1.0, float(np.abs(V).max()) ** 2 / J)
     # the derivative along entry (q, i) is (V_qi V - V_i x V^q) / J
     closed = V[:, :, None, None] * V - V.T[None, :, :, None] * V[:, None, None, :]
-    return float(np.abs(fd - closed / J).max()) / scale
+    return (det[0] - det[1]) / (2.0 * step), float(np.abs(fd - closed / J).max()) / scale
 
 
 def _fd_hessian(m: MaterialModel, U: np.ndarray, step) -> np.ndarray:
@@ -416,19 +415,19 @@ def _fd_hessian_btensor_err(m: MaterialModel, U: np.ndarray, B: np.ndarray) -> f
     return float(np.abs(fd - B).max()) / float(np.abs(B).max())
 
 
-def _fd_gnl_err(m: MaterialModel, U: np.ndarray, direction: np.ndarray) -> float:
-    """Directional derivative of the extreme speed against the closed form."""
+def _fd_gnl_err(m: MaterialModel, U: np.ndarray, V: np.ndarray, direction: np.ndarray) -> float:
+    """Directional derivative of the extreme speed against the closed form; V is Cof U."""
     nu = direction / np.linalg.norm(direction)
 
-    def a1(mat):
-        w = cofactor(mat) @ nu
+    def a1(mat, cof):
+        w = cof @ nu
         return -np.sqrt(m.mu + float(m.h2(np.linalg.det(mat))) * float(w @ w))
 
-    w0 = cofactor(U) @ nu
-    z = -(1.0 / a1(U)) * w0  # deformation part of the right eigenvector
+    z = -(1.0 / a1(U, V)) * (V @ nu)  # deformation part of the right eigenvector
     Z = np.outer(z, nu)
     step = 1e-5 * (1.0 + np.abs(U).max())
-    fd = (a1(U + step * Z) - a1(U - step * Z)) / (2.0 * step)
+    ahead, behind = U + step * Z, U - step * Z
+    fd = (a1(ahead, cofactor(ahead)) - a1(behind, cofactor(behind))) / (2.0 * step)
     closed = genuine_nonlinearity(m, U, nu)
     return abs(fd - closed) / max(1.0, abs(closed))
 
@@ -445,12 +444,12 @@ def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0
     U = np.asarray(U, dtype=float)
     rng = np.random.default_rng(seed)
     V = cofactor(U)
-    err_det = float(np.abs(_fd_grad_det(U) - V).max()) / max(1.0, float(np.abs(V).max()))
+    grad, err_cof = _fd_det_cofactor(U, V)
     report = {
-        "grad_det_vs_cofactor": err_det,
-        "cofactor_derivative": _fd_cof_derivative_err(U),
+        "grad_det_vs_cofactor": float(np.abs(grad - V).max()) / max(1.0, float(np.abs(V).max())),
+        "cofactor_derivative": err_cof,
         "hessian_vs_btensor": _fd_hessian_btensor_err(m, U, B),
-        "genuine_nonlinearity": _fd_gnl_err(m, U, rng.standard_normal(U.shape[0])),
+        "genuine_nonlinearity": _fd_gnl_err(m, U, V, rng.standard_normal(U.shape[0])),
     }
     report["pass"] = all(v <= 1e-5 for v in report.values())
     return report
@@ -645,55 +644,44 @@ def _draw(rng: "np.random.Generator", d: int, k: int) -> SimpleNamespace:
     sf = random_shock(rng, d)
     m, U = sf.material, sf.plus.U
     B = b_blocks(m, U)
-    jump_sig = _stress_jump(sf)
-    table = char_speeds(m, U)
+    jump_sig = stress_jump(sf)
     records = [*_shock_identities(sf, jump_sig),
-               *_material_identities(sf, B, table, rng.standard_normal(d))]
+               *_material_identities(sf, B, char_speeds(m, U), rng.standard_normal(d))]
     fd = fd_check_suite(m, U, B, seed=int(rng.integers(2**31)))
     del fd["pass"]
     records += [(f"fd_{name}", err, 1e-5) for name, err in fd.items()]
     lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
     xi = rng.standard_normal(d - 1)
     return SimpleNamespace(
-        sf=sf, B=B, stress_jump=jump_sig, speeds=np.array([v for v, _ in table]),
-        records=records, lams=np.array(lams), xis=np.array(xis),
-        control_xi=xi / np.linalg.norm(xi),
+        sf=sf, B=B, stress_jump=jump_sig, records=records, lams=np.array(lams),
+        xis=np.array(xis), control_xi=xi / np.linalg.norm(xi),
         ctx=f"d={d} scenario={k} material={m.name} alpha={sf.alpha:.4f}")
 
 
-class _Scenarios:
-    """Scenarios of one dimension as one front for the frequency functions: the ShockFront
-    fields they read with a leading scenario axis (scalars as (S, 1) columns, vectors
-    (S, 1, d), matrices (S, 1, d, d)), and the stress jumps and characteristic speeds the
-    scenarios computed, since the material differs between them."""
+def _stack(values) -> np.ndarray:
+    """The values with a leading scenario axis and a frequency axis of size 1: (S, 1, ...)."""
+    return np.stack(list(values))[:, None]
 
-    _COLUMNS = ("alpha", "speed", "rho", "tau", "kappa2_plus", "h2_plus", "theta11", "Jplus")
 
-    def __init__(self, drawn: list):
-        fronts = [sc.sf for sc in drawn]
-
-        def stack(values):
-            return np.stack(list(values))[:, None]
-
-        self.dim = fronts[0].dim
-        for name in self._COLUMNS:
-            setattr(self, name, np.array([[getattr(f, name)] for f in fronts]))
-        self.material = SimpleNamespace(mu=np.array([[f.material.mu] for f in fronts]))
-        self.plus = SimpleNamespace(U=stack(f.plus.U for f in fronts),
-                                    v=stack(f.plus.v for f in fronts))
-        self.minus = SimpleNamespace(U=stack(f.minus.U for f in fronts),
-                                     v=stack(f.minus.v for f in fronts))
-        self.V = stack(f.V for f in fronts)
-        self.theta = stack(f.theta for f in fronts)
-        self.Theta = stack(f.Theta for f in fronts)
-        self.stress_jump = stack(sc.stress_jump for sc in drawn)
-        self.speeds = stack(sc.speeds for sc in drawn)
+def _stack_fronts(fronts: list) -> SimpleNamespace:
+    """Fronts of one dimension as one front for the frequency functions: the ShockFront
+    fields they read, each through _stack (scalars as (S, 1) columns)."""
+    columns = ("alpha", "speed", "rho", "tau", "kappa2_plus", "h2_plus", "theta11", "Jplus",
+               "V", "theta", "Theta")
+    return SimpleNamespace(
+        dim=fronts[0].dim, material=SimpleNamespace(mu=_stack(f.material.mu for f in fronts)),
+        **{side: SimpleNamespace(U=_stack(getattr(f, side).U for f in fronts),
+                                 v=_stack(getattr(f, side).v for f in fronts))
+           for side in ("plus", "minus")},
+        **{name: _stack(getattr(f, name) for f in fronts) for name in columns})
 
 
 def _frequency_values(drawn: list) -> dict:
-    """Every frequency function at the scenarios' frequencies, as one stack: (S, 3, ...)."""
-    sf = _Scenarios(drawn)
-    B = np.stack([sc.B for sc in drawn])[:, None]
+    """Every frequency function at the scenarios' frequencies, as one stack (S, 3, ...), and
+    control_min (S,): min |delta_v2| over the negative-control grid Re gamma in [0.01, 2],
+    Im gamma in [-2, 2] at each scenario's control direction."""
+    sf = _stack_fronts([sc.sf for sc in drawn])
+    B, jump_sig = _stack(sc.B for sc in drawn), _stack(sc.stress_jump for sc in drawn)
     lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
     betas = stable_beta_values(sf, lams, xis)
     out = {"beta": betas, "beta_residual": beta_residual(sf, lams, xis, betas)}
@@ -704,37 +692,33 @@ def _frequency_values(drawn: list) -> dict:
     out["v1c"] = delta_v1_values(sf, lams, xis)
     out["v1r"] = delta_v1_raw(sf, lams, xis)
     out["v2"] = delta_v2_values(sf, out["gamma"], xis)
-    out["hat"] = delta_hat_assembled(sf, B, xis, betas)
+    out["hat"] = delta_hat_assembled(sf, B, jump_sig, xis, betas)
     out["l"] = formula_left_eigenvector(sf, B, lams, xis, betas)
     out["l_residual"] = left_eigvec_residual(sf, B, lams, xis, out["l"], betas)
-    out["K"] = jump_vector(sf, lams, xis)
+    out["K"] = jump_vector(sf, jump_sig, lams, xis)
     out["stable"], out["cluster"] = hersh_counts(sf, B, lams, xis)
-    return out
-
-
-def _control_values(drawn: list) -> dict:
-    """min |delta_v2| of each scenario over the negative-control grid Re gamma in
-    [0.01, 2], Im gamma in [-2, 2] at its control direction, as one stack: (S,)."""
     re = np.linspace(0.01, 2.0, CONTROL_NODES)
     im = np.linspace(-2.0, 2.0, CONTROL_NODES)
     G = (re[None, :] + 1j * im[:, None]).ravel()
     xi = np.stack([sc.control_xi for sc in drawn])[:, None, :]
-    return {"control_min": np.abs(delta_v2_values(_Scenarios(drawn), G, xi)).min(axis=-1)}
+    out["control_min"] = np.abs(delta_v2_values(sf, G, xi)).min(axis=-1)
+    return out
 
 
-def _per_scenario(stage, drawn: list, size: int):
-    """(rows, None): stage over the scenarios drawn, as many at a time as fit STACK_BYTES at
-    size bytes each, split into one dict per scenario.  When a stack raises, its scenarios
-    are redone alone, in order: (the rows before the first that raises, its exception)."""
+def _per_scenario(drawn: list, size: int):
+    """(rows, None): _frequency_values over the scenarios drawn, as many at a time as fit
+    STACK_BYTES at size bytes each, split into one dict per scenario.  When a stack raises,
+    its scenarios are redone alone, in order: (the rows before the first that raises, its
+    exception)."""
     rows, step = [], max(1, STACK_BYTES // size)
     for start in range(0, len(drawn), step):
         part = drawn[start : start + step]
         try:
-            values = stage(part)
+            values = _frequency_values(part)
         except Exception:
             for sc in part:
                 try:
-                    values = stage([sc])
+                    values = _frequency_values([sc])
                 except Exception as exc:
                     return rows, exc
                 rows.append({name: v[0] for name, v in values.items()})
@@ -809,17 +793,12 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             except Exception as exc:  # raised once the recording reaches scenario k
                 error = exc
                 break
-        values = [{} for _ in drawn]
-        # the bytes of a scenario's share of each stage's largest array: its three complex
-        # frequency symbols (3, n, n), and its complex control grid
+        # the bytes of a scenario's share of the stack's largest array: its three complex
+        # frequency symbols (3, n, n) or its complex control grid
         n = d * d + d
-        stages = ((_frequency_values, 48 * n * n), (_control_values, 16 * CONTROL_NODES**2))
-        for stage, size in stages:
-            rows, exc = _per_scenario(stage, drawn, size)
-            if exc is not None:
-                drawn, error = drawn[: len(rows)], exc
-            for v, row in zip(values, rows):
-                v.update(row)
+        values, exc = _per_scenario(drawn, max(48 * n * n, 16 * CONTROL_NODES**2))
+        if exc is not None:
+            drawn, error = drawn[: len(values)], exc
         for sc, v in zip(drawn, values):
             if not t.ok:
                 break

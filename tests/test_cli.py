@@ -126,6 +126,20 @@ def test_classify_commands(capsys):
     assert json.loads(out)["kind"] == "uniform"
 
 
+@pytest.mark.parametrize("alpha", ["-1e6", "-1e9", "-1e12", "-1e13"])
+def test_classify_strong_weak_front(capsys, alpha):
+    # the witness root is checked relative to the size of its terms, which grow with |alpha|
+    code, out = run(capsys, "classify", "--material", "ciarlet-geymonat",
+                    "--mu", "1", "--kappa", "2", "--dim", "2", f"--alpha={alpha}")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["kind"] == "weak"
+    w = rep["witness"]
+    params = {"mu": 1.0, "kappa": 2.0, "alpha": float(alpha)}
+    value = reference_delta("CG2D", params, 1j * w["t_root"], w["xi_t"])
+    assert abs(value) <= 2e-15 * abs(rep["min_criterion"])
+
+
 def test_sweep_csv(capsys):
     code, out = run(capsys, "sweep", "--material", "ciarlet-geymonat",
                     "--mu", "1", "--kappa", "2", "--dim", "2",

@@ -304,18 +304,18 @@ def test_imag_scan_reflection_symmetry(cg2_weak_shock):
 # winding
 
 def test_winding_synthetic_oracle():
-    assert winding_number(lambda w: w - 0.5, 2.0, initial_nodes=256) == 1
-    assert winding_number(lambda w: w + 0.5, 2.0, initial_nodes=256) == 0
+    assert winding_number(lambda w: w - 0.5, 2.0) == 1
+    assert winding_number(lambda w: w + 0.5, 2.0) == 0
 
 
 def test_winding_quadratic_zeros():
     # two zeros inside the half-disk
-    assert winding_number(lambda w: (w - 0.5) * (w - 0.2 - 0.4j), 2.0, initial_nodes=256) == 2
+    assert winding_number(lambda w: (w - 0.5) * (w - 0.2 - 0.4j), 2.0) == 2
 
 
 def test_winding_zero_on_contour_raises():
     with pytest.raises(ContourThroughZero):
-        winding_number(lambda w: w - 1j, 2.0, initial_nodes=256)
+        winding_number(lambda w: w - 1j, 2.0)
 
 
 def test_winding_calls_f_on_arrays(foam_shock):

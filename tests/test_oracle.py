@@ -7,7 +7,12 @@ import pytest
 
 from hadshock import oracle
 from hadshock.cli import main
-from hadshock.errors import CharacteristicSpeed, NoConvergence, WrongSignForMaterial
+from hadshock.errors import (
+    CharacteristicSpeed,
+    HadshockError,
+    NoConvergence,
+    WrongSignForMaterial,
+)
 from hadshock.linalg import cofactor
 from hadshock.lopatinskii import (
     beta_residual,
@@ -17,10 +22,10 @@ from hadshock.lopatinskii import (
     freq_unmap_values,
     stable_beta_values,
 )
-from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, energy
+from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, char_speeds, energy
 from hadshock.oracle import (
-    _fd_cof_derivative_err,
-    _fd_grad_det,
+    _fd_det_cofactor,
+    _fd_gnl_err,
     _fd_hessian_btensor_err,
     assemble_Aj,
     assemble_calA,
@@ -35,9 +40,10 @@ from hadshock.oracle import (
     left_eigvec_residual,
     random_shock,
     sample_frequency,
+    stress_jump,
     verify_suite,
 )
-from hadshock.shock import ElasticState, build, freq_coeffs
+from hadshock.shock import ElasticState, build, freq_coeffs, genuine_nonlinearity
 
 
 def quadratic_roots(a, b, c):
@@ -119,14 +125,46 @@ def test_cal_A_eigenvalue_content(cg2_shock):
 def test_characteristic_speed_guard(cg2_shock):
     import copy
 
-    sf = copy.copy(cg2_shock)
-    sf.speed = -np.sqrt(sf.material.mu)
-    with pytest.raises(CharacteristicSpeed):
-        assemble_calA(sf, b_blocks(sf.material, sf.plus.U), 1.0, np.zeros(1))
+    B = b_blocks(cg2_shock.material, cg2_shock.plus.U)
+    stacked_B = np.stack([B, B])[:, None]
+    lams, xis = np.ones((2, 1)), np.zeros((2, 1, 1))
+    assemble_calA(oracle._stack_fronts([cg2_shock, cg2_shock]), stacked_B, lams, xis)
+    for speed in (-np.sqrt(cg2_shock.material.mu), -np.sqrt(cg2_shock.kappa2_plus)):
+        sf = copy.copy(cg2_shock)
+        sf.speed = speed
+        with pytest.raises(CharacteristicSpeed, match=f"s = {speed} "):
+            assemble_calA(sf, B, 1.0, np.zeros(1))
+        # one characteristic front in a stack raises for the stack
+        with pytest.raises(CharacteristicSpeed, match=f"s = {speed} "):
+            assemble_calA(oracle._stack_fronts([cg2_shock, sf]), stacked_B, lams, xis)
+
+
+def test_guard_speeds_are_the_characteristic_speeds():
+    # the guard reads sqrt(mu) and sqrt(kappa2+) from the front; they must be char_speeds'
+    # values at U+ to the last bit for every law that admits a front (the two with
+    # h''' = 0 admit none)
+    rng = np.random.default_rng(41)
+    for d in range(2, 9):
+        params = {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2}
+        built = set()
+        for name in CATALOG_NAMES:
+            m = catalog(name, params)
+            for _ in range(3):
+                for base, alpha in ((np.eye(d), -0.5), (np.diag([1.5] + [1.0] * (d - 1)), 0.2)):
+                    U = base + 0.05 * rng.uniform(-1, 1, size=(d, d))
+                    try:
+                        sf = build(m, ElasticState(U), alpha)
+                    except HadshockError:
+                        continue
+                    table = char_speeds(m, sf.plus.U)
+                    assert np.array_equal(_bits(np.sqrt(sf.kappa2_plus)), _bits(table[4][0]))
+                    assert np.array_equal(_bits(np.sqrt(m.mu)), _bits(table[3][0]))
+                    built.add(name)
+        assert built == set(CATALOG_NAMES) - {"levinson-burgess", "ogden-hill"}
 
 
 def test_jump_vector_zero_transverse(cg2_shock):
-    K = jump_vector(cg2_shock, 1.0, np.zeros(1))
+    K = jump_vector(cg2_shock, stress_jump(cg2_shock), 1.0, np.zeros(1))
     jU1 = cg2_shock.plus.U[:, 0] - cg2_shock.minus.U[:, 0]
     jv = cg2_shock.plus.v - cg2_shock.minus.v
     assert np.allclose(K[:2], jU1, atol=0)
@@ -144,8 +182,9 @@ def test_left_eigenvector_and_jump_identities(shock_pool, frequency_sampler):
             l = formula_left_eigenvector(sf, B, lam, xi, beta)
             cal = assemble_calA(sf, B, lam, xi)
             assert np.linalg.norm(l @ cal - beta * l) <= 1e-10 * np.linalg.norm(l)
-            K = jump_vector(sf, lam, xi)
-            hat = delta_hat_assembled(sf, B, xi, beta)
+            jump_sig = stress_jump(sf)
+            K = jump_vector(sf, jump_sig, lam, xi)
+            hat = delta_hat_assembled(sf, B, jump_sig, xi, beta)
             lk = complex(l @ K)
             assert abs(lk - (lam + beta * sf.speed) * hat) <= 1e-10 * (1.0 + abs(lk))
             # and the closed form v1 equals (i/alpha) * assembled value
@@ -206,14 +245,14 @@ def test_hersh_counts(shock_pool, frequency_sampler):
             assert cluster == d * d - d
 
 
-def _frequency_functions(sf, B, lam, xi, beta):
+def _frequency_functions(sf, B, jump_sig, lam, xi, beta):
     """Every frequency function of the oracle (and beta_residual) at lam (...), xi (..., k)."""
     l = formula_left_eigenvector(sf, B, lam, xi, beta)
     return {
         "delta_v1_raw": delta_v1_raw(sf, lam, xi),
-        "delta_hat_assembled": delta_hat_assembled(sf, B, xi, beta),
+        "delta_hat_assembled": delta_hat_assembled(sf, B, jump_sig, xi, beta),
         "formula_left_eigenvector": l,
-        "jump_vector": jump_vector(sf, lam, xi),
+        "jump_vector": jump_vector(sf, jump_sig, lam, xi),
         "assemble_calA": assemble_calA(sf, B, lam, xi),
         "left_eigvec_residual": left_eigvec_residual(sf, B, lam, xi, l, beta),
         "beta_residual": beta_residual(sf, lam, xi, beta),
@@ -245,12 +284,13 @@ def test_frequency_stack_equals_single_calls_bit_for_bit(shock_pool):
     checked = 0
     for d, pool in shock_pool.items():
         for sf in pool[:6]:
-            B = b_blocks(sf.material, sf.plus.U)
+            B, jump_sig = b_blocks(sf.material, sf.plus.U), stress_jump(sf)
             lams, xis = (np.array(v) for v in zip(*(sample_frequency(rng, d) for _ in range(3))))
             betas = stable_beta_values(sf, lams, xis)
-            stacked = _frequency_functions(sf, B, lams, xis, betas)
+            stacked = _frequency_functions(sf, B, jump_sig, lams, xis, betas)
             for i in range(3):
-                single = _frequency_functions(sf, B, complex(lams[i]), xis[i], complex(betas[i]))
+                single = _frequency_functions(sf, B, jump_sig, complex(lams[i]), xis[i],
+                                              complex(betas[i]))
                 forms = python_complex_forms(sf, complex(lams[i]), xis[i], complex(betas[i]))
                 for name, value in forms.items():
                     assert np.array_equal(_bits(value), _bits(single[name])), name
@@ -280,13 +320,15 @@ def _single_frequency_values(sf, B, lam, xi):
     coeffs = freq_coeffs(sf, xi)
     l = formula_left_eigenvector(sf, B, lam, xi, beta)
     stable, cluster = hersh_counts(sf, B, lam, xi)
+    jump_sig = stress_jump(sf)
     return {
         "beta": beta, "beta_residual": beta_residual(sf, lam, xi, beta), "gamma": gamma,
         "back": freq_unmap_values(sf, gamma, xi), "P": coeffs.P, "zeta": coeffs.zeta,
         "eta": coeffs.eta, "v1c": delta_v1_values(sf, lam, xi), "v1r": delta_v1_raw(sf, lam, xi),
-        "v2": delta_v2_values(sf, gamma, xi), "hat": delta_hat_assembled(sf, B, xi, beta),
+        "v2": delta_v2_values(sf, gamma, xi),
+        "hat": delta_hat_assembled(sf, B, jump_sig, xi, beta),
         "l": l, "l_residual": left_eigvec_residual(sf, B, lam, xi, l, beta),
-        "K": jump_vector(sf, lam, xi), "stable": stable, "cluster": cluster,
+        "K": jump_vector(sf, jump_sig, lam, xi), "stable": stable, "cluster": cluster,
     }
 
 
@@ -297,15 +339,16 @@ def test_scenario_stack_equals_single_calls_bit_for_bit(d):
     # verify falls back to when a stack raises, to the last bit
     drawn = _scenarios_with_both_rho_signs(d, 4)
     stacked = oracle._frequency_values(drawn)
+    control = stacked.pop("control_min")
     S = len(drawn)
-    sf_stack = oracle._Scenarios(drawn)
+    assert control.shape == (S,)
+    sf_stack = oracle._stack_fronts([sc.sf for sc in drawn])
     B = np.stack([sc.B for sc in drawn])[:, None]
     lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
     cal = assemble_calA(sf_stack, B, lams, xis)
     assert cal.shape == (S, 3, d * d + d, d * d + d)
     one_by_one = [[dense_eig(c) for c in row] for row in cal]
     assert np.array_equal(_bits(dense_eig(cal)), _bits(one_by_one))
-    control = oracle._control_values(drawn)["control_min"]
     re = np.linspace(0.01, 2.0, oracle.CONTROL_NODES)
     im = np.linspace(-2.0, 2.0, oracle.CONTROL_NODES)
     grid = re[None, :] + 1j * im[:, None]
@@ -313,6 +356,7 @@ def test_scenario_stack_equals_single_calls_bit_for_bit(d):
                                    np.stack([sc.control_xi for sc in drawn])[:, None, :])
     for k, sc in enumerate(drawn):
         alone = oracle._frequency_values([sc])
+        assert np.array_equal(_bits(alone.pop("control_min")), _bits(control[k]))
         for name, value in stacked.items():
             assert value.shape[:2] == (S, 3), name
             assert np.array_equal(_bits(value[k]), _bits(alone[name][0])), name
@@ -451,21 +495,20 @@ def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(oracle, name, counted)
-    # per scenario, whatever its number of frequencies: one stacked stress pair and one
-    # char_speeds, which the scenario stack hands to every check that reads them
+    # per scenario, whatever its number of frequencies: one stacked stress pair, which the
+    # frequency functions take as an argument, and one char_speeds table for the material
+    # checks; the characteristic-speed guard reads the front's own fields
     rep = verify_suite(seed=7, scenarios=2, dims=(2, 3))
     assert rep["ok"] and rep["checks"]["beta_residual"]["count"] == 12
     assert calls == {"piola_kirchhoff": 4, "char_speeds": 4}
     sf = cg2_shock
-    B = b_blocks(sf.material, sf.plus.U)
-    counts = []
+    B, jump_sig = b_blocks(sf.material, sf.plus.U), stress_jump(sf)
     for n in (1, 7):
         calls.clear()
         lams = np.full(n, 0.6 + 0.3j)
         xis = np.full((n, 1), 0.55)
-        _frequency_functions(sf, B, lams, xis, stable_beta_values(sf, lams, xis))
-        counts.append(dict(calls))
-    assert counts[0] == counts[1] == {"piola_kirchhoff": 2, "char_speeds": 3}
+        _frequency_functions(sf, B, jump_sig, lams, xis, stable_beta_values(sf, lams, xis))
+        assert calls == {}
 
 
 def test_dense_eig_examples():
@@ -497,6 +540,26 @@ def test_fd_check_suite_passes(cg2):
     assert rep["cofactor_derivative"] <= 1e-6
     assert rep["hessian_vs_btensor"] <= 1e-5
     assert rep["genuine_nonlinearity"] <= 1e-5
+
+
+def test_fd_check_suite_builds_one_stencil(monkeypatch, cg2):
+    # the determinant gradient and the cofactor derivative share one stencil, and Cof U is
+    # taken once for every check
+    U = np.array([[1.1, 0.2], [-0.1, 0.9]])
+    counts = collections.Counter()
+    real_moves, real_cofactor = oracle._moves, oracle.cofactor
+
+    def moves(*args):
+        counts["_moves"] += 1
+        return real_moves(*args)
+
+    def counted_cofactor(X):
+        counts["cofactor(U)"] += X.shape == U.shape and np.array_equal(X, U)
+        return real_cofactor(X)
+    monkeypatch.setattr(oracle, "_moves", moves)
+    monkeypatch.setattr(oracle, "cofactor", counted_cofactor)
+    assert fd_check_suite(cg2, U, b_blocks(cg2, U), seed=3)["pass"]
+    assert counts == {"_moves": 1, "cofactor(U)": 1}
 
 
 # The finite-difference checks as they were written before their stencils went
@@ -533,6 +596,22 @@ def fd_cof_derivative_err_loop(U):
     return worst
 
 
+def fd_gnl_err_reference(m, U, direction):
+    """_fd_gnl_err as it was written before it took Cof U as an argument."""
+    nu = direction / np.linalg.norm(direction)
+
+    def a1(mat):
+        w = cofactor(mat) @ nu
+        return -np.sqrt(m.mu + float(m.h2(np.linalg.det(mat))) * float(w @ w))
+
+    z = -(1.0 / a1(U)) * (cofactor(U) @ nu)
+    Z = np.outer(z, nu)
+    step = 1e-5 * (1.0 + np.abs(U).max())
+    fd = (a1(U + step * Z) - a1(U - step * Z)) / (2.0 * step)
+    closed = genuine_nonlinearity(m, U, nu)
+    return abs(fd - closed) / max(1.0, abs(closed))
+
+
 def fd_hessian_btensor_err_loop(m, U):
     d = U.shape[0]
     step = 1e-4 * (1.0 + np.abs(U).max())
@@ -564,15 +643,19 @@ def fd_hessian_btensor_err_loop(m, U):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stacked_fd_checks_match_scalar_loops_bit_for_bit(d):
-    rng = np.random.default_rng(60 + d)
+    rng, directions = np.random.default_rng(60 + d), np.random.default_rng(70 + d)
     params = {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2}
     for name in CATALOG_NAMES:
         m = catalog(name, params)
         U = np.eye(d) + 0.4 * rng.uniform(-1, 1, size=(d, d))
         while np.linalg.det(U) <= 0.2:
             U = np.eye(d) + 0.4 * rng.uniform(-1, 1, size=(d, d))
-        assert _fd_grad_det(U).tobytes() == fd_grad_det_loop(U).tobytes()
-        assert _fd_cof_derivative_err(U) == fd_cof_derivative_err_loop(U)
+        grad, cof_err = _fd_det_cofactor(U, cofactor(U))
+        assert grad.tobytes() == fd_grad_det_loop(U).tobytes()
+        assert cof_err == fd_cof_derivative_err_loop(U)
+        direction = directions.standard_normal(d)
+        assert (_fd_gnl_err(m, U, cofactor(U), direction)
+                == fd_gnl_err_reference(m, U, direction))
         assert _fd_hessian_btensor_err(m, U, b_blocks(m, U)) == fd_hessian_btensor_err_loop(m, U)
 
 
