@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .classifier import criterion_values
-from .errors import CharacteristicSpeed, HadshockError, NoConvergence
+from .errors import CharacteristicSpeed, ConfigError, DomainError, HadshockError, NoConvergence
 from .linalg import cofactor
 from .lopatinskii import (
     beta_residual,
@@ -87,10 +87,10 @@ def assemble_Aj(B: np.ndarray, j: int) -> np.ndarray:
 
 
 def assemble_symbol(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Directional symbol sum(xi_j A^j)."""
-    d = B.shape[0]
+    """Directional symbol sum(xi_j A^j), or a stack of them for B-blocks (..., d, d, d, d)."""
+    d = B.shape[-1]
     xi = np.asarray(xi, dtype=float)
-    A = np.zeros((d * d + d, d * d + d), dtype=complex)
+    A = np.zeros(B.shape[:-4] + (d * d + d, d * d + d), dtype=complex)
     for j in range(1, d + 1):
         if xi[j - 1] != 0.0:
             A += xi[j - 1] * assemble_Aj(B, j)
@@ -112,8 +112,9 @@ def assemble_symbol(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """2-norms of the complex vectors x[..., :], rounded as np.linalg.norm of one vector
-    (the real and imaginary dot products summed)."""
+    """2-norms of the real or complex vectors x[..., :], rounded as np.linalg.norm of one
+    vector (the real and imaginary dot products summed)."""
+    x = np.ascontiguousarray(x)
     re, im = x.real[..., None, :], x.imag[..., None, :]
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
@@ -187,7 +188,7 @@ def _eig_and_norm(A: np.ndarray):
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
     if n > 30:
-        raise ValueError(f"dense_eig is limited to dim <= 30, got {n}")
+        raise DomainError(f"dense_eig is limited to dim <= 30, got {n}")
     try:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -356,80 +357,109 @@ def sphere_min_reference(sf: ShockFront) -> float:
 # finite-difference identity checks
 
 def _moves(U: np.ndarray, step) -> np.ndarray:
-    """U with entry (p, q) moved by step at [0, p, q] and by -step at [1, p, q]: (2, d, d, d, d)."""
-    n = U.size
-    X = np.broadcast_to(U.ravel(), (2, n, n)).copy()
-    X[0, range(n), range(n)] += step
-    X[1, range(n), range(n)] -= step
-    return X.reshape((2,) + U.shape + U.shape)
+    """U (..., d, d) with entry (p, q) moved by step (...) at [..., 0, p, q] and by -step at
+    [..., 1, p, q]: (..., 2, d, d, d, d)."""
+    lead, n = U.shape[:-2], U.shape[-1] ** 2
+    X = np.broadcast_to(U.reshape(lead + (1, 1, n)), lead + (2, n, n)).copy()
+    X[..., 0, range(n), range(n)] += step[..., None]
+    X[..., 1, range(n), range(n)] -= step[..., None]
+    return X.reshape(lead + (2,) + U.shape[-2:] * 2)
 
 
 def _fd_det_cofactor(U: np.ndarray, V: np.ndarray):
     """(central-difference gradient of det at U, worst error of the closed-form derivative
-    of Cof U over all indices), from one stencil; V is Cof U."""
-    step = 1e-6 * (1.0 + np.abs(U).max())
+    of Cof U over all indices) for U or a stack (..., d, d), from one stencil; V is Cof U."""
+    step = 1e-6 * (1.0 + np.abs(U).max(axis=(-2, -1)))
     X = _moves(U, step)
-    det = np.linalg.det(X)
-    C = cofactor(X)
-    fd = (C[0] - C[1]) / (2.0 * step)
-    J = np.linalg.det(U)
-    scale = max(1.0, float(np.abs(V).max()) ** 2 / J)
+    det, C, J, h = np.linalg.det(X), cofactor(X), np.linalg.det(U), (2.0 * step)[..., None, None]
+    fd = (C[..., 0, :, :, :, :] - C[..., 1, :, :, :, :]) / h[..., None, None]
+    scale = np.maximum(1.0, np.float_power(np.abs(V).max(axis=(-2, -1)), 2) / J)
     # the derivative along entry (q, i) is (V_qi V - V_i x V^q) / J
-    closed = V[:, :, None, None] * V - V.T[None, :, :, None] * V[:, None, None, :]
-    return (det[0] - det[1]) / (2.0 * step), float(np.abs(fd - closed / J).max()) / scale
+    closed = (V[..., :, :, None, None] * V[..., None, None, :, :]
+              - np.swapaxes(V, -1, -2)[..., None, :, :, None] * V[..., :, None, None, :])
+    err = np.abs(fd - closed / J[..., None, None, None, None]).max(axis=(-4, -3, -2, -1))
+    return (det[..., 0, :, :] - det[..., 1, :, :]) / h, err / scale
 
 
-def _fd_hessian(m: MaterialModel, U: np.ndarray, step) -> np.ndarray:
-    """Central-difference Hessian of W over the row-major entries of U, (d^2, d^2).
+def _fd_hessian(ms: list, U: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Central-difference Hessians of W over the row-major entries of each U (S, d, d) in
+    its material ms[k] with its step[k], (S, d^2, d^2).
 
-    The (a, b) and (b, a) stencils share their four states, so the distinct
-    states (U, every single and every pair move) go to ``energy`` as one stack.
+    The (a, b) and (b, a) stencils share their four states, so the distinct states of a
+    matrix (U, every single and every pair move) go to ``energy`` as one stack.
     """
-    n = U.size
+    S, n = U.shape[0], U.shape[-1] ** 2
     a, b = np.triu_indices(n, 1)
-    X = np.broadcast_to(U.ravel(), (1 + 2 * n + 4 * a.size, n)).copy()
-    X[1 : 1 + 2 * n].reshape(2, n, n)[:, range(n), range(n)] += [[step], [-step]]
-    pairs = X[1 + 2 * n :].reshape(2, 2, a.size, n)  # [sign of a, sign of b, pair, entry]
-    k = range(a.size)
-    pairs[0, :, k, a] += step
-    pairs[1, :, k, a] -= step
-    pairs[:, 0, k, b] += step
-    pairs[:, 1, k, b] -= step
-    W = energy(m, X.reshape((-1,) + U.shape))
-    single = W[1 : 1 + 2 * n].reshape(2, n)
-    # S[sa, sb][a, b] = W at U with a moved by sa and b by sb, for a != b
-    S = np.zeros((2, 2, n, n))
-    S[:, :, a, b] = W[1 + 2 * n :].reshape(2, 2, a.size)
-    S[:, :, b, a] = S[:, :, a, b].transpose(1, 0, 2)
-    H = (S[0, 0] - S[0, 1] - S[1, 0] + S[1, 1]) / (4.0 * step**2)
-    H[range(n), range(n)] = (single[0] - 2.0 * W[0] + single[1]) / step**2
+    X = np.broadcast_to(U.reshape(S, 1, n), (S, 1 + 2 * n + 4 * a.size, n)).copy()
+    X[:, 1 : 1 + 2 * n].reshape(S, 2, n, n)[:, :, range(n), range(n)] += np.stack(
+        (step, -step), axis=1)[:, :, None]
+    pairs = X[:, 1 + 2 * n :].reshape(S, 2, 2, a.size, n)  # [sign of a, sign of b, pair, entry]
+    k, h = range(a.size), step[:, None, None, None]
+    pairs[:, :1, :, k, a] += h
+    pairs[:, 1:, :, k, a] -= h
+    pairs[:, :, :1, k, b] += h
+    pairs[:, :, 1:, k, b] -= h
+    W = np.stack([energy(m, x.reshape((-1,) + U.shape[1:])) for m, x in zip(ms, X)])
+    single = W[:, 1 : 1 + 2 * n].reshape(S, 2, n)
+    # Sab[:, sa, sb][a, b] = W at U with a moved by sa and b by sb, for a != b
+    Sab = np.zeros((S, 2, 2, n, n))
+    Sab[..., a, b] = W[:, 1 + 2 * n :].reshape(S, 2, 2, a.size)
+    Sab[..., b, a] = Sab[..., a, b].transpose(0, 2, 1, 3)
+    step_sq = np.float_power(step, 2)[:, None, None]  # libm pow, as step**2 of one matrix
+    H = (Sab[:, 0, 0] - Sab[:, 0, 1] - Sab[:, 1, 0] + Sab[:, 1, 1]) / (4.0 * step_sq)
+    H[:, range(n), range(n)] = (single[:, 0] - 2.0 * W[:, :1] + single[:, 1]) / step_sq[:, 0]
     return H
 
 
-def _fd_hessian_btensor_err(m: MaterialModel, U: np.ndarray, B: np.ndarray) -> float:
-    """Worst relative error of the B-blocks B at U against the FD Hessian of W."""
-    d = U.shape[0]
-    H = _fd_hessian(m, U, 1e-4 * (1.0 + np.abs(U).max()))
+def _fd_hessian_btensor_err(ms: list, U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Worst relative error of the B-blocks B (S, d, d, d, d) at each U (S, d, d) against the
+    FD Hessian of W, (S,)."""
+    d = U.shape[-1]
+    H = _fd_hessian(ms, U, 1e-4 * (1.0 + np.abs(U).max(axis=(1, 2))))
     # entry (p, q) of B_i^j is d2 W / dU_{p, j} dU_{q, i}: H[p d + j, q d + i]
-    fd = H.reshape(d, d, d, d).transpose(3, 1, 0, 2)
-    return float(np.abs(fd - B).max()) / float(np.abs(B).max())
+    fd = H.reshape(-1, d, d, d, d).transpose(0, 4, 2, 1, 3)
+    return np.abs(fd - B).max(axis=(1, 2, 3, 4)) / np.abs(B).max(axis=(1, 2, 3, 4))
 
 
-def _fd_gnl_err(m: MaterialModel, U: np.ndarray, V: np.ndarray, direction: np.ndarray) -> float:
-    """Directional derivative of the extreme speed against the closed form; V is Cof U."""
-    nu = direction / np.linalg.norm(direction)
+def _fd_gnl_err(ms: list, U: np.ndarray, V: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Directional derivative of the extreme speed against the closed form at each U (S, d, d)
+    along its direction (S, d), (S,); V is Cof U."""
+    nu = directions / _norms(directions)[:, None]
+    mu = np.array([m.mu for m in ms])
 
-    def a1(mat, cof):
-        w = cof @ nu
-        return -np.sqrt(m.mu + float(m.h2(np.linalg.det(mat))) * float(w @ w))
+    def a1(X, cof):  # at X (S, k, d, d); Cof X made contiguous, as one matrix's is
+        w = (np.ascontiguousarray(cof) @ nu[:, None, :, None])[..., 0]
+        h2 = np.stack([m.h2(J) for m, J in zip(ms, np.linalg.det(X))])
+        return -np.sqrt(mu[:, None] + h2 * (w[..., None, :] @ w[..., :, None])[..., 0, 0])
 
-    z = -(1.0 / a1(U, V)) * (V @ nu)  # deformation part of the right eigenvector
-    Z = np.outer(z, nu)
-    step = 1e-5 * (1.0 + np.abs(U).max())
-    ahead, behind = U + step * Z, U - step * Z
-    fd = (a1(ahead, cofactor(ahead)) - a1(behind, cofactor(behind))) / (2.0 * step)
-    closed = genuine_nonlinearity(m, U, nu)
-    return abs(fd - closed) / max(1.0, abs(closed))
+    # the deformation part of the right eigenvector
+    z = -(1.0 / a1(U[:, None], V[:, None])) * (V @ nu[..., None])[..., 0]
+    step = 1e-5 * (1.0 + np.abs(U).max(axis=(1, 2)))
+    move = step[:, None, None] * (z[:, :, None] * nu[:, None, :])
+    X = np.stack((U + move, U - move), axis=1)
+    speeds = a1(X, cofactor(X))
+    fd = (speeds[:, 0] - speeds[:, 1]) / (2.0 * step)
+    closed = np.array([genuine_nonlinearity(*args) for args in zip(ms, U, nu)])
+    return np.abs(fd - closed) / np.maximum(1.0, np.abs(closed))
+
+
+FD_CHECKS = ("grad_det_vs_cofactor", "cofactor_derivative", "hessian_vs_btensor",
+             "genuine_nonlinearity")
+
+
+def _fd_values(ms: list, U: np.ndarray, V: np.ndarray, B: np.ndarray, directions) -> dict:
+    """fd_check_suite's errors at each U (S, d, d) in its material, with its Cof V, B-blocks
+    B and GNL direction, (S,) each; as many matrices at a time as fit STACK_BYTES at the
+    bytes of one matrix's Hessian states, the largest array, and one at a time beyond."""
+    d = U.shape[-1]
+    step, parts = max(1, STACK_BYTES // (8 * d * d * (2 * d**4 + 1))), []
+    for p in (slice(i, i + step) for i in range(0, len(ms), step)):
+        grad, err_cof = _fd_det_cofactor(U[p], V[p])
+        Vmax = np.abs(V[p]).max(axis=(1, 2))
+        parts.append((np.abs(grad - V[p]).max(axis=(1, 2)) / np.maximum(1.0, Vmax), err_cof,
+                      _fd_hessian_btensor_err(ms[p], U[p], B[p]),
+                      _fd_gnl_err(ms[p], U[p], V[p], directions[p])))
+    return dict(zip(FD_CHECKS, map(np.concatenate, zip(*parts))))
 
 
 def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0) -> dict:
@@ -438,19 +468,14 @@ def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0
     Checks the determinant gradient against Cof U, the cofactor
     derivative closed form, the B-blocks B (``b_blocks(m, U)``) against
     the Hessian of the stored energy, and the genuine-nonlinearity
-    derivative along the extreme eigenvector.  Passes when every error
-    is at most 1e-5.
+    derivative along the extreme eigenvector, in a direction drawn from
+    seed.  Passes when every error is at most 1e-5.  verify runs the same
+    checks on its scenarios as one stack.
     """
     U = np.asarray(U, dtype=float)
-    rng = np.random.default_rng(seed)
-    V = cofactor(U)
-    grad, err_cof = _fd_det_cofactor(U, V)
-    report = {
-        "grad_det_vs_cofactor": float(np.abs(grad - V).max()) / max(1.0, float(np.abs(V).max())),
-        "cofactor_derivative": err_cof,
-        "hessian_vs_btensor": _fd_hessian_btensor_err(m, U, B),
-        "genuine_nonlinearity": _fd_gnl_err(m, U, V, rng.standard_normal(U.shape[0])),
-    }
+    direction = np.random.default_rng(seed).standard_normal(U.shape[0])
+    values = _fd_values([m], U[None], cofactor(U)[None], np.asarray(B)[None], direction[None])
+    report = {name: float(v[0]) for name, v in values.items()}
     report["pass"] = all(v <= 1e-5 for v in report.values())
     return report
 
@@ -515,8 +540,8 @@ def sample_frequency(rng: "np.random.Generator", d: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the verify suite
 
-def _rel(err: float, scale: float) -> float:
-    return err / max(scale, 1e-30)
+def _rel(err, scale):
+    return err / np.maximum(scale, 1e-30)
 
 
 class _Tracker:
@@ -539,135 +564,117 @@ class _Tracker:
         return self.failure is None
 
 
-# The check functions yield (name, err, tol); verify_suite records them with the scenario.
+# The checks of a scenario before its frequency checks, in the order verify records them,
+# with their tolerances; a check with several values per scenario records each.
+SCENARIO_CHECKS = (
+    ("rh_velocity", 1e-11), ("rh_momentum", 1e-11), ("stress_jump_closed_form", 1e-11),
+    ("cofactor_jump", 1e-11), ("gram_minor_product", 1e-10), ("amplitude_scaling", 1e-13),
+    ("rho_identity", 1e-13), ("speed_supersonic", 0.5), ("acoustic_double_sum", 1e-11),
+    ("acoustic_spectrum_vs_eig", 1e-9), ("acoustic_eigvec", 1e-11),
+    ("btensor_transpose_symmetry", 1e-12), ("char_speeds_vs_eig", 1e-8),
+    *((f"fd_{name}", 1e-5) for name in FD_CHECKS))
 
-def _shock_identities(sf: ShockFront, jump_sig: np.ndarray):
-    m, d = sf.material, sf.dim
-    scale = sf.residual_scale()
-    v1 = sf.V[:, 0]
 
-    jump_U1 = sf.plus.U[:, 0] - sf.minus.U[:, 0]
+def _shock_values(fronts: list, sf: SimpleNamespace, jump_sig: np.ndarray) -> dict:
+    """The shock checks of the fronts, stacked as sf (_stack_fronts) with their stress jumps
+    (S, 1, d, d): (S,) each, (S, d) over the columns of [[P]]."""
+    mu, s, alpha, U, Um = sf.material.mu, sf.speed, sf.alpha, sf.plus.U, sf.minus.U
+    s_sq = np.float_power(s, 2)  # libm pow, as Python's s**2
+    scale = np.stack([f.residual_scale() for f in fronts])[:, None]
+    h1m = np.array([float(f.material.h1(f.Jminus)) for f in fronts])[:, None, None, None]
+    h2p = np.array([float(f.material.h2(f.Jplus)) for f in fronts])[:, None]
     jump_v = sf.plus.v - sf.minus.v
-    yield "rh_velocity", _rel(np.linalg.norm(-sf.speed * jump_U1 - jump_v), scale), 1e-11
-    yield (
-        "rh_momentum",
-        _rel(np.linalg.norm(-sf.speed * jump_v - jump_sig[:, 0]), scale),
-        1e-11,
-    )
-    for j in range(d):
-        if j == 0:
-            closed = sf.alpha * sf.speed**2 * v1
-        else:
-            closed = sf.alpha * (
-                (sf.speed**2 - m.mu) * sf.V[:, j]
-                + float(m.h1(sf.Jminus)) * sf.M[:, j]
-            )
-        err = np.linalg.norm(jump_sig[:, j] - closed)
-        yield "stress_jump_closed_form", _rel(err, max(scale, np.linalg.norm(closed))), 1e-11
-
-    cof_m = cofactor(sf.minus.U)
-    err = np.abs(cofactor(sf.plus.U) - sf.alpha * sf.M - cof_m).max()
-    yield "cofactor_jump", _rel(err, max(1.0, np.abs(cof_m).max())), 1e-11
-
-    prod = sf.V.T @ sf.M
-    yield (
-        "gram_minor_product",
-        _rel(np.abs(prod - sf.Theta / sf.Jplus).max(), max(1.0, np.abs(prod).max())),
-        1e-10,
-    )
-
-    amp = np.linalg.norm(sf.plus.U - sf.minus.U)
-    yield (
-        "amplitude_scaling",
-        _rel(abs(amp - abs(sf.alpha) * np.linalg.norm(v1)), max(1.0, amp)),
-        1e-13,
-    )
-
-    alt = (sf.speed**2 - m.mu) * sf.Jminus / (sf.theta11 * sf.Jplus) - float(m.h2(sf.Jplus))
-    yield "rho_identity", _rel(abs(sf.rho - alt), max(1.0, abs(sf.rho))), 1e-13
-    yield "speed_supersonic", 0.0 if sf.speed**2 > m.mu else 1.0, 0.5
+    out = {"rh_velocity": _rel(_norms(-s[..., None] * (U - Um)[..., 0] - jump_v), scale),
+           "rh_momentum": _rel(_norms(-s[..., None] * jump_v - jump_sig[..., 0]), scale)}
+    closed = alpha[..., None, None] * ((s_sq - mu)[..., None, None] * sf.V + h1m * sf.M)
+    closed[..., 0] = (alpha * s_sq)[..., None] * sf.V[..., 0]
+    err = _norms(np.swapaxes(jump_sig - closed, -1, -2))
+    out["stress_jump_closed_form"] = _rel(err, np.maximum(scale[..., None],
+                                                          _norms(np.swapaxes(closed, -1, -2))))
+    cof_p, cof_m = cofactor(np.stack((U, Um)))
+    err = np.abs(cof_p - alpha[..., None, None] * sf.M - cof_m).max(axis=(-2, -1))
+    out["cofactor_jump"] = _rel(err, np.maximum(1.0, np.abs(cof_m).max(axis=(-2, -1))))
+    prod = np.swapaxes(sf.V, -1, -2) @ sf.M
+    err = np.abs(prod - sf.Theta / sf.Jplus[..., None, None]).max(axis=(-2, -1))
+    out["gram_minor_product"] = _rel(err, np.maximum(1.0, np.abs(prod).max(axis=(-2, -1))))
+    amp = _norms((U - Um).reshape(U.shape[:-2] + (-1,)))
+    err = np.abs(amp - np.abs(alpha) * _norms(sf.V[..., 0]))
+    out["amplitude_scaling"] = _rel(err, np.maximum(1.0, amp))
+    alt = (s_sq - mu) * sf.Jminus / (sf.theta11 * sf.Jplus) - h2p
+    out["rho_identity"] = _rel(np.abs(sf.rho - alt), np.maximum(1.0, np.abs(sf.rho)))
+    out["speed_supersonic"] = np.where(s_sq > mu, 0.0, 1.0)
+    return {name: v[:, 0] for name, v in out.items()}
 
 
 def _symmetric_eigvals(Q: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric Q by the symmetric solver, with every
-    eigenpair checked to ||Q v - lambda v|| <= 1e-9 ||Q|| as dense_eig checks them."""
+    """Ascending eigenvalues of real symmetric Q (..., d, d) by the symmetric solver, with
+    every eigenpair checked to ||Q v - lambda v|| <= 1e-9 ||Q|| as dense_eig checks them."""
     try:
         vals, vecs = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    res = np.linalg.norm(Q @ vecs - vecs * vals, axis=0)
-    if np.any(res > 1e-9 * max(np.abs(vals).max(), 1e-30)):  # ||Q||_2 = max |lambda|
+    res = np.linalg.norm(Q @ vecs - vecs * vals[..., None, :], axis=-2)
+    # ||Q||_2 = max |lambda|
+    if np.any(res > 1e-9 * np.maximum(np.abs(vals).max(axis=-1), 1e-30)[..., None]):
         raise NoConvergence(f"eigenpair residual {res.max():.3e} exceeds 1e-9 * ||Q||")
     return vals
 
 
-def _material_identities(sf: ShockFront, B: np.ndarray, table: list, xi: np.ndarray):
-    m, d, U = sf.material, sf.dim, sf.plus.U
-    Q = acoustic_tensor(m, U, xi)
+def _material_values(fronts: list, B: np.ndarray, xis: np.ndarray) -> dict:
+    """The material checks at the fronts' U+ with their B-blocks (S, d, d, d, d) and
+    directions xi (S, d): (S,) each, (S, d^2) over the block pairs (i, j)."""
+    S, d = B.shape[0], B.shape[-1]
+    Q, spec, speeds = [], [], []
+    for f, xi in zip(fronts, xis):  # the closed forms under test, at each front's material
+        Q.append(acoustic_tensor(f.material, f.plus.U, xi))
+        spec.append(acoustic_spectrum(f.material, f.plus.U, xi))
+        speeds.append(np.concatenate([[v] * mult for v, mult in char_speeds(f.material, f.plus.U)]))
+    Q, k2 = np.stack(Q), np.array([sp.kappa2 for sp in spec])
     # the terms xi_i xi_j B_i^j added one after another in row-major (i, j) order
-    Qsum = np.add.reduce(((xi[:, None] * xi)[..., None, None] * B).reshape(d * d, d, d))
-    yield "acoustic_double_sum", _rel(np.abs(Q - Qsum).max(), max(1.0, np.abs(Q).max())), 1e-11
-
-    spec = acoustic_spectrum(m, U, xi)
-    expect = np.sort(np.r_[[spec.kappa1] * spec.mult1, [spec.kappa2]])
-    yield (
-        "acoustic_spectrum_vs_eig",
-        _rel(np.abs(_symmetric_eigvals(Q) - expect).max(), max(1.0, abs(spec.kappa2))),
-        1e-9,
-    )
-    resid = Q @ spec.eigvec2 - spec.kappa2 * spec.eigvec2
-    yield (
-        "acoustic_eigvec",
-        _rel(np.linalg.norm(resid), max(1.0, abs(spec.kappa2)) * np.linalg.norm(spec.eigvec2)),
-        1e-11,
-    )
-
+    terms = (xis[:, :, None] * xis[:, None, :])[..., None, None] * B
+    Qsum = np.add.reduce(terms.reshape(S, d * d, d, d), axis=1)
+    out = {"acoustic_double_sum": _rel(np.abs(Q - Qsum).max(axis=(1, 2)),
+                                       np.maximum(1.0, np.abs(Q).max(axis=(1, 2))))}
+    expect = np.sort([np.r_[[sp.kappa1] * sp.mult1, [sp.kappa2]] for sp in spec], axis=-1)
+    err = np.abs(_symmetric_eigvals(Q) - expect).max(axis=-1)
+    out["acoustic_spectrum_vs_eig"] = _rel(err, np.maximum(1.0, np.abs(k2)))
+    e2 = np.stack([sp.eigvec2 for sp in spec])
+    resid = (Q @ e2[..., None])[..., 0] - k2[:, None] * e2
+    out["acoustic_eigvec"] = _rel(_norms(resid), np.maximum(1.0, np.abs(k2)) * _norms(e2))
     # |B_j^i - (B_i^j)^T| in row-major (i, j) order
-    for err in np.abs(np.swapaxes(B, 0, 1) - np.swapaxes(B, 2, 3)).max(axis=(2, 3)).ravel():
-        yield "btensor_transpose_symmetry", err, 1e-12
-
-    A1 = assemble_symbol(B, np.eye(d)[0])
-    vals = np.sort(dense_eig(A1).real)
-    expect = np.sort(np.concatenate([[v] * mult for v, mult in table]))
-    yield (
-        "char_speeds_vs_eig",
-        _rel(np.abs(vals - expect).max(), max(1.0, np.abs(expect).max())),
-        1e-8,
-    )
+    out["btensor_transpose_symmetry"] = np.abs(np.swapaxes(B, 1, 2) - np.swapaxes(B, 3, 4)).max(
+        axis=(3, 4)).reshape(S, d * d)
+    vals = np.sort(dense_eig(assemble_symbol(B, np.eye(d)[0])).real)
+    expect = np.sort(speeds)
+    out["char_speeds_vs_eig"] = _rel(np.abs(vals - expect).max(axis=-1),
+                                     np.maximum(1.0, np.abs(expect).max(axis=-1)))
+    return out
 
 
 def _draw(rng: "np.random.Generator", d: int, k: int) -> SimpleNamespace:
-    """Scenario k of dimension d: its front; what depends on the material (the B-blocks, the
-    stress jump and the characteristic speeds), once; the values of its shock, material and
-    FD checks; its three frequencies and its control direction.  The rng draws come in the
-    order in which verify has always made them."""
+    """Scenario k of dimension d: its front and what its checks draw, in the order in which
+    verify has always drawn them: the material checks' direction xi, the FD suite's seed,
+    three frequencies and the control direction."""
     sf = random_shock(rng, d)
-    m, U = sf.material, sf.plus.U
-    B = b_blocks(m, U)
-    jump_sig = stress_jump(sf)
-    records = [*_shock_identities(sf, jump_sig),
-               *_material_identities(sf, B, char_speeds(m, U), rng.standard_normal(d))]
-    fd = fd_check_suite(m, U, B, seed=int(rng.integers(2**31)))
-    del fd["pass"]
-    records += [(f"fd_{name}", err, 1e-5) for name, err in fd.items()]
+    xi, fd_seed = rng.standard_normal(d), int(rng.integers(2**31))
     lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
-    xi = rng.standard_normal(d - 1)
+    control = rng.standard_normal(d - 1)
     return SimpleNamespace(
-        sf=sf, B=B, stress_jump=jump_sig, records=records, lams=np.array(lams),
-        xis=np.array(xis), control_xi=xi / np.linalg.norm(xi),
-        ctx=f"d={d} scenario={k} material={m.name} alpha={sf.alpha:.4f}")
+        sf=sf, xi=xi, fd_seed=fd_seed, lams=np.array(lams), xis=np.array(xis),
+        control_xi=control / np.linalg.norm(control),
+        ctx=f"d={d} scenario={k} material={sf.material.name} alpha={sf.alpha:.4f}")
 
 
 def _stack(values) -> np.ndarray:
     """The values with a leading scenario axis and a frequency axis of size 1: (S, 1, ...)."""
-    return np.stack(list(values))[:, None]
+    return np.array(list(values))[:, None]
 
 
 def _stack_fronts(fronts: list) -> SimpleNamespace:
     """Fronts of one dimension as one front for the frequency functions: the ShockFront
     fields they read, each through _stack (scalars as (S, 1) columns)."""
     columns = ("alpha", "speed", "rho", "tau", "kappa2_plus", "h2_plus", "theta11", "Jplus",
-               "V", "theta", "Theta")
+               "Jminus", "V", "M", "theta", "Theta")
     return SimpleNamespace(
         dim=fronts[0].dim, material=SimpleNamespace(mu=_stack(f.material.mu for f in fronts)),
         **{side: SimpleNamespace(U=_stack(getattr(f, side).U for f in fronts),
@@ -676,15 +683,26 @@ def _stack_fronts(fronts: list) -> SimpleNamespace:
         **{name: _stack(getattr(f, name) for f in fronts) for name in columns})
 
 
-def _frequency_values(drawn: list) -> dict:
-    """Every frequency function at the scenarios' frequencies, as one stack (S, 3, ...), and
+def _scenario_values(drawn: list) -> dict:
+    """Every check value of the scenarios drawn, as one stack (S, ...): the shock, material
+    and FD checks, every frequency function at the scenarios' frequencies (S, 3, ...), and
     control_min (S,): min |delta_v2| over the negative-control grid Re gamma in [0.01, 2],
-    Im gamma in [-2, 2] at each scenario's control direction."""
-    sf = _stack_fronts([sc.sf for sc in drawn])
-    B, jump_sig = _stack(sc.B for sc in drawn), _stack(sc.stress_jump for sc in drawn)
+    Im gamma in [-2, 2] at each scenario's control direction.  The closed forms under test
+    run once per scenario, as each has its own material; each brute-force step, once."""
+    fronts = [sc.sf for sc in drawn]
+    B = np.stack([b_blocks(f.material, f.plus.U) for f in fronts])
+    jump_sig = _stack(stress_jump(f) for f in fronts)
+    sf = _stack_fronts(fronts)
+    out = _shock_values(fronts, sf, jump_sig)
+    out.update(_material_values(fronts, B, np.stack([sc.xi for sc in drawn])))
+    fd = _fd_values([f.material for f in fronts], sf.plus.U[:, 0], sf.V[:, 0], B,
+                    np.stack([np.random.default_rng(sc.fd_seed).standard_normal(sc.sf.dim)
+                              for sc in drawn]))
+    out.update((f"fd_{name}", v) for name, v in fd.items())
+    B = B[:, None]
     lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
     betas = stable_beta_values(sf, lams, xis)
-    out = {"beta": betas, "beta_residual": beta_residual(sf, lams, xis, betas)}
+    out.update(beta=betas, beta_residual=beta_residual(sf, lams, xis, betas))
     out["gamma"] = freq_map_values(sf, lams, xis)
     out["back"] = freq_unmap_values(sf, out["gamma"], xis)
     coeffs = freq_coeffs(sf, xis)
@@ -706,7 +724,7 @@ def _frequency_values(drawn: list) -> dict:
 
 
 def _per_scenario(drawn: list, size: int):
-    """(rows, None): _frequency_values over the scenarios drawn, as many at a time as fit
+    """(rows, None): _scenario_values over the scenarios drawn, as many at a time as fit
     STACK_BYTES at size bytes each, split into one dict per scenario.  When a stack raises,
     its scenarios are redone alone, in order: (the rows before the first that raises, its
     exception)."""
@@ -714,11 +732,11 @@ def _per_scenario(drawn: list, size: int):
     for start in range(0, len(drawn), step):
         part = drawn[start : start + step]
         try:
-            values = _frequency_values(part)
+            values = _scenario_values(part)
         except Exception:
             for sc in part:
                 try:
-                    values = _frequency_values([sc])
+                    values = _scenario_values([sc])
                 except Exception as exc:
                     return rows, exc
                 rows.append({name: v[0] for name, v in values.items()})
@@ -772,14 +790,17 @@ def _frequency_identities(sf: ShockFront, sc: SimpleNamespace, v: dict):
 def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     """Run every oracle identity over randomized scenarios per dimension.
 
-    Each dimension draws its scenarios first, then evaluates their frequency and
-    negative-control checks as one stack, then records scenario by scenario: shock,
-    material, FD, frequency, control and (once per dimension, at the first rho < 0
-    front) winding checks.  Recording stops after the first scenario with a violated
-    identity.  An exception raised for a scenario propagates unless an earlier scenario
-    violated an identity.  The report carries the seed, scenario counts, worst error per
-    identity and the failure context if any.
+    Each dimension in 2..5 draws its scenarios first, then checks them in chunks of as
+    many as fit STACK_BYTES at one scenario's frequency symbols or control grid, each
+    chunk as one stack (the FD Hessian in smaller sub-chunks, alone from d = 4), then
+    records scenario by scenario: shock, material, FD, frequency, control and (once per
+    dimension, at the first rho < 0 front) winding checks.  Recording stops after the
+    first scenario with a violated identity.  An exception raised for a scenario
+    propagates unless an earlier scenario violated an identity.  The report carries the
+    seed, scenario counts, worst error per identity and the failure context if any.
     """
+    if not all(2 <= d <= 5 for d in dims):
+        raise ConfigError(f"verify_suite checks dims 2..5, got {tuple(dims)!r}")
     rng = np.random.default_rng(seed)
     t = _Tracker()
     winding_done = set()
@@ -803,7 +824,9 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             if not t.ok:
                 break
             sf = sc.sf
-            records = [*sc.records, *_frequency_identities(sf, sc, v),
+            records = [(name, err, tol) for name, tol in SCENARIO_CHECKS
+                       for err in np.ravel(v[name]).tolist()]
+            records += [*_frequency_identities(sf, sc, v),
                        ("interior_nonvanishing", 0.0 if v["control_min"] > 1e-6 else 1.0, 0.5)]
             if sf.rho < 0 and d not in winding_done:
                 winding_done.add(d)

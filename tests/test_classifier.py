@@ -23,7 +23,7 @@ from hadshock.classifier import (
 )
 from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, HadshockError,
                              InvalidBracket)
-from hadshock.lopatinskii import delta_v2_values, winding
+from hadshock.lopatinskii import delta_v1_values, delta_v2_values, winding
 from hadshock.materials import CATALOG_NAMES, catalog
 from hadshock.oracle import random_shock, sphere_min_reference
 from hadshock.shock import ElasticState, FrontStack, build, build_stack
@@ -380,7 +380,8 @@ def _property_base(family, exponent, seed, d):
 def test_every_stack_row_is_a_finite_verdict_or_a_typed_error(name, d, moduli, family,
                                                               exponent, seed, alphas):
     # moduli log-uniform in 10^[-6, 8], intensities +-10^[-300, 300]: a row ends as a
-    # verdict with finite numbers or as a typed error, and no float warning leaks
+    # verdict with finite numbers or as a typed error, a built front's stability function
+    # is finite on a grid, and no float warning leaks
     mu, kappa, c1, b, cbar = (10.0 ** e for e in moduli)
     alphas = np.array([sign * 10.0 ** e for sign, e in alphas])
     with warnings.catch_warnings():
@@ -394,7 +395,14 @@ def test_every_stack_row_is_a_finite_verdict_or_a_typed_error(name, d, moduli, f
         except HadshockError:
             return
         rows = classify_stack(fronts)
+        # the stability function on a 3 x 3 grid of each built front, over lambda and gamma
+        built = np.flatnonzero([e is None for e in fronts.errors])
+        grid = (np.array([0.5, 1.0, 2.0]) + 1j * np.array([[-1.0], [0.0], [1.0]])).ravel()
+        xi = np.eye(d - 1)[0]
+        values = [f(fronts.rows(built), grid, xi) for f in (delta_v1_values, delta_v2_values)
+                  if built.size]
     assert len(rows) == alphas.size
+    assert all(v.shape == (built.size, 9) and np.all(np.isfinite(v)) for v in values)
     for row in rows:
         if isinstance(row, HadshockError):
             continue

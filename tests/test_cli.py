@@ -500,8 +500,8 @@ def test_installed_script_is_the_main_block_entry():
 
 def test_verdict_path_imports_no_scipy():
     # a weak d=4 verdict with theta_1T != 0 (sphere search plus imaginary-axis
-    # root), a d=4 sweep, a shock report and a grid, in a fresh interpreter:
-    # none loads scipy or numpy.random
+    # root), a d=4 sweep, a shock report and the CSV, JSON, restricted and lambda
+    # grids, in a fresh interpreter: none loads scipy, numpy.random or numpy.ma
     d4 = ["--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
           "--Uplus=1,0.3,0,0,0,1,0,0,0.2,0,1,0,0,0,0,1"]
     code = (
@@ -511,9 +511,11 @@ def test_verdict_path_imports_no_scipy():
         f"assert main(['sweep', *{d4!r}, '--alpha-range=-8,-0.1', '--steps=20',"
         f" '--out={os.devnull}']) == 0\n"
         f"assert main(['shock', *{d4!r}, '--alpha=-3', '--out={os.devnull}']) == 0\n"
-        f"assert main(['grid', *{d4!r}, '--alpha=-3', '--grid-n=5,5', '--out={os.devnull}']) == 0\n"
+        f"for extra in ([], ['--format=json'], ['--restrict-gamma-tilde'], ['--var=lambda']):\n"
+        f"    assert main(['grid', *{d4!r}, '--alpha=-3', '--grid-n=5,5', *extra,"
+        f" '--out={os.devnull}']) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                        or m == 'numpy.random')))\n"
+        "                        or m in ('numpy.random', 'numpy.ma'))))\n"
     )
     assert json.loads(_fresh_python(code)) == []
 

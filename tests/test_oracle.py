@@ -1,6 +1,7 @@
 import cmath
 import collections
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hadshock import oracle
 from hadshock.cli import main
 from hadshock.errors import (
     CharacteristicSpeed,
+    ConfigError,
+    DomainError,
     HadshockError,
     NoConvergence,
     WrongSignForMaterial,
@@ -27,6 +30,7 @@ from hadshock.oracle import (
     _fd_det_cofactor,
     _fd_gnl_err,
     _fd_hessian_btensor_err,
+    _fd_values,
     assemble_Aj,
     assemble_calA,
     assemble_symbol,
@@ -336,14 +340,19 @@ def _single_frequency_values(sf, B, lam, xi):
 def test_scenario_stack_equals_single_calls_bit_for_bit(d):
     # verify evaluates a dimension's scenarios as one stack; element (k, i) must be the call
     # on scenario k's front at its frequency i alone, and the one-scenario stack that
-    # verify falls back to when a stack raises, to the last bit
+    # verify falls back to when a stack raises, to the last bit; so must the shock,
+    # material and FD values of scenario k, the FD ones also fd_check_suite's at its seed
     drawn = _scenarios_with_both_rho_signs(d, 4)
-    stacked = oracle._frequency_values(drawn)
+    stacked = oracle._scenario_values(drawn)
     control = stacked.pop("control_min")
+    checks = {name: stacked.pop(name) for name, _ in oracle.SCENARIO_CHECKS}
     S = len(drawn)
     assert control.shape == (S,)
+    for name, value in checks.items():
+        width = {"stress_jump_closed_form": (d,), "btensor_transpose_symmetry": (d * d,)}
+        assert value.shape == (S,) + width.get(name, ()), name
     sf_stack = oracle._stack_fronts([sc.sf for sc in drawn])
-    B = np.stack([sc.B for sc in drawn])[:, None]
+    B = np.stack([b_blocks(sc.sf.material, sc.sf.plus.U) for sc in drawn])[:, None]
     lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
     cal = assemble_calA(sf_stack, B, lams, xis)
     assert cal.shape == (S, 3, d * d + d, d * d + d)
@@ -355,19 +364,26 @@ def test_scenario_stack_equals_single_calls_bit_for_bit(d):
     control_grid = delta_v2_values(sf_stack, grid.ravel(),
                                    np.stack([sc.control_xi for sc in drawn])[:, None, :])
     for k, sc in enumerate(drawn):
-        alone = oracle._frequency_values([sc])
+        alone = oracle._scenario_values([sc])
         assert np.array_equal(_bits(alone.pop("control_min")), _bits(control[k]))
+        for name, value in checks.items():
+            assert np.array_equal(_bits(value[k]), _bits(alone.pop(name)[0])), name
+        m, U = sc.sf.material, sc.sf.plus.U
+        fd = fd_check_suite(m, U, b_blocks(m, U), seed=sc.fd_seed)
+        assert fd.pop("pass")
+        for name, value in fd.items():
+            assert np.array_equal(_bits(value), _bits(checks[f"fd_{name}"][k])), name
         for name, value in stacked.items():
             assert value.shape[:2] == (S, 3), name
             assert np.array_equal(_bits(value[k]), _bits(alone[name][0])), name
         for i in range(3):
             lam, xi = complex(sc.lams[i]), sc.xis[i]
-            single = _single_frequency_values(sc.sf, sc.B, lam, xi)
+            single = _single_frequency_values(sc.sf, B[k, 0], lam, xi)
             assert single.keys() == stacked.keys()
             for name, value in single.items():
                 assert np.shape(value) == stacked[name].shape[2:], name
                 assert np.array_equal(_bits(value), _bits(stacked[name][k, i])), name
-            assert np.array_equal(_bits(assemble_calA(sc.sf, sc.B, lam, xi)), _bits(cal[k, i]))
+            assert np.array_equal(_bits(assemble_calA(sc.sf, B[k, 0], lam, xi)), _bits(cal[k, i]))
         single_grid = delta_v2_values(sc.sf, grid, sc.control_xi)
         assert np.array_equal(_bits(single_grid.ravel()), _bits(control_grid[k]))
         assert control[k] == np.abs(single_grid).min()
@@ -393,20 +409,24 @@ def _verify_fronts(seed, scenarios, dims):
 
 
 def _fail_fd_at(monkeypatch, k, then=None):
-    """fd_check_suite fails its determinant check at its call k (0-based); at call k + 1 it
-    raises then, if given."""
-    calls = []
-    real = oracle.fd_check_suite
+    """The FD determinant check reads 1 at the scenario drawn k-th (0-based, over all
+    dimensions), in a stack or alone; the draw after it raises then, if given."""
+    drawn, real_draw, real_fd = [], oracle._draw, oracle._fd_values
 
-    def patched(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == k + 2 and then is not None:
+    def draw(*args):
+        if len(drawn) == k + 1 and then is not None:
             raise then
-        report = real(*args, **kwargs)
-        if len(calls) == k + 1:
-            report["grad_det_vs_cofactor"] = 1.0
-        return report
-    monkeypatch.setattr(oracle, "fd_check_suite", patched)
+        drawn.append(real_draw(*args))
+        return drawn[-1]
+
+    def fd_values(ms, U, *args):
+        values = real_fd(ms, U, *args)
+        if len(drawn) > k:
+            hit = [np.array_equal(u, drawn[k].sf.plus.U) for u in U]
+            values["grad_det_vs_cofactor"][hit] = 1.0
+        return values
+    monkeypatch.setattr(oracle, "_draw", draw)
+    monkeypatch.setattr(oracle, "_fd_values", fd_values)
 
 
 def _fail_frequency_at(monkeypatch, alpha):
@@ -511,6 +531,36 @@ def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
         assert calls == {}
 
 
+def test_scenario_checks_do_not_grow_with_the_stack(monkeypatch):
+    # with a dimension's scenarios in one stack, each brute-force step is one call for all
+    monkeypatch.setattr(oracle, "STACK_BYTES", 1 << 30)
+    calls = collections.Counter()
+    real_dense_eig, real_eigh, real_det = oracle.dense_eig, np.linalg.eigh, np.linalg.det
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    def det(*args):  # the FD stencils' determinants, not those of draws or closed forms
+        frame = sys._getframe(1)
+        if (frame.f_globals["__name__"] == "hadshock.oracle"
+                and frame.f_code.co_qualname.startswith("_fd")):
+            calls["det"] += 1
+        return real_det(*args)
+    monkeypatch.setattr(oracle, "dense_eig", counted("dense_eig", real_dense_eig))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", real_eigh))
+    monkeypatch.setattr(np.linalg, "det", det)
+    for d in (2, 3, 4):
+        counts = []
+        for scenarios in (2, 7):
+            calls.clear()
+            assert verify_suite(seed=7, scenarios=scenarios, dims=(d,))["ok"]
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"dense_eig": 1, "eigh": 1, "det": 4}, d
+
+
 def test_dense_eig_examples():
     vals = np.sort(dense_eig(np.diag([1.0, 2.0, 3.0]).astype(complex)).real)
     assert np.allclose(vals, [1.0, 2.0, 3.0], atol=1e-12)
@@ -527,8 +577,17 @@ def test_dense_eig_examples():
 
 
 def test_dense_eig_dimension_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="dense_eig is limited to dim <= 30, got 31"):
         dense_eig(np.eye(31, dtype=complex))
+
+
+@pytest.mark.parametrize("dims", [(6,), (9,), (2, 6)])
+def test_verify_suite_rejects_unserved_dims_before_drawing(monkeypatch, dims):
+    def drawn(*args):
+        raise AssertionError("verify_suite drew a scenario")
+    monkeypatch.setattr(oracle, "random_shock", drawn)
+    with pytest.raises(ConfigError, match=r"verify_suite checks dims 2\.\.5"):
+        verify_suite(seed=1, scenarios=2, dims=dims)
 
 
 def test_fd_check_suite_passes(cg2):
@@ -643,8 +702,10 @@ def fd_hessian_btensor_err_loop(m, U):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stacked_fd_checks_match_scalar_loops_bit_for_bit(d):
+    # each check on one matrix, and on the stack of every catalog law's matrix at once
     rng, directions = np.random.default_rng(60 + d), np.random.default_rng(70 + d)
     params = {"d": d, "mu": 1.3, "kappa": 2.5, "c1": 1.7, "b": 0.8, "cbar": 1.2}
+    ms, Us, nus = [], [], []
     for name in CATALOG_NAMES:
         m = catalog(name, params)
         U = np.eye(d) + 0.4 * rng.uniform(-1, 1, size=(d, d))
@@ -654,9 +715,18 @@ def test_stacked_fd_checks_match_scalar_loops_bit_for_bit(d):
         assert grad.tobytes() == fd_grad_det_loop(U).tobytes()
         assert cof_err == fd_cof_derivative_err_loop(U)
         direction = directions.standard_normal(d)
-        assert (_fd_gnl_err(m, U, cofactor(U), direction)
+        assert (_fd_gnl_err([m], U[None], cofactor(U)[None], direction[None])[0]
                 == fd_gnl_err_reference(m, U, direction))
-        assert _fd_hessian_btensor_err(m, U, b_blocks(m, U)) == fd_hessian_btensor_err_loop(m, U)
+        assert (_fd_hessian_btensor_err([m], U[None], b_blocks(m, U)[None])[0]
+                == fd_hessian_btensor_err_loop(m, U))
+        ms.append(m), Us.append(U), nus.append(direction)
+    U = np.stack(Us)
+    stacked = _fd_values(ms, U, cofactor(U), np.stack([b_blocks(m, u) for m, u in zip(ms, U)]),
+                         np.stack(nus))
+    for k, (m, u) in enumerate(zip(ms, U)):
+        assert stacked["cofactor_derivative"][k] == fd_cof_derivative_err_loop(u)
+        assert stacked["genuine_nonlinearity"][k] == fd_gnl_err_reference(m, u, nus[k])
+        assert stacked["hessian_vs_btensor"][k] == fd_hessian_btensor_err_loop(m, u)
 
 
 # checks whose value depends on the B-blocks
@@ -679,17 +749,17 @@ def test_batched_oracle_catches_a_wrong_block(monkeypatch):
 
     sf = random_shock(np.random.default_rng(11), 3)
     m, U = sf.material, sf.plus.U
-    clean = _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U))
+    clean = fd_check_suite(m, U, oracle.b_blocks(m, U))["hessian_vs_btensor"]
     assert clean <= 1e-7
     # the FD Hessian is not built from the blocks: it sees a 1e-6 change far
     # above its noise, and a 1e-4 change fails its 1e-5 tolerance
     monkeypatch.setattr(oracle, "b_blocks", off_by(1e-6))
-    assert _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U)) >= 0.5e-6
+    assert fd_check_suite(m, U, oracle.b_blocks(m, U))["hessian_vs_btensor"] >= 0.5e-6
     rep = verify_suite(seed=7, scenarios=2, dims=(2,))
     assert not rep["ok"]
     assert rep["first_failure"]["check"] in BLOCK_CHECKS
     monkeypatch.setattr(oracle, "b_blocks", off_by(1e-4))
-    assert _fd_hessian_btensor_err(m, U, oracle.b_blocks(m, U)) > 1e-5
+    assert fd_check_suite(m, U, oracle.b_blocks(m, U))["hessian_vs_btensor"] > 1e-5
 
 
 def test_random_shock_does_not_retry_programming_errors(monkeypatch):
