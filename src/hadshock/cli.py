@@ -453,9 +453,6 @@ def _cmd_verify(args) -> int:
         dims = tuple(int(v) for v in args.dims.split(","))
     except ValueError:
         raise ConfigError(f"--dims needs comma-separated integers, got {args.dims!r}") from None
-    if not all(2 <= d <= 5 for d in dims):
-        # dense_eig takes the (d^2 + d)-dimensional symbol only up to d = 5
-        raise ConfigError(f"--dims must lie in 2..5, got {args.dims!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must not be negative, got {args.seed}")
     if args.scenarios < 1:

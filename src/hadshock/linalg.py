@@ -41,7 +41,8 @@ def cofactor(a: np.ndarray) -> np.ndarray:
     if d == 2:
         return a[..., ::-1, ::-1] * sign
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return sign * np.linalg.det(a[..., rows, cols])
+        # C order, as one matrix's, so that a later matmul rounds the same on a stack
+        return np.ascontiguousarray(sign * np.linalg.det(a[..., rows, cols]))
 
 
 def degenerate_leading(a, b, c):

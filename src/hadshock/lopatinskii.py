@@ -114,7 +114,7 @@ def _v2_base(sf: ShockFront, gamma, coeffs: FrequencyCoefficients) -> np.ndarray
 
 
 def _require_negative_rho(sf: ShockFront, what: str):
-    if not (sf.rho < 0):
+    if not np.all(sf.rho < 0):  # every front of a stack
         raise RhoNotNegative(f"{what} requires rho < 0, got rho = {sf.rho}")
 
 

@@ -141,7 +141,7 @@ def _assert_global_minimum(sf, sample):
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_classify_min_is_global(d):
-    # independent oracles: the dense-grid plus Nelder-Mead reference and a
+    # independent oracles: the dense-grid plus compass-search reference and a
     # large random sample of the sphere; neither may beat the exact search
     rng = np.random.default_rng(4100 + d)
     sample = _unit_sample(rng, d - 1)
@@ -179,7 +179,7 @@ def test_classify_min_structured_base(base):
 
 
 def test_classify_min_below_polished_grid_regression():
-    # the grid plus Nelder-Mead search stopped at 1.43872 on this front
+    # an earlier classifier search, a grid plus Nelder-Mead, stopped at 1.43872 on this front
     sf = random_shock(np.random.default_rng(13), 6)
     v = classify(sf)
     assert v.min_criterion < 1.42428

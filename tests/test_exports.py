@@ -11,12 +11,12 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(hadshock.__path__))
 EXPORTERS = ["hadshock"] + [f"hadshock.{m}" for m in MODULES]
 
 # Exports that no code of the package calls, on purpose: library entry points of
-# the worked examples, and the scipy reference that tests hold the classifier to.
+# the worked examples, and the sphere reference that tests hold the classifier to.
 NOT_CALLED_INSIDE = {
     "cg_alpha_star",  # exact 2-D Ciarlet-Geymonat threshold
     "transition_alpha",  # bisection of the verdict over an intensity bracket
     "reference_delta",  # closed-form CG2D / Blatz3D stability functions
-    "sphere_min_reference",  # dense sphere covering plus Nelder-Mead, for tests only
+    "sphere_min_reference",  # dense sphere covering plus compass search, for tests only
     "fd_check_suite",  # the FD checks at one state; verify runs them on stacks
 }
 

@@ -158,3 +158,15 @@ def test_cofactor_stacked_minors_match_loop_bit_for_bit(d):
     got = cofactor(np.array(mats).reshape(3, 100, d, d))
     want = np.array([cofactor(A) for A in mats]).reshape(got.shape)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_cofactor_product_equals_one_matrix_bit_for_bit(d):
+    # a stack's cofactors are C-contiguous, as one matrix's are, so a later matmul on the
+    # stack rounds as it does on each matrix
+    rng = np.random.default_rng(d)
+    X, nu = rng.standard_normal((5, 2, d, d)), rng.standard_normal(d)
+    assert cofactor(X).flags.c_contiguous
+    got = cofactor(X) @ nu
+    want = np.array([[cofactor(A) @ nu for A in row] for row in X])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

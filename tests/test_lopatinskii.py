@@ -17,7 +17,7 @@ from hadshock.lopatinskii import (
     winding_number,
 )
 from hadshock.materials import catalog
-from hadshock.oracle import delta_v1_raw, sample_frequency
+from hadshock.oracle import _stack_fronts, delta_v1_raw, sample_frequency
 from hadshock.shock import ElasticState, build, freq_coeffs
 
 
@@ -173,6 +173,18 @@ def test_delta_v3_requires_negative_rho(cg2_shock):
         delta_v3_values(cg2_shock, 1.0, [1.0])
     with pytest.raises(RhoNotNegative):
         v3_factors_values(cg2_shock, 1.0, [1.0])
+
+
+def test_v3_guard_takes_a_stack(foam_shock):
+    # verify hands the factorization the stack of its rho < 0 fronts; one front with
+    # rho >= 0 in a stack raises for the stack
+    stack = _stack_fronts([foam_shock, foam_shock])
+    gammas, xis = np.full((2, 1), 0.3 + 1.1j), np.ones((2, 1, foam_shock.dim - 1))
+    f_minus, _ = v3_factors_values(stack, gammas, xis)
+    assert f_minus.shape == (2, 1)
+    stack.rho = np.array([[foam_shock.rho], [0.0]])
+    with pytest.raises(RhoNotNegative):
+        v3_factors_values(stack, gammas, xis)
 
 
 def test_delta_v3_zero_transverse(foam_shock):

@@ -24,9 +24,12 @@ from hadshock.lopatinskii import (
     freq_map_values,
     freq_unmap_values,
     stable_beta_values,
+    v3_factors_values,
 )
 from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, char_speeds, energy
 from hadshock.oracle import (
+    FREQUENCY_CHECKS,
+    SCENARIO_CHECKS,
     _fd_det_cofactor,
     _fd_gnl_err,
     _fd_hessian_btensor_err,
@@ -317,8 +320,8 @@ def _scenarios_with_both_rho_signs(d, count):
 
 
 def _single_frequency_values(sf, B, lam, xi):
-    """What verify's frequency stack holds for one scenario at one frequency, from the calls
-    on the front and frequency alone."""
+    """The values verify's frequency checks compare for one scenario at one frequency, from
+    the calls on the front and frequency alone."""
     beta = stable_beta_values(sf, lam, xi)
     gamma = freq_map_values(sf, lam, xi)
     coeffs = freq_coeffs(sf, xi)
@@ -336,21 +339,54 @@ def _single_frequency_values(sf, B, lam, xi):
     }
 
 
+def frequency_identities(sf, B, lams, xis):
+    """verify's frequency checks of one scenario as (name, err, tol) in the order it records
+    them, in Python scalar arithmetic on the calls at one frequency at a time, as verify
+    computed them before the checks were stacked."""
+    factor = sf.speed**2 * sf.theta11 / sf.kappa2_plus
+    for lam, xi in zip(lams.tolist(), xis):
+        v = _single_frequency_values(sf, B, lam, xi)
+        beta = complex(v["beta"])
+        yield "beta_residual", float(v["beta_residual"]), 1e-11
+        yield "beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5
+        yield "beta_not_curl_artifact", 0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0, 0.5
+        yield "map_roundtrip", abs(complex(v["back"]) - lam), 1e-13
+        P, zeta, eta = float(v["P"]), float(v["zeta"]), float(v["eta"])
+        yield "P_nonnegative", 0.0 if P >= 0 else 1.0, 0.5
+        yield "zeta_nonnegative", 0.0 if zeta >= 0 else 1.0, 0.5
+        yield "zeta_tau_margin", 0.0 if zeta - (sf.tau * eta) ** 2 >= -1e-13 else 1.0, 0.5
+        v1c, v1r, v2 = complex(v["v1c"]), complex(v["v1r"]), complex(v["v2"])
+        yield "v1_raw_vs_completed", abs(v1c - v1r) / (1.0 + abs(v1c)), 1e-12
+        yield "v1_vs_v2_mapped", abs(v1c - factor * v2) / (1.0 + abs(v1c)), 1e-10
+        hat = complex(v["hat"])
+        yield "v1_vs_assembled", abs(v1c - 1j / sf.alpha * hat) / (1.0 + abs(v1c)), 1e-10
+        yield "left_eigvec_residual", float(v["l_residual"]), 1e-10
+        lk = complex(v["l"] @ v["K"])
+        yield ("jump_product_identity", abs(lk - (lam + beta * sf.speed) * hat) / (1.0 + abs(lk)),
+               1e-10)
+        yield "hersh_stable_count", 0.0 if v["stable"] == 1 else 1.0, 0.5
+        yield "hersh_cluster_size", 0.0 if v["cluster"] == sf.dim**2 - sf.dim else 1.0, 0.5
+        if sf.rho < 0:
+            f_minus, f_plus = (complex(f) for f in v3_factors_values(sf, v["gamma"], xi))
+            prod = (sf.kappa2_plus - sf.speed**2) * sf.theta11 * f_minus * f_plus
+            yield "v3_factorization", abs(prod - v1c) / (1.0 + abs(v1c)), 1e-11
+            yield "v3_first_factor_stable", 0.0 if f_minus.real < 0 else 1.0, 0.5
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_scenario_stack_equals_single_calls_bit_for_bit(d):
-    # verify evaluates a dimension's scenarios as one stack; element (k, i) must be the call
-    # on scenario k's front at its frequency i alone, and the one-scenario stack that
-    # verify falls back to when a stack raises, to the last bit; so must the shock,
-    # material and FD values of scenario k, the FD ones also fd_check_suite's at its seed
+    # verify checks a dimension's scenarios as one stack; every check value of scenario k
+    # must be that of the one-scenario stack that verify falls back to when a stack raises,
+    # to the last bit; so must its FD values be fd_check_suite's at its seed, and its
+    # frequency values those of the scalar reference frequency_identities
     drawn = _scenarios_with_both_rho_signs(d, 4)
     stacked = oracle._scenario_values(drawn)
-    control = stacked.pop("control_min")
-    checks = {name: stacked.pop(name) for name, _ in oracle.SCENARIO_CHECKS}
     S = len(drawn)
-    assert control.shape == (S,)
-    for name, value in checks.items():
-        width = {"stress_jump_closed_form": (d,), "btensor_transpose_symmetry": (d * d,)}
-        assert value.shape == (S,) + width.get(name, ()), name
+    width = {"stress_jump_closed_form": (d,), "btensor_transpose_symmetry": (d * d,)}
+    shapes = {name: (S,) + width.get(name, ()) for name, _ in SCENARIO_CHECKS}
+    shapes.update((name, (S, 3)) for name, _ in FREQUENCY_CHECKS)
+    shapes["interior_nonvanishing"] = (S,)
+    assert {name: value.shape for name, value in stacked.items()} == shapes
     sf_stack = oracle._stack_fronts([sc.sf for sc in drawn])
     B = np.stack([b_blocks(sc.sf.material, sc.sf.plus.U) for sc in drawn])[:, None]
     lams, xis = np.stack([sc.lams for sc in drawn]), np.stack([sc.xis for sc in drawn])
@@ -365,28 +401,26 @@ def test_scenario_stack_equals_single_calls_bit_for_bit(d):
                                    np.stack([sc.control_xi for sc in drawn])[:, None, :])
     for k, sc in enumerate(drawn):
         alone = oracle._scenario_values([sc])
-        assert np.array_equal(_bits(alone.pop("control_min")), _bits(control[k]))
-        for name, value in checks.items():
-            assert np.array_equal(_bits(value[k]), _bits(alone.pop(name)[0])), name
+        for name, value in stacked.items():
+            assert np.array_equal(_bits(value[k]), _bits(alone[name][0])), name
         m, U = sc.sf.material, sc.sf.plus.U
         fd = fd_check_suite(m, U, b_blocks(m, U), seed=sc.fd_seed)
         assert fd.pop("pass")
         for name, value in fd.items():
-            assert np.array_equal(_bits(value), _bits(checks[f"fd_{name}"][k])), name
-        for name, value in stacked.items():
-            assert value.shape[:2] == (S, 3), name
-            assert np.array_equal(_bits(value[k]), _bits(alone[name][0])), name
+            assert np.array_equal(_bits(value), _bits(stacked[f"fd_{name}"][k])), name
+        # the rho < 0 checks are recorded only for a front with rho < 0, chosen by its rho
+        frequency = FREQUENCY_CHECKS if sc.sf.rho < 0 else FREQUENCY_CHECKS[:-2]
+        expect = list(frequency_identities(sc.sf, B[k, 0], sc.lams, sc.xis))
+        assert [(name, tol) for name, _, tol in expect] == [*frequency] * 3
+        for j, (name, err, _) in enumerate(expect):
+            assert np.array_equal(_bits(err), _bits(stacked[name][k, j // len(frequency)])), name
         for i in range(3):
             lam, xi = complex(sc.lams[i]), sc.xis[i]
-            single = _single_frequency_values(sc.sf, B[k, 0], lam, xi)
-            assert single.keys() == stacked.keys()
-            for name, value in single.items():
-                assert np.shape(value) == stacked[name].shape[2:], name
-                assert np.array_equal(_bits(value), _bits(stacked[name][k, i])), name
             assert np.array_equal(_bits(assemble_calA(sc.sf, B[k, 0], lam, xi)), _bits(cal[k, i]))
         single_grid = delta_v2_values(sc.sf, grid, sc.control_xi)
         assert np.array_equal(_bits(single_grid.ravel()), _bits(control_grid[k]))
-        assert control[k] == np.abs(single_grid).min()
+        nonvanishing = 0.0 if np.abs(single_grid).min() > 1e-6 else 1.0
+        assert stacked["interior_nonvanishing"][k] == nonvanishing
 
 
 def test_verify_report_does_not_depend_on_the_stack_size(monkeypatch):
@@ -429,13 +463,13 @@ def _fail_fd_at(monkeypatch, k, then=None):
     monkeypatch.setattr(oracle, "_fd_values", fd_values)
 
 
-def _fail_frequency_at(monkeypatch, alpha):
-    """left_eigvec_residual reads 1 at every frequency of the front of intensity alpha."""
+def _fail_frequency_at(monkeypatch, alpha, value=1.0):
+    """left_eigvec_residual reads value at every frequency of the front of intensity alpha."""
     real = oracle.left_eigvec_residual
 
     def patched(sf, *args):
         out = real(sf, *args)
-        return np.where(np.asarray(sf.alpha) == alpha, 1.0, out)
+        return np.where(np.asarray(sf.alpha) == alpha, value, out)
     monkeypatch.setattr(oracle, "left_eigvec_residual", patched)
 
 
@@ -467,6 +501,38 @@ def test_verify_stops_after_the_first_failing_scenario(monkeypatch, where):
     assert rep["checks"]["beta_residual"]["count"] == 3 * (k + 1)
     assert rep["checks"]["interior_nonvanishing"]["count"] == k + 1
     assert rep["checks"][check]["max_err"] == 1.0
+
+
+def test_a_nan_check_value_fails_verify(monkeypatch, capsys):
+    # NaN > tol is False: a NaN value must still count as a violated identity
+    k, seed = 1, 7
+    _fail_frequency_at(monkeypatch, _verify_fronts(seed, 3, (2,))[k].alpha, np.nan)
+    assert main(["verify", f"--seed={seed}", "--scenarios=3", "--dims=2"]) == 4
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["first_failure"]["check"] == "left_eigvec_residual"
+    assert rep["first_failure"]["err"] is None  # NaN is written as null
+    assert rep["first_failure"]["context"].startswith(f"d=2 scenario={k} ")
+    assert rep["checks"]["rh_velocity"]["count"] == k + 1
+
+
+def test_verify_counts_follow_from_the_check_tables():
+    seed, scenarios, dims = 7, 20, (2, 3, 4)
+    fronts = _verify_fronts(seed, scenarios, dims)
+    negative = [sum(f.rho < 0 for f in fronts[i * scenarios : (i + 1) * scenarios])
+                for i in range(len(dims))]
+    width = {"stress_jump_closed_form": lambda d: d, "btensor_transpose_symmetry": lambda d: d * d}
+    expect = {name: sum(scenarios * width.get(name, lambda d: 1)(d) for d in dims)
+              for name, _ in SCENARIO_CHECKS}
+    expect.update((name, 3 * len(fronts)) for name, _ in FREQUENCY_CHECKS[:-2])
+    expect.update((name, 3 * sum(negative)) for name, _ in FREQUENCY_CHECKS[-2:])
+    expect["interior_nonvanishing"] = len(fronts)
+    expect["winding_interior_zeros"] = sum(n > 0 for n in negative)
+    rep = verify_suite(seed=seed, scenarios=scenarios, dims=dims)
+    assert rep["ok"]
+    assert {name: check["count"] for name, check in rep["checks"].items()} == expect
+    assert (expect["rh_velocity"], expect["beta_residual"]) == (60, 180)
+    assert (expect["stress_jump_closed_form"], expect["btensor_transpose_symmetry"]) == (180, 580)
+    assert 0 < sum(negative) < 60 and expect["winding_interior_zeros"] == 3
 
 
 @pytest.mark.parametrize("where", ["draw", "stack"])
@@ -823,3 +889,13 @@ def test_verify_tracker_fails_fast():
     assert t.failure["check"] == "broken"
     assert t.failure["context"] == "ctx1"  # first violation wins
     assert t.checks["broken"]["max_err"] == 2e-3
+
+
+def test_verify_tracker_fails_on_nan():
+    from hadshock.oracle import _Tracker
+
+    t = _Tracker()
+    t.record("fine", 0.0, 0.5, "ctx0")
+    t.record("nan", float("nan"), 0.5, "ctx1")
+    assert not t.ok
+    assert t.failure["check"] == "nan" and t.failure["context"] == "ctx1"
