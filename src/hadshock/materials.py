@@ -14,7 +14,6 @@ deformation, which is what the shock machinery relies on.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class MaterialModel:
     """Shear modulus plus volumetric energy h with three derivatives.
 
@@ -51,19 +49,14 @@ class MaterialModel:
     bulk modulus implied by h''(1).
     """
 
-    name: str
-    mu: float
-    h: Callable
-    h1: Callable
-    h2: Callable
-    h3: Callable
-    declared_bulk: Optional[float] = None
-    dimension: Optional[int] = None
-    derivatives_synthesized: bool = False
-
-    def __post_init__(self):
-        if not (self.mu > 0):
-            raise BadModuli(f"shear modulus must be positive, got {self.mu}")
+    def __init__(self, name: str, mu: float, h: Callable, h1: Callable, h2: Callable,
+                 h3: Callable, declared_bulk: Optional[float] = None,
+                 dimension: Optional[int] = None, derivatives_synthesized: bool = False):
+        if not (mu > 0):
+            raise BadModuli(f"shear modulus must be positive, got {mu}")
+        self.name, self.mu, self.h, self.h1, self.h2, self.h3 = name, mu, h, h1, h2, h3
+        self.declared_bulk, self.dimension = declared_bulk, dimension
+        self.derivatives_synthesized = derivatives_synthesized
 
 
 class HypothesisReport(NamedTuple):

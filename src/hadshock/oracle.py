@@ -530,7 +530,7 @@ class _Tracker:
         if entry is None:
             entry = self.checks[name] = {"max_err": 0.0, "tol": tol, "count": 0}
         entry["count"] += 1
-        if err > entry["max_err"]:
+        if err > entry["max_err"] or err != err:  # a NaN value stays the maximum
             entry["max_err"] = err
         if not err <= tol and self.failure is None:  # a NaN value fails
             self.failure = {"check": name, "err": err, "tol": tol, "context": context}

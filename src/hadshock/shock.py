@@ -15,11 +15,9 @@ sides, h''(J+), the stability parameter rho and the positive constant tau.  A
 FrontStack holds the fronts of many intensities through one base state.
 """
 
-import dataclasses
 import functools
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,21 +48,15 @@ __all__ = [
 H3_SAMPLES = 256
 
 
-@dataclass
 class ElasticState:
     """Deformation gradient with positive determinant plus a velocity."""
 
-    U: np.ndarray
-    v: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
+    def __init__(self, U, v=None):
+        self.U = np.asarray(U, dtype=float)
         d = self.U.shape[0]
         if self.U.shape != (d, d) or d < 2:
             raise ValueError("U must be square with dim >= 2")
-        if self.v is None:
-            self.v = np.zeros(d)
-        self.v = np.asarray(self.v, dtype=float)
+        self.v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
         if self.v.shape != (d,):
             raise ValueError("v must be a d-vector")
         with np.errstate(all="ignore"):  # a det that overflows is inf, which build rejects
@@ -98,9 +90,11 @@ class LaxReport(NamedTuple):
     margins: tuple
 
 
-@dataclass
 class _Base:
-    """The base state and the geometry it fixes, shared by a front and a stack of fronts."""
+    """The base state and the geometry it fixes, shared by a front and a stack of fronts.
+
+    Built by keyword, one argument for each field: the annotations of _Base and of the
+    subclass.  A missing or unknown field is a TypeError."""
 
     material: MaterialModel
     plus: ElasticState
@@ -113,6 +107,15 @@ class _Base:
     h2_plus: float  # h''(J+)
     alpha_max: float
 
+    def __init_subclass__(cls):
+        cls._fields = frozenset(_BASE).union(cls.__annotations__)
+
+    def __init__(self, **fields):
+        if fields.keys() != self._fields:
+            raise TypeError(f"{type(self).__name__} takes the fields {sorted(self._fields)}, "
+                            f"got {sorted(fields)}")
+        vars(self).update(fields)
+
     @property
     def dim(self) -> int:
         return self.plus.dim
@@ -122,7 +125,7 @@ class _Base:
         return float(self.theta[0, 0])
 
     def _base(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(_Base)}
+        return {name: getattr(self, name) for name in _BASE}
 
     def residual_scale(self):
         """max(1, |U+|, |s| |V1|), the least scale of a jump residual."""
@@ -130,7 +133,9 @@ class _Base:
                           np.abs(self.speed) * float(np.linalg.norm(self.V[:, 0])))
 
 
-@dataclass
+_BASE = tuple(_Base.__annotations__)
+
+
 class ShockFront(_Base):
     minus: ElasticState
     alpha: float
@@ -144,7 +149,6 @@ class ShockFront(_Base):
 _ROWS = ("alpha", "speed", "Jminus", "kappa2_minus", "rho", "tau")
 
 
-@dataclass
 class FrontStack(_Base):
     """The Lax fronts of n intensities through one base state.
 
@@ -170,9 +174,9 @@ class FrontStack(_Base):
 
     def rows(self, idx) -> "FrontStack":
         """The stack of the rows idx, an integer array."""
-        return dataclasses.replace(
-            self, **{k: getattr(self, k)[idx] for k in _ROWS}, errors=[self.errors[i] for i in idx],
-            minus=SimpleNamespace(U=self.minus.U[idx], v=self.minus.v[idx]))
+        return type(self)(**{**vars(self), **{k: getattr(self, k)[idx] for k in _ROWS},
+                             "errors": [self.errors[i] for i in idx],
+                             "minus": SimpleNamespace(U=self.minus.U[idx], v=self.minus.v[idx])})
 
     def front(self, i: int) -> ShockFront:
         return ShockFront(**self._base(), **{k: float(getattr(self, k)[i, 0]) for k in _ROWS},

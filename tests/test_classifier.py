@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import warnings
 
 import numpy as np
@@ -349,7 +349,8 @@ def test_overflowing_criterion_is_typed_error_row(cg2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         weak, _ = classify_stack(fronts)
-        huge = dataclasses.replace(fronts, h2_plus=1e160, rho=np.array([[1.0], [-1.0]]))
+        huge = copy.copy(fronts)
+        huge.h2_plus, huge.rho = 1e160, np.array([[1.0], [-1.0]])
         err, uniform = classify_stack(huge)
     assert weak.kind == WEAK
     assert isinstance(err, AlphaOutOfRange) and "h''(J+)^2" in str(err)

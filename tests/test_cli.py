@@ -501,7 +501,8 @@ def test_installed_script_is_the_main_block_entry():
 def test_verdict_path_imports_no_scipy():
     # a weak d=4 verdict with theta_1T != 0 (sphere search plus imaginary-axis
     # root), a d=4 sweep, a shock report and the CSV, JSON, restricted and lambda
-    # grids, in a fresh interpreter: none loads scipy, numpy.random or numpy.ma
+    # grids, in a fresh interpreter: none loads scipy, numpy.random or numpy.ma, nor
+    # dataclasses or copy (the records are plain classes)
     d4 = ["--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=4",
           "--Uplus=1,0.3,0,0,0,1,0,0,0.2,0,1,0,0,0,0,1"]
     code = (
@@ -515,7 +516,7 @@ def test_verdict_path_imports_no_scipy():
         f"    assert main(['grid', *{d4!r}, '--alpha=-3', '--grid-n=5,5', *extra,"
         f" '--out={os.devnull}']) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                        or m in ('numpy.random', 'numpy.ma'))))\n"
+        "                        or m in ('numpy.random', 'numpy.ma', 'dataclasses', 'copy'))))\n"
     )
     assert json.loads(_fresh_python(code)) == []
 

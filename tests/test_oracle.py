@@ -511,6 +511,7 @@ def test_a_nan_check_value_fails_verify(monkeypatch, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["first_failure"]["check"] == "left_eigvec_residual"
     assert rep["first_failure"]["err"] is None  # NaN is written as null
+    assert rep["checks"]["left_eigvec_residual"]["max_err"] is None
     assert rep["first_failure"]["context"].startswith(f"d=2 scenario={k} ")
     assert rep["checks"]["rh_velocity"]["count"] == k + 1
 
