@@ -169,6 +169,9 @@ def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
     frequency (lambda = 0 with xi_t = 0), where the stability function is
     undefined, gives NaN.
     """
+    shape = np.broadcast_shapes(np.shape(sf.rho), np.shape(lams), np.shape(xi_t)[:-1])
+    if 0 in shape:  # a stack of no rows, whose base geometry may overflow, has no values
+        return np.empty(shape, dtype=complex)
     lams = np.asarray(lams, dtype=complex)
     xi_t = np.asarray(xi_t, dtype=float)
     coeffs = freq_coeffs(sf, xi_t)
@@ -185,6 +188,9 @@ def delta_v2_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
     + rho kappa2+ P / (s^2 theta11).  Relates to v1 by
     v1 = (s^2 theta11 / kappa2+) * v2 at the mapped frequency.
     """
+    shape = np.broadcast_shapes(np.shape(sf.rho), np.shape(gammas), np.shape(xi_t)[:-1])
+    if 0 in shape:  # a stack of no rows, whose base geometry may overflow, has no values
+        return np.empty(shape, dtype=complex)
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
     return _square(base) + _surface_term(sf, coeffs.P)

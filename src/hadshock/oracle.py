@@ -47,7 +47,7 @@ EIG_CLUSTER_TOL = 1e-7
 SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_reference polishes
 MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
 CONTROL_NODES = 24  # nodes per axis of the negative-control grid
-STACK_BYTES = 1 << 16  # verify's largest array per stacked call: bounds a stack's memory
+STACK_BYTES = 1 << 19  # 512 KiB, verify's largest array per stacked call: bounds its memory
 
 # The assembly functions take the B-blocks ``b_blocks(m, U)`` (at U+ for a
 # front), so that one scenario computes them once for every check.
@@ -415,17 +415,11 @@ FD_CHECKS = ("grad_det_vs_cofactor", "cofactor_derivative", "hessian_vs_btensor"
 
 def _fd_values(ms: list, U: np.ndarray, V: np.ndarray, B: np.ndarray, directions) -> dict:
     """fd_check_suite's errors at each U (S, d, d) in its material, with its Cof V, B-blocks
-    B and GNL direction, (S,) each; as many matrices at a time as fit STACK_BYTES at the
-    bytes of one matrix's Hessian states, the largest array, and one at a time beyond."""
-    d = U.shape[-1]
-    step, parts = max(1, STACK_BYTES // (8 * d * d * (2 * d**4 + 1))), []
-    for p in (slice(i, i + step) for i in range(0, len(ms), step)):
-        grad, err_cof = _fd_det_cofactor(U[p], V[p])
-        Vmax = np.abs(V[p]).max(axis=(1, 2))
-        parts.append((np.abs(grad - V[p]).max(axis=(1, 2)) / np.maximum(1.0, Vmax), err_cof,
-                      _fd_hessian_btensor_err(ms[p], U[p], B[p]),
-                      _fd_gnl_err(ms[p], U[p], V[p], directions[p])))
-    return dict(zip(FD_CHECKS, map(np.concatenate, zip(*parts))))
+    B and GNL direction, (S,) each, as one stack."""
+    grad, err_cof = _fd_det_cofactor(U, V)
+    err_grad = np.abs(grad - V).max(axis=(1, 2)) / np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
+    return dict(zip(FD_CHECKS, (err_grad, err_cof, _fd_hessian_btensor_err(ms, U, B),
+                                _fd_gnl_err(ms, U, V, directions))))
 
 
 def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0) -> dict:
@@ -743,9 +737,9 @@ def _scenario_values(drawn: list) -> dict:
 
 def _per_scenario(drawn: list, size: int):
     """(rows, None): _scenario_values over the scenarios drawn, as many at a time as fit
-    STACK_BYTES at size bytes each, split into one dict per scenario.  When a stack raises,
-    its scenarios are redone alone, in order: (the rows before the first that raises, its
-    exception)."""
+    STACK_BYTES at size bytes each, every check on the whole chunk, split into one dict per
+    scenario.  When a stack raises, its scenarios are redone alone, in order: (the rows
+    before the first that raises, its exception)."""
     rows, step = [], max(1, STACK_BYTES // size)
     for start in range(0, len(drawn), step):
         part = drawn[start : start + step]
@@ -766,9 +760,9 @@ def _per_scenario(drawn: list, size: int):
 def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     """Run every oracle identity over randomized scenarios per dimension.
 
-    Each dimension in 2..5 draws its scenarios first, then checks them in chunks of as
-    many as fit STACK_BYTES at one scenario's frequency symbols or control grid, each
-    chunk as one stack (the FD Hessian in smaller sub-chunks, alone from d = 4), then
+    Each dimension in 2..5, given at most once, draws its scenarios first, then checks them
+    in chunks of as many as fit STACK_BYTES at one scenario's share of the largest stacked
+    array (56 at d = 2, 44 at d = 3, 7 at d = 4, 2 at d = 5), each chunk as one stack, then
     records scenario by scenario: SCENARIO_CHECKS, FREQUENCY_CHECKS at each of its three
     frequencies (the rho < 0 pair only where its rho < 0), interior_nonvanishing and (once
     per dimension, at the first rho < 0 front) winding_interior_zeros.  A value above its
@@ -777,11 +771,10 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     earlier scenario violated an identity.  The report carries the seed, scenario counts,
     worst error per identity and the failure context if any.
     """
-    if not all(2 <= d <= 5 for d in dims):
-        raise ConfigError(f"verify_suite checks dims 2..5, got {tuple(dims)!r}")
+    if not all(2 <= d <= 5 for d in dims) or len(set(dims)) < len(dims):
+        raise ConfigError(f"verify_suite checks dims 2..5, each once, got {tuple(dims)!r}")
     rng = np.random.default_rng(seed)
     t = _Tracker()
-    winding_done = set()
     for d in dims:
         if not t.ok:
             break
@@ -792,12 +785,13 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             except Exception as exc:  # raised once the recording reaches scenario k
                 error = exc
                 break
-        # the bytes of a scenario's share of the stack's largest array: its three complex
-        # frequency symbols (3, n, n) or its complex control grid
-        n = d * d + d
-        values, exc = _per_scenario(drawn, max(48 * n * n, 16 * CONTROL_NODES**2))
+        # a scenario's bytes in the largest stacked array: its three complex frequency symbols
+        # of side d^2 + d, its complex control grid or its FD Hessian's 2 d^4 + 1 real d x d states
+        size = max(48 * (d * d + d) ** 2, 16 * CONTROL_NODES**2, 8 * d * d * (2 * d**4 + 1))
+        values, exc = _per_scenario(drawn, size)
         if exc is not None:
             drawn, error = drawn[: len(values)], exc
+        first_negative = next((sc for sc in drawn if sc.sf.rho < 0), None)
         for sc, v in zip(drawn, values):
             if not t.ok:
                 break
@@ -807,8 +801,7 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             frequency = FREQUENCY_CHECKS if sf.rho < 0 else FREQUENCY_CHECKS[:-2]
             records += [(name, float(v[name][i]), tol) for i in range(3) for name, tol in frequency]
             records.append(("interior_nonvanishing", float(v["interior_nonvanishing"]), 0.5))
-            if sf.rho < 0 and d not in winding_done:
-                winding_done.add(d)
+            if sc is first_negative:
                 w = winding(sf, np.eye(d - 1)[0], R=20.0)
                 records.append(("winding_interior_zeros", float(abs(w)), 0.5))
             for name, err, tol in records:

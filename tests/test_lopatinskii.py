@@ -18,7 +18,7 @@ from hadshock.lopatinskii import (
 )
 from hadshock.materials import catalog
 from hadshock.oracle import _stack_fronts, delta_v1_raw, sample_frequency
-from hadshock.shock import ElasticState, build, freq_coeffs
+from hadshock.shock import ElasticState, build, build_stack, freq_coeffs
 
 
 # --------------------------------------------------------------------------
@@ -163,6 +163,20 @@ def test_delta_v2_matches_cg2d_reference(cg2_shock):
         for g, v in zip(gams, vals):
             ref = reference_delta("CG2D", params, g, [1.0])
             assert abs(v - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("name", ["blatz", "ciarlet-geymonat"])
+def test_a_stack_with_no_built_row_has_empty_values(name):
+    # every row is WrongSignForMaterial, and the base geometry overflows (theta11 ~ 3e198):
+    # the kernels return no values, and compute none that would warn
+    m = catalog(name, {"d": 2, "mu": 1.0, "kappa": 10.0})
+    base = 1e100 * np.random.default_rng(0).standard_normal((2, 2))
+    fronts = build_stack(m, ElasticState(base), np.array([-1.0]))
+    assert fronts.errors[0] is not None and fronts.theta11 > 1e198
+    grid = (np.array([0.5, 1.0, 2.0]) + 1j * np.array([[-1.0], [0.0], [1.0]])).ravel()
+    for kernel in (delta_v1_values, delta_v2_values):
+        values = kernel(fronts.rows(np.array([], dtype=int)), grid, [1.0])
+        assert values.shape == (0, 9) and values.dtype == complex
 
 
 # --------------------------------------------------------------------------

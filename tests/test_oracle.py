@@ -2,6 +2,7 @@ import cmath
 import collections
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,42 @@ def test_verify_report_does_not_depend_on_the_stack_size(monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_verify_checks_each_dimension_in_a_few_stacks(monkeypatch):
+    # at the shipped STACK_BYTES one chunk rule covers every stacked array, the FD Hessian's
+    # included: 56, 44 and 7 scenarios per stack at d = 2, 3 and 4
+    stacks, hessians = collections.Counter(), collections.Counter()
+    real_values, real_hessian = oracle._scenario_values, oracle._fd_hessian_btensor_err
+
+    def values(drawn):
+        stacks[drawn[0].sf.dim] += 1
+        return real_values(drawn)
+
+    def hessian(ms, U, B):
+        hessians[U.shape[-1]] += 1
+        return real_hessian(ms, U, B)
+    monkeypatch.setattr(oracle, "_scenario_values", values)
+    monkeypatch.setattr(oracle, "_fd_hessian_btensor_err", hessian)
+    assert verify_suite(seed=101, scenarios=20, dims=(2, 3, 4))["ok"]
+    assert stacks == hessians == {2: 1, 3: 1, 4: 3}
+
+
+def test_verify_memory_does_not_grow_with_the_scenarios():
+    # d = 5, where one matrix's FD Hessian states (250 200 B) are the largest array: two
+    # scenarios per stack.  What grows is the drawn scenarios and their rows of values,
+    # measured at about 12.5 kB each (150 kB for 12 more); one stack of all 16 would add
+    # about 3.6 MB
+    verify_suite(seed=7, scenarios=2, dims=(5,))  # warm-up: lazy imports and caches
+    peaks = []
+    for scenarios in (4, 16):
+        tracemalloc.start()
+        try:
+            assert verify_suite(seed=7, scenarios=scenarios, dims=(5,))["ok"]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 12 * 25_000
+
+
 def _verify_fronts(seed, scenarios, dims):
     """The fronts verify_suite draws, in order, from a run with every check intact."""
     fronts = []
@@ -648,7 +685,7 @@ def test_dense_eig_dimension_guard():
         dense_eig(np.eye(31, dtype=complex))
 
 
-@pytest.mark.parametrize("dims", [(6,), (9,), (2, 6)])
+@pytest.mark.parametrize("dims", [(6,), (9,), (2, 6), (2, 2), (3, 2, 3)])
 def test_verify_suite_rejects_unserved_dims_before_drawing(monkeypatch, dims):
     def drawn(*args):
         raise AssertionError("verify_suite drew a scenario")
