@@ -8,9 +8,12 @@ uniformly stable outright; for rho > 0 it is uniformly stable iff
 stays positive for every unit transverse vector xi, and weakly stable
 (a surface wave exists) as soon as G touches zero.  G is homogeneous of
 degree two, so the sphere search decides the sign globally.
+
+Every alpha > 0 front is uniform with no search: build admits alpha > 0 only
+when h''' > 0 on the jump interval, so J- < J+, and in divided differences of h'
+rho = (J- - J+) ([h'; J+, J+, J-] + [h'; J+, J-] / J+) < 0 when h'' > 0.
 """
 
-import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -299,7 +302,6 @@ def classify_stack(fronts: FrontStack) -> list:
     the typed error that stopped it in build_stack or of the first check here it fails; a
     row whose rho is not finite, or whose h''(J+)^2 or sphere minimum overflows, is
     AlphaOutOfRange.
-    The alpha > 0 warning is given once per call.
     """
     out = list(fronts.errors)
     live = np.flatnonzero(_live(out))
@@ -307,9 +309,6 @@ def classify_stack(fronts: FrontStack) -> list:
     for i in live[~lax]:
         out[i] = InvalidBracket("classify requires a front with strict Lax margins")
     live = live[lax]
-    if np.any(fronts.alpha[live] > 0):
-        warnings.warn("classification is certified for the h''' < 0, alpha < 0 regime; "
-                      "alpha > 0 results are best-effort", stacklevel=2)
     finite = np.isfinite(fronts.rho[live, 0])
     for i in live[~finite]:
         out[i] = AlphaOutOfRange(f"alpha = {fronts.alpha[i, 0]} gives rho = {fronts.rho[i, 0]}")

@@ -1,30 +1,4 @@
-"""Command-line surface.
-
-Subcommands: ``material check``/``material list``, ``shock``,
-``classify``, ``sweep``, ``grid`` and ``verify``.  Reports are JSON (17
-significant digits); grids and sweeps are CSV (9 significant digits) or,
-with --format=json, JSON.  Every number printed comes from a library call.
-Exit codes: 0 ok, 2 configuration error, 3 domain error, 4 verification
-failure.  A grid is evaluated as one array over all its nodes, and its
-text is written one Im row at a time, each row filled by one format call,
-so the whole grid's text is never held; each axis value is formatted once,
-and a node formats only its four stability-function columns.  The rows of a
-sweep are one batch of fronts.  Every command writes its output through one
-path that flushes it, so a failed write (a full disk, a closed pipe) is a
-configuration error.
-``HADSHOCK_THREADS`` is ignored.  The CLI runs OpenBLAS on one thread:
-importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
-unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, which
-then wins.  Every matrix here is at most 8 x 8, far below OpenBLAS's
-threading threshold, so more workers would only spin idle.  Importing this
-module also freezes (``gc.freeze``) the objects that exist once its imports
-are done, with the cyclic garbage collector paused while they run, so no later
-collection scans them; the collector is left on or off as it was.  The script entry
-``run`` (the ``hadshock`` script and ``python -m hadshock.cli``) flushes stdout
-and stderr after ``main`` returns and ends the process with ``os._exit``, which
-skips the interpreter's teardown; ``main(argv)`` returns its exit code and keeps
-the normal interpreter lifecycle.
-"""
+"""Command-line surface: the ``hadshock`` script and ``python -m hadshock.cli``."""
 
 import argparse
 import gc
@@ -34,11 +8,14 @@ import os
 import re
 import sys
 
-# OpenBLAS reads its thread count once, when numpy loads it
+# OpenBLAS reads its thread count once, when numpy loads it.  Run it on one thread unless
+# OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: every matrix here is at most 8 x 8, far
+# below OpenBLAS's threading threshold, so more workers would only spin idle
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 # what the imports below make lives until the process ends, so a collection would only
 # rescan it: collect nothing while they run, then move it out of every later collection
+# (gc.freeze), and leave the collector on or off as it was
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 
@@ -133,6 +110,19 @@ def _floats(text: str, what: str) -> np.ndarray:
     return _finite([v for v in str(text).replace(";", ",").split(",") if v.strip()], what)
 
 
+def _load_config(path: str) -> tuple:
+    """The JSON object in the config file at path, and its material spec: the object under
+    "material", or else the whole file.  ConfigError unless both, and the spec's params,
+    are JSON objects."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    spec = cfg.get("material", cfg) if isinstance(cfg, dict) else None
+    if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
+        raise ConfigError(f"config {path} must be a JSON object whose material and its "
+                          "params are objects")
+    return cfg, spec
+
+
 def _material_from_spec(spec: dict) -> materials.MaterialModel:
     spec = dict(spec)
     name = spec.pop("name", None)
@@ -140,10 +130,11 @@ def _material_from_spec(spec: dict) -> materials.MaterialModel:
         raise ConfigError("material config needs a 'name'")
     params = dict(spec.pop("params", {}) or {})
     if name == "custom":
-        form = params.pop("form", None)
-        if form is None:
+        name = params.pop("form", None)
+        if name is None:
             raise ConfigError("custom material config needs params.form naming a built-in h-form")
-        name = form
+    if not isinstance(name, str):
+        raise ConfigError(f"a material name must be a string, got {name!r}")
     for key in ("dimension", "dim", "d"):
         if key in spec and spec[key] is not None:
             params.setdefault("d", spec[key])
@@ -162,10 +153,7 @@ def _material_from_spec(spec: dict) -> materials.MaterialModel:
 
 def _material_from_args(args) -> materials.MaterialModel:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        spec = cfg.get("material", cfg)
-        return _material_from_spec(spec)
+        return _material_from_spec(_load_config(args.config)[1])
     name = getattr(args, "material", None) or getattr(args, "name", None)
     if not name:
         raise ConfigError("provide --config or a material name")
@@ -203,9 +191,8 @@ def _scenario_from_args(args, need_alpha: bool = True):
     """Material, base state and intensity (None if not needed) from --config or inline flags."""
     alpha = getattr(args, "alpha", None)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        m = _material_from_spec(cfg.get("material", cfg))
+        cfg, spec = _load_config(args.config)
+        m = _material_from_spec(spec)
         d = m.dimension or 3
         U = _finite(cfg.get("U_plus", np.eye(d).tolist()), "U_plus")
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -501,11 +488,23 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+DESCRIPTION = """\
+Build Lax shock fronts in compressible Hadamard materials and decide whether each is
+uniformly or weakly stable.  Reports are JSON (17 significant digits); sweeps and grids
+are CSV (9 significant digits) or, with --format=json, JSON."""
+
+EPILOG = """\
+exit codes: 0 ok; 2 configuration error (bad flags, config file or output path);
+3 domain error (the input has no front or no answer); 4 verification failure
+(material check: a hypothesis fails; verify: an oracle check fails)."""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="hadshock", description=__doc__)
+    ap = _Parser(prog="hadshock", description=DESCRIPTION, epilog=EPILOG,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    mat = sub.add_parser("material", help="material inspection")
+    mat = sub.add_parser("material", help="check a law's hypotheses, or list the catalog")
     msub = mat.add_subparsers(dest="material_cmd", required=True)
     mchk = msub.add_parser("check", help="verify the material hypotheses")
     _add_material_flags(mchk, with_name_flag=True)
@@ -545,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="eliminate |xi|^2 through the remapped hemisphere constraint")
     _add_out(grd, tabular=True)
 
-    ver = sub.add_parser("verify", help="run the oracle identity suite")
+    ver = sub.add_parser("verify", help="check the closed forms against brute-force identities")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--scenarios", type=int, default=50)
     ver.add_argument("--dims", default="2,3,4")

@@ -44,7 +44,7 @@ class BadModuli(ConfigError):
 
 
 class BadParams(ConfigError):
-    """Parameters of a reference determinant are outside its validity range."""
+    """Parameters of a reference determinant or a custom law are missing or out of range."""
 
 
 class DomainError(HadshockError):

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BadModuli, NonPositiveJacobian, UnknownModel, ZeroFrequency
+from .errors import BadModuli, BadParams, NonPositiveJacobian, UnknownModel, ZeroFrequency
 from .linalg import cofactor
 
 __all__ = [
@@ -51,12 +51,11 @@ class MaterialModel:
 
     def __init__(self, name: str, mu: float, h: Callable, h1: Callable, h2: Callable,
                  h3: Callable, declared_bulk: Optional[float] = None,
-                 dimension: Optional[int] = None, derivatives_synthesized: bool = False):
+                 dimension: Optional[int] = None):
         if not (mu > 0):
             raise BadModuli(f"shear modulus must be positive, got {mu}")
         self.name, self.mu, self.h, self.h1, self.h2, self.h3 = name, mu, h, h1, h2, h3
         self.declared_bulk, self.dimension = declared_bulk, dimension
-        self.derivatives_synthesized = derivatives_synthesized
 
 
 class HypothesisReport(NamedTuple):
@@ -229,23 +228,6 @@ def _ensure_vectorized(f):
     return np.vectorize(scalar, otypes=[float])
 
 
-def _fd_derivative(f):
-    """High-order central difference d/dJ with a J-proportional step."""
-
-    def deriv(J):
-        J = np.asarray(J, dtype=float)
-        e = 1e-3 * np.maximum(J, 1e-8)
-        # 4th order 5-point stencil, Richardson-extrapolated once
-        def d4(step):
-            return (f(J - 2 * step) - 8 * f(J - step) + 8 * f(J + step) - f(J + 2 * step)) / (12 * step)
-
-        a, b = d4(e), d4(e / 2.0)
-        out = (16.0 * b - a) / 15.0
-        return out if out.shape else float(out)
-
-    return deriv
-
-
 def catalog(name: str, params: dict) -> MaterialModel:
     """Build a catalog material (or wrap a custom one) from parameters.
 
@@ -268,9 +250,7 @@ def catalog(name: str, params: dict) -> MaterialModel:
     held in ``_LAWS`` as a constant plus rows c phi(J) of three term
     kinds, ``log J``, ``(J - a)^p`` and ``cosh b(J - 1)``, each of which
     writes its value and derivatives once.  For ``custom``, params supply
-    callables ``h`` and optionally ``h1, h2, h3``; missing derivatives are
-    synthesized by high-order central differences and flagged via
-    ``derivatives_synthesized``.
+    all four callables ``h, h1, h2, h3``, or ``catalog`` raises BadParams.
     """
     params = dict(params)
     d = int(params.get("d", params.get("dimension", 3)))
@@ -283,22 +263,12 @@ def catalog(name: str, params: dict) -> MaterialModel:
     kappa = None if kappa is None else float(kappa)
 
     if name == "custom":
-        h = _ensure_vectorized(params["h"])
-        fns = [h]
-        synthesized = False
-        for key in ("h1", "h2", "h3"):
-            g = params.get(key)
-            if g is None:
-                g = _fd_derivative(fns[-1])
-                synthesized = True
-            else:
-                g = _ensure_vectorized(g)
-            fns.append(g)
-        return MaterialModel(
-            name=params.get("label", "custom"), mu=mu, h=fns[0], h1=fns[1],
-            h2=fns[2], h3=fns[3], declared_bulk=kappa, dimension=d,
-            derivatives_synthesized=synthesized,
-        )
+        missing = [key for key in ("h", "h1", "h2", "h3") if params.get(key) is None]
+        if missing:
+            raise BadParams(f"custom law needs the callables h, h1, h2 and h3; missing {missing}")
+        h, h1, h2, h3 = (_ensure_vectorized(params[key]) for key in ("h", "h1", "h2", "h3"))
+        return MaterialModel(name=params.get("label", "custom"), mu=mu, h=h, h1=h1, h2=h2,
+                             h3=h3, declared_bulk=kappa, dimension=d)
 
     law = _LAWS.get(name)
     if law is None:

@@ -26,7 +26,7 @@ from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, Hadsh
 from hadshock.lopatinskii import delta_v1_values, delta_v2_values, winding
 from hadshock.materials import CATALOG_NAMES, catalog
 from hadshock.oracle import random_shock, sphere_min_reference
-from hadshock.shock import ElasticState, FrontStack, build, build_stack
+from hadshock.shock import ElasticState, FrontStack, alpha_max, build, build_stack
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -86,11 +86,16 @@ def test_classify_marginal_at_threshold(cg2):
     assert abs(v.min_criterion) < 1e-10
 
 
-def test_classify_positive_alpha_warns():
+def test_classify_positive_alpha_is_uniform():
+    # build admits alpha > 0 only where h''' > 0, which makes rho < 0: uniform, with no
+    # sphere search, and nothing warns
     m = catalog("bischoff-arruda-grosh", {"d": 2, "mu": 1.0, "cbar": 2.0, "b": 1.5})
     sf = build(m, ElasticState(np.diag([1.5, 1.0])), 0.2)
-    with pytest.warns(UserWarning):
-        classify(sf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = classify(sf)
+    assert (v.kind, v.min_criterion, v.witness) == (UNIFORM, None, None)
+    assert v.rho == sf.rho < 0
 
 
 def test_classify_random_pool_summary(shock_pool):
@@ -161,13 +166,18 @@ def _block_diagonal_base():
     return U
 
 
-def _rotated_diagonal_base():
-    # U+ = Q diag(a): theta is diagonal, so theta_1T vanishes up to rounding
-    q, r = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))
+def _rotation(seed, d):
+    """A random rotation: the Q factor of a Gaussian matrix, with det Q = +1."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     q = q * np.sign(np.diag(r))[None, :]
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return q * np.array([0.9, 1.3, 0.8, 1.1, 1.25])[None, :]
+    return q
+
+
+def _rotated_diagonal_base():
+    # U+ = Q diag(a): theta is diagonal, so theta_1T vanishes up to rounding
+    return _rotation(8, 5) * np.array([0.9, 1.3, 0.8, 1.1, 1.25])[None, :]
 
 
 @pytest.mark.parametrize("base", [_block_diagonal_base, _rotated_diagonal_base])
@@ -193,17 +203,13 @@ def _bits(x):
 def _rows_match_per_front(m, U, alphas):
     """Batch sweep rows against build + classify per intensity, bit for bit; the batch verdicts."""
     plus = ElasticState(U)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # alpha > 0 rows are best-effort
-        fronts = build_stack(m, plus, alphas)
-        batch = classify_stack(fronts)
+    fronts = build_stack(m, plus, alphas)
+    batch = classify_stack(fronts)
     assert len(batch) == len(alphas)
     for i, (alpha, got) in enumerate(zip(alphas, batch)):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                sf = build(m, plus, float(alpha))
-                want = classify(sf)
+            sf = build(m, plus, float(alpha))
+            want = classify(sf)
         except HadshockError as exc:
             want = exc
         if isinstance(want, HadshockError):
@@ -387,7 +393,6 @@ def test_every_stack_row_is_a_finite_verdict_or_a_typed_error(name, d, moduli, f
     alphas = np.array([sign * 10.0 ** e for sign, e in alphas])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", message="classification is certified")
         try:
             m = catalog(name, {"d": d, "mu": mu, "kappa": kappa, "c1": c1, "b": b,
                                "cbar": cbar})
@@ -416,13 +421,40 @@ def test_every_stack_row_is_a_finite_verdict_or_a_typed_error(name, d, moduli, f
         assert np.all(np.isfinite(numbers)), row
 
 
-def test_positive_alpha_warns_once_per_stack():
+def test_positive_alpha_stack_is_uniform():
     m = catalog("bischoff-arruda-grosh", {"d": 2, "mu": 1.0, "cbar": 2.0, "b": 1.5})
     fronts = build_stack(m, ElasticState(np.diag([1.5, 1.0])), np.linspace(0.1, 0.3, 5))
-    with pytest.warns(UserWarning) as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         verdicts = classify_stack(fronts)
-    assert len(record) == 1
-    assert all(v.kind in (UNIFORM, WEAK) for v in verdicts)
+    assert [(v.kind, v.min_criterion) for v in verdicts] == [(UNIFORM, None)] * 5
+    assert [v.rho for v in verdicts] == fronts.rho[:, 0].tolist()
+    assert np.all(fronts.rho < 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(law=st.sampled_from(["bischoff-arruda-grosh", "custom"]), d=st.integers(2, 6),
+       moduli=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       stretch=st.lists(st.floats(1e-3, 0.1), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1), lowest=st.floats(-12.0, -1.0))
+def test_every_positive_alpha_row_is_uniform_with_negative_rho(law, d, moduli, stretch, seed,
+                                                               lowest):
+    # build admits alpha > 0 only where h''' > 0 on the jump interval, so J- < J+ and
+    # rho = (J- - J+)([h'; J+, J+, J-] + [h'; J+, J-]/J+) < 0: every built row is uniform
+    # with no sphere search.  BAG's h''' > 0 at J > 1 and exp's everywhere; the base is a
+    # rotation times stretches 10^[1e-3, 0.1], so J+ > 1, and the intensities run
+    # geometrically from 10^lowest to 0.999 of alpha_max
+    mu, cbar, b = (10.0 ** e for e in moduli)
+    m = catalog(law, {"d": d, "mu": mu, "cbar": cbar, "b": b, "h": np.exp, "h1": np.exp,
+                      "h2": np.exp, "h3": np.exp})
+    U = _rotation(seed, d) * 10.0 ** np.array(stretch[:d])[None, :]
+    alphas = np.geomspace(10.0 ** lowest, 0.999, 25) * alpha_max(U)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = classify_stack(build_stack(m, ElasticState(U), alphas))
+    for row in rows:
+        if not isinstance(row, HadshockError):
+            assert (row.kind, row.min_criterion) == (UNIFORM, None) and row.rho < 0, row
 
 
 def test_cg_alpha_star_value():

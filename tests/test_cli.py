@@ -92,6 +92,45 @@ def test_config_errors(capsys, tmp_path):
     assert code == 2  # missing alpha
 
 
+@pytest.mark.parametrize("cfg", [
+    '[1, 2]', '"abc"', '{"material": 5}', '{"material": null}',
+    '{"material": {"name": "blatz", "params": [1]}}', '{"material": {"name": ["blatz"]}}',
+    '{"material": {"name": "custom", "params": {"form": [1]}}}'])
+@pytest.mark.parametrize("command", [["shock", "--alpha=-0.5"], ["material", "check"]])
+def test_config_of_the_wrong_json_shape_is_config_error(capsys, tmp_path, cfg, command):
+    # the file, its material and the material's params must be objects, the name a string
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg)
+    code = main([*command, f"--config={path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+def test_help_says_what_the_commands_do_and_the_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "{material,shock,classify,sweep,grid,verify}" in text
+    for command in ("material", "shock", "classify", "sweep", "grid", "verify"):
+        assert f"\n    {command} " in text  # each with its help line
+    for code in ("0 ok", "2 configuration error", "3 domain error", "4 verification failure"):
+        assert code in text
+    for note in ("OPENBLAS", "gc.freeze", "os._exit", "HADSHOCK_THREADS"):
+        assert note not in text
+
+
+def test_positive_alpha_classify_is_uniform_and_quiet(capsys):
+    code = main(["classify", "--material=bischoff-arruda-grosh", "--mu=1", "--cbar=2", "--b=1.5",
+                 "--dim=2", "--Uplus=1.5,0;0,1", "--alpha=0.2"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    report = json.loads(captured.out)
+    assert (report["kind"], report["min_criterion"]) == ("uniform", None)
+    assert report["rho"] < 0
+
+
 def test_shock_from_config_file(capsys, tmp_path):
     cfg = {
         "material": {"name": "ciarlet-geymonat", "dimension": 2, "mu": 1.0, "kappa": 2.0},

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import hadshock.cli
-from hadshock.errors import (AlphaOutOfRange, BadModuli, NonPositiveJacobian, UnknownModel,
-                             ZeroFrequency)
+from hadshock.errors import (AlphaOutOfRange, BadModuli, BadParams, NonPositiveJacobian,
+                             UnknownModel, ZeroFrequency)
 from hadshock.linalg import cofactor
 from hadshock.materials import (
     CATALOG_NAMES,
@@ -174,12 +174,11 @@ def test_poisson_and_lame(cg2):
     assert rep.lame_first == pytest.approx(kap - 2 * mu / d)
 
 
-def test_custom_material_with_synthesized_derivatives():
-    mu = 1.0
-    m = catalog("custom", {"d": 2, "mu": mu, "h": lambda J: -mu - mu * np.log(J) + 0.5 * (J - 1) ** 2})
-    assert m.derivatives_synthesized
-    assert float(m.h1(1.0)) == pytest.approx(-1.0, rel=1e-8)
-    assert float(m.h2(2.0)) == pytest.approx(0.25 + 1.0, rel=1e-6)
+def test_custom_law_needs_all_four_callables():
+    # no derivative is synthesized: a custom law gives h, h', h'' and h''' itself
+    for given in [("h",), ("h", "h1", "h2"), ("h1", "h2", "h3")]:
+        with pytest.raises(BadParams, match="custom law needs the callables h, h1, h2 and h3"):
+            catalog("custom", {"d": 2, "mu": 1.0, **{key: np.exp for key in given}})
 
 
 # --------------------------------------------------------------------------
