@@ -38,9 +38,7 @@ def _fmt_json_value(x):
     if isinstance(x, (bool, np.bool_)) or x is None or isinstance(x, (str, int)):
         return json.dumps(bool(x) if isinstance(x, np.bool_) else x)
     if isinstance(x, float):
-        if not np.isfinite(x):
-            return json.dumps(None)
-        return f"{x + 0.0:.17g}"
+        return f"{x + 0.0:.17g}" if math.isfinite(x) else json.dumps(None)
     if isinstance(x, complex):
         return _fmt_json_value({"re": x.real, "im": x.imag})
     if isinstance(x, np.ndarray):
@@ -63,7 +61,7 @@ def to_json(obj) -> str:
 
 def _csv_cell(x) -> str:
     if isinstance(x, float) or isinstance(x, np.floating):
-        return "" if not np.isfinite(x) else f"{float(x):.9g}"
+        return f"{float(x):.9g}" if math.isfinite(x) else ""
     return "" if x is None else str(x)
 
 
@@ -499,72 +497,91 @@ exit codes: 0 ok; 2 configuration error (bad flags, config file or output path);
 (material check: a hypothesis fails; verify: an oracle check fails)."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="hadshock", description=DESCRIPTION, epilog=EPILOG,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    mat = sub.add_parser("material", help="check a law's hypotheses, or list the catalog")
-    msub = mat.add_subparsers(dest="material_cmd", required=True)
+def _material_parsers(p):
+    msub = p.add_subparsers(dest="material_cmd", required=True)
     mchk = msub.add_parser("check", help="verify the material hypotheses")
     _add_material_flags(mchk, with_name_flag=True)
     _add_out(mchk)
-    mlist = msub.add_parser("list", help="list catalog models")
-    _add_out(mlist)
+    _add_out(msub.add_parser("list", help="list catalog models"))
 
-    shk = sub.add_parser("shock", help="build a Lax front and report it")
-    _add_material_flags(shk)
-    _add_state_flags(shk)
-    shk.add_argument("--alpha", type=float, default=None, help="shock intensity")
-    _add_out(shk)
 
-    cls = sub.add_parser("classify", help="uniform/weak stability verdict")
-    _add_material_flags(cls)
-    _add_state_flags(cls)
-    cls.add_argument("--alpha", type=float, default=None)
-    _add_out(cls)
+def _front_flags(p, alpha_help=None):
+    """The material and base-state flags and --alpha."""
+    _add_material_flags(p)
+    _add_state_flags(p)
+    p.add_argument("--alpha", type=float, default=None, help=alpha_help)
 
-    swp = sub.add_parser("sweep", help="verdict sweep over an intensity range")
-    _add_material_flags(swp)
-    _add_state_flags(swp)
-    swp.add_argument("--alpha-range", required=True, help="lo,hi")
-    swp.add_argument("--steps", type=int, default=100)
-    _add_out(swp, tabular=True)
 
-    grd = sub.add_parser("grid", help="complex-plane grid of the stability function")
-    _add_material_flags(grd)
-    _add_state_flags(grd)
-    grd.add_argument("--alpha", type=float, default=None)
-    grd.add_argument("--var", choices=("gamma", "lambda"), default="gamma")
-    grd.add_argument("--grid-re", default="0,2", help="lo,hi")
-    grd.add_argument("--grid-im", default="-2,2", help="lo,hi")
-    grd.add_argument("--grid-n", default="100,100", help="n_re,n_im")
-    grd.add_argument("--xi", default=None, help="transverse frequency direction")
-    grd.add_argument("--restrict-gamma-tilde", action="store_true",
-                     help="eliminate |xi|^2 through the remapped hemisphere constraint")
-    _add_out(grd, tabular=True)
+def _shock_flags(p):
+    _front_flags(p, "shock intensity")
+    _add_out(p)
 
-    ver = sub.add_parser("verify", help="check the closed forms against brute-force identities")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--scenarios", type=int, default=50)
-    ver.add_argument("--dims", default="2,3,4")
-    _add_out(ver)
+
+def _classify_flags(p):
+    _front_flags(p)
+    _add_out(p)
+
+
+def _sweep_flags(p):
+    _add_material_flags(p)
+    _add_state_flags(p)
+    p.add_argument("--alpha-range", required=True, help="lo,hi")
+    p.add_argument("--steps", type=int, default=100)
+    _add_out(p, tabular=True)
+
+
+def _grid_flags(p):
+    _front_flags(p)
+    p.add_argument("--var", choices=("gamma", "lambda"), default="gamma")
+    p.add_argument("--grid-re", default="0,2", help="lo,hi")
+    p.add_argument("--grid-im", default="-2,2", help="lo,hi")
+    p.add_argument("--grid-n", default="100,100", help="n_re,n_im")
+    p.add_argument("--xi", default=None, help="transverse frequency direction")
+    p.add_argument("--restrict-gamma-tilde", action="store_true",
+                   help="eliminate |xi|^2 through the remapped hemisphere constraint")
+    _add_out(p, tabular=True)
+
+
+def _verify_flags(p):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scenarios", type=int, default=50)
+    p.add_argument("--dims", default="2,3,4")
+    _add_out(p)
+
+
+# (name, help, the function that adds its flags to its subparser, handler), in --help order
+COMMANDS = (
+    ("material", "check a law's hypotheses, or list the catalog", _material_parsers, _cmd_material),
+    ("shock", "build a Lax front and report it", _shock_flags, _cmd_shock),
+    ("classify", "uniform/weak stability verdict", _classify_flags, _cmd_classify),
+    ("sweep", "verdict sweep over an intensity range", _sweep_flags, _cmd_sweep),
+    ("grid", "complex-plane grid of the stability function", _grid_flags, _cmd_grid),
+    ("verify", "check the closed forms against brute-force identities", _verify_flags, _cmd_verify),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The hadshock parser.  When argv names a command, only that command's subparser is
+    built, since a process runs one command and the others would only cost start-up time.
+    With no argv, -h or an unknown command all are built, so --help and the invalid-choice
+    error list every command; the usage line always does."""
+    names = [command[0] for command in COMMANDS]
+    one = bool(argv) and argv[0] in names
+    ap = _Parser(prog="hadshock", description=DESCRIPTION, epilog=EPILOG,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar="{" + ",".join(names) + "}" if one else None)
+    for name, help_text, add_flags, _ in COMMANDS:
+        if not one or name == argv[0]:
+            add_flags(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    handlers = {
-        "material": _cmd_material,
-        "shock": _cmd_shock,
-        "classify": _cmd_classify,
-        "sweep": _cmd_sweep,
-        "grid": _cmd_grid,
-        "verify": _cmd_verify,
-    }
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        return handlers[args.cmd](args)
+        return next(cmd for name, _, _, cmd in COMMANDS if name == args.cmd)(args)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

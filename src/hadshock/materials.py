@@ -119,7 +119,7 @@ def _law(J, n, const, rows):
     """const plus the n-th derivatives of c phi(J) over the rows (phi, c, *args)."""
     out = const
     for phi, c, *args in rows:
-        out = out + phi(J, n, c, *args)
+        out += phi(J, n, c, *args)  # in place once out is an array: one temporary fewer
     return out
 
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 H3_SAMPLES = 256
+H3_BLOCK_ROWS = 65536 // (8 * (H3_SAMPLES + 2))  # rows per _h3_signs call: 64 KiB of samples
 
 
 class ElasticState:
@@ -218,10 +219,14 @@ def _live(errors: list) -> np.ndarray:
 
 def _h3_signs(m: MaterialModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sign of h''' on each [lo, hi] at the 258 points np.linspace puts there (-1, 0 or +1),
-    2 where both strict signs occur, or 3 where a sample is NaN and has no sign to read."""
+    2 where both strict signs occur, or 3 where a sample is NaN and has no sign to read.
+    build_stack passes at most H3_BLOCK_ROWS rows, so a call's samples stay within 64 KiB."""
     t, width = np.arange(H3_SAMPLES + 2.0), (hi - lo)[:, None]
     step = width / (H3_SAMPLES + 1)
-    J = np.where(step == 0, t / (H3_SAMPLES + 1) * width, t * step) + lo[:, None]
+    J = t * step
+    tiny = step[:, 0] == 0  # width / (H3_SAMPLES + 1) underflowed: scale t first
+    J[tiny] = t / (H3_SAMPLES + 1) * width[tiny]
+    J += lo[:, None]
     J[:, -1] = hi
     vals = np.asarray(m.h3(J.ravel()), dtype=float).reshape(J.shape)
     pos, neg = np.any(vals > 0, axis=1), np.any(vals < 0, axis=1)
@@ -275,8 +280,9 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
                     f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alphas[i]}"))
         Jm = Jp - alphas * th11
         lo, hi = np.minimum(Jp, Jm), np.maximum(Jp, Jm)
-        live, sign = _live(errors), np.zeros(n, dtype=int)
-        sign[live] = _h3_signs(m, lo[live], hi[live])
+        live, sign = np.flatnonzero(_live(errors)), np.zeros(n, dtype=int)
+        for rows in np.split(live, range(H3_BLOCK_ROWS, live.size, H3_BLOCK_ROWS)):
+            sign[rows] = _h3_signs(m, lo[rows], hi[rows])
         _reject(errors, sign == 3, lambda i: AlphaOutOfRange(
             f"h''' is not a number on the jump interval ({lo[i]:.6g}, {hi[i]:.6g})"))
         _reject(errors, sign == 2, lambda i: HtripleSignChange(

@@ -26,7 +26,7 @@ from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, Hadsh
 from hadshock.lopatinskii import delta_v1_values, delta_v2_values, winding
 from hadshock.materials import CATALOG_NAMES, catalog
 from hadshock.oracle import random_shock, sphere_min_reference
-from hadshock.shock import ElasticState, FrontStack, alpha_max, build, build_stack
+from hadshock.shock import H3_BLOCK_ROWS, ElasticState, FrontStack, alpha_max, build, build_stack
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -335,6 +335,12 @@ def test_sweep_rows_equal_per_front_errors_and_edges():
     names = {type(v).__name__ for v in rows}
     assert {"HtripleSignChange", "AlphaOutOfRange", "WrongSignForMaterial",
             "StabilityVerdict"} <= names
+    # more rows than two h''' sampling blocks; the first block edge falls among the sign changes
+    alphas = np.linspace(-3.0, 0.6, 73)
+    assert alphas.size > 2 * H3_BLOCK_ROWS
+    rows = _rows_match_per_front(bag, 0.9 * np.eye(2), alphas)
+    assert {type(v).__name__ for v in rows[H3_BLOCK_ROWS - 1:H3_BLOCK_ROWS + 1]} == {
+        "HtripleSignChange"}
     # alpha > 0 fronts, and intensities past alpha_max = 1.5
     rows = _rows_match_per_front(bag, np.diag([1.5, 1.0]), np.linspace(0.05, 1.8, 15))
     assert {"AlphaOutOfRange", "StabilityVerdict"} <= {type(v).__name__ for v in rows}

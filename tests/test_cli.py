@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import hadshock
 from hadshock import lopatinskii, shock
 from hadshock.classifier import reference_delta
-from hadshock.cli import _csv_cell, main, to_json
+from hadshock.cli import COMMANDS, _csv_cell, build_parser, main, to_json
 from hadshock.errors import VerificationError
 
 
@@ -325,12 +326,10 @@ def test_custom_material_config(capsys, tmp_path):
     assert json.loads(out)["rho"] == pytest.approx(-3.0625)
 
 
-def test_thread_env_override(capsys, monkeypatch):
+def test_sweep_is_deterministic(capsys):
     args = ("sweep", "--material", "ciarlet-geymonat", "--mu", "1", "--kappa", "2",
             "--dim", "2", "--alpha-range=-3,-0.5", "--steps", "12")
-    monkeypatch.setenv("HADSHOCK_THREADS", "1")
     _, serial = run(capsys, *args)
-    monkeypatch.setenv("HADSHOCK_THREADS", "3")
     _, threaded = run(capsys, *args)
     assert serial == threaded
 
@@ -673,6 +672,48 @@ def test_format_is_only_taken_by_sweep_and_grid(capsys, argv):
     with pytest.raises(SystemExit) as exc:  # argparse rejects the unknown option
         main([*argv, "--format=csv"])
     assert exc.value.code == 2
+
+
+LEAF_ARGV = [
+    ("material", "check", "--name=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=2"),
+    ("material", "list", "--out=report.json"),
+    ("shock", *CG2, "--alpha", "-0.3", "--vplus=0.5,-0.2"),
+    ("classify", *CG2, "--alpha=-0.3", "--Uplus=1,0.3,0,1"),
+    ("sweep", *CG2, "--alpha-range", "-3,-0.1", "--steps=3", "--format=json"),
+    ("grid", *CG2, "--alpha=-3", "--grid-n=3,3", "--xi=0.5", "--restrict-gamma-tilde"),
+    ("verify", "--seed=4", "--scenarios=1", "--dims=2"),
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGV)
+def test_the_named_commands_parser_parses_as_the_full_one(argv):
+    one, full = build_parser(argv), build_parser()
+    assert list(one._subparsers._group_actions[0].choices) == [argv[0]]  # one subparser
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+def _parse_exit(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["shock", "--alpha=x"], ["sweep", *CG2], ["shock", "--bogus"],
+    ["material"], *([name, "--help"] for name, *_ in COMMANDS),
+])
+def test_the_named_commands_parser_prints_as_the_full_one(argv):
+    # help and usage errors, whose usage line names every command, are the same
+    assert _parse_exit(build_parser(argv), argv) == _parse_exit(build_parser(), argv)
+
+
+@pytest.mark.parametrize("x", [1.5, -0.0, 2.0**-1074, 1e300, np.inf, -np.inf, np.nan])
+def test_float_and_float64_cells_are_the_same(x):
+    finite = math.isfinite(x)
+    assert _csv_cell(np.float64(x)) == _csv_cell(x) == (f"{x:.9g}" if finite else "")
+    assert to_json(np.float64(x)) == to_json(x) == (f"{x + 0.0:.17g}" if finite else "null")
 
 
 @pytest.mark.parametrize("alpha", [-1e4, -1e8, -1e12])

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -144,6 +145,21 @@ def test_build_positive_alpha_branch_and_sign_change():
     # interval straddling J = 1 flips the sign of h''' inside it
     with pytest.raises(HtripleSignChange):
         build(m, ElasticState(np.diag([0.9, 1.0])), -0.5)
+
+
+def test_build_stack_samples_h3_in_blocks(cg2):
+    # h''' is sampled H3_BLOCK_ROWS rows at a time, 64 KiB of samples per block; sampling
+    # all 200 rows at once holds 0.4 MB of samples and peaks at about 1.2 MiB
+    plus, alphas = ElasticState(np.eye(2)), np.linspace(-3.0, -0.05, 200)
+    build_stack(cg2, plus, alphas)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        fronts = build_stack(cg2, plus, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fronts.errors == [None] * 200
+    assert peak <= 0.25 * 2**20
 
 
 def test_lax_margins_cg(cg2_shock):
