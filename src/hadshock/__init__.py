@@ -14,19 +14,15 @@ __version__ = "0.1.0"
 _HOME = {
     "StabilityVerdict": "classifier",
     "Witness": "classifier",
-    "cg_alpha_star": "classifier",
     "classify": "classifier",
-    "reference_delta": "classifier",
     "transition_alpha": "classifier",
     "HadshockError": "errors",
     "cofactor": "linalg",
     "delta_v1_values": "lopatinskii",
     "delta_v2_values": "lopatinskii",
-    "delta_v3_values": "lopatinskii",
     "freq_map_values": "lopatinskii",
     "freq_unmap_values": "lopatinskii",
     "stable_beta_values": "lopatinskii",
-    "winding": "lopatinskii",
     "MaterialModel": "materials",
     "acoustic_spectrum": "materials",
     "acoustic_tensor": "materials",
@@ -35,6 +31,10 @@ _HOME = {
     "char_speeds": "materials",
     "check_hypotheses": "materials",
     "piola_kirchhoff": "materials",
+    "cg_alpha_star": "oracle",
+    "delta_v3_values": "oracle",
+    "reference_delta": "oracle",
+    "winding": "oracle",
     "ElasticState": "shock",
     "ShockFront": "shock",
     "alpha_max": "shock",

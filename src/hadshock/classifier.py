@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BadParams, DegenerateModuli, InvalidBracket
-from .lopatinskii import _imag_roots, _root_error, _sqrt_anchored
+from .errors import AlphaOutOfRange, InvalidBracket
+from .lopatinskii import _imag_roots, _root_error
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
                     _live, _surface_term, build, freq_coeffs)
@@ -32,15 +32,14 @@ __all__ = [
     "classify",
     "classify_stack",
     "criterion_values",
-    "cg_alpha_star",
     "transition_alpha",
-    "reference_delta",
 ]
 
 UNIFORM = "uniform"
 WEAK = "weak"
 
 MARGINAL_BAND = 1e-10
+TRANSITION_TOL = 1e-6  # the width to which transition_alpha bisects its bracket
 
 
 class Witness(NamedTuple):
@@ -349,29 +348,18 @@ def classify_stack(fronts: FrontStack) -> list:
     return out
 
 
-def cg_alpha_star(mu: float, kappa: float) -> float:
-    """Exact weak/uniform threshold intensity for the 2-D Ciarlet-Geymonat
-    model with undeformed base state:
-    -(mu + sqrt(mu^2 + 4(kappa^2 - mu^2))) / (2(kappa - mu)).
-    """
-    if not (mu > 0) or kappa <= mu:
-        raise DegenerateModuli(f"requires kappa > mu > 0, got mu={mu}, kappa={kappa}")
-    return -(mu + np.sqrt(mu**2 + 4.0 * (kappa**2 - mu**2))) / (2.0 * (kappa - mu))
-
-
 def transition_alpha(
     m: MaterialModel,
     U_plus: np.ndarray,
     v_plus: np.ndarray,
     alpha_lo: float,
     alpha_hi: float,
-    tol: float = 1e-6,
 ) -> Optional[float]:
     """Bisect the intensity at which the verdict flips inside a bracket.
 
     Both endpoints must build valid fronts; returns None when the
     verdict is the same at both ends, otherwise the flip location to
-    within ``tol``.
+    within TRANSITION_TOL.
     """
 
     def verdict_at(alpha: float) -> str:
@@ -386,51 +374,10 @@ def transition_alpha(
     if k_lo == k_hi:
         return None
     lo, hi = float(alpha_lo), float(alpha_hi)
-    while hi - lo > tol:
+    while hi - lo > TRANSITION_TOL:
         mid = 0.5 * (lo + hi)
         if verdict_at(mid) == k_lo:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def reference_delta(example: str, params: dict, gamma: complex, xi_t=None) -> complex:
-    """Closed-form determinants of the two worked model scenarios.
-
-    ``CG2D``: 2-D Ciarlet-Geymonat, undeformed base state.  ``Blatz3D``:
-    3-D Blatz, undeformed base state, with |xi_t|^2 eliminated through
-    the hemisphere constraint so the value depends on gamma alone.
-    Both serve as independent cross-checks of delta_v2.
-    """
-    gamma = complex(gamma)
-    mu = float(params["mu"])
-    kappa = float(params["kappa"])
-    alpha = float(params["alpha"])
-    if example == "CG2D":
-        if not (kappa > mu > 0):
-            raise BadParams(f"CG2D requires kappa > mu > 0, got mu={mu}, kappa={kappa}")
-        if alpha >= 0:
-            raise BadParams(f"CG2D requires alpha < 0, got {alpha}")
-        xi2 = 1.0 if xi_t is None else float(np.atleast_1d(xi_t)[0])
-        s_sq = kappa + mu / (1.0 - alpha)
-        k2 = mu + kappa
-        c = np.sqrt(k2 / s_sq)  # -sqrt(kappa2+)/s with s < 0
-        zeta = k2 * xi2 * xi2
-        root = complex(_sqrt_anchored(gamma, zeta))
-        return complex((gamma + c * root) ** 2 - alpha * (kappa**2 - mu**2) * xi2 * xi2 / s_sq)
-    if example == "Blatz3D":
-        if not (kappa > 2.0 * mu / 3.0) or not (mu > 0):
-            raise BadParams(f"Blatz3D requires kappa > 2mu/3 > 0, got mu={mu}, kappa={kappa}")
-        if alpha >= 0:
-            raise BadParams(f"Blatz3D requires alpha < 0, got {alpha}")
-        k2 = kappa + 4.0 * mu / 3.0
-        s_sq = mu + (kappa + mu / 3.0) / (1.0 - alpha)
-        c1 = np.sqrt(k2 / s_sq)  # -sqrt(kappa2+)/s
-        xi_sq = 1.0 - (k2 - s_sq) / k2 * abs(gamma) ** 2
-        if xi_sq < -1e-12:
-            raise BadParams(f"gamma = {gamma} lies outside the remapped hemisphere")
-        zeta = k2 * max(xi_sq, 0.0)
-        root = complex(_sqrt_anchored(gamma, zeta))
-        return complex((gamma + c1 * root) ** 2)
-    raise BadParams(f"unknown reference example {example!r}")

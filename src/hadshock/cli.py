@@ -149,61 +149,44 @@ def _material_from_spec(spec: dict) -> materials.MaterialModel:
     return materials.catalog(name, params)
 
 
-def _material_from_args(args) -> materials.MaterialModel:
+def _front_config(args) -> tuple:
+    """The config object of the command's front and its material spec: the --config file,
+    or else the same object made from the flags, with --Uplus (row-major) and --vplus read
+    as arrays; --Uplus 'identity' and --vplus 'zero' leave their defaults."""
     if getattr(args, "config", None):
-        return _material_from_spec(_load_config(args.config)[1])
+        return _load_config(args.config)
     name = getattr(args, "material", None) or getattr(args, "name", None)
     if not name:
         raise ConfigError("provide --config or a material name")
-    spec = {
-        "name": name,
-        "dimension": args.dim,
-        "mu": args.mu,
-        "kappa": args.kappa,
-        "b": getattr(args, "b", None),
-        "cbar": getattr(args, "cbar", None),
-        "c1": getattr(args, "c1", None),
-    }
-    return _material_from_spec({k: v for k, v in spec.items() if v is not None})
-
-
-def _parse_matrix(text: str, d: int) -> np.ndarray:
-    if text.strip().lower() == "identity":
-        return np.eye(d)
-    vals = _floats(text, "--Uplus")
-    if len(vals) != d * d:
-        raise ConfigError(f"--Uplus needs {d * d} entries (row-major), got {len(vals)}")
-    return vals.reshape(d, d)
-
-
-def _parse_vector(text, d: int) -> np.ndarray:
-    if text is None or (isinstance(text, str) and text.strip().lower() in ("", "zero", "zeros")):
-        return np.zeros(d)
-    vals = _floats(text, "vector")
-    if len(vals) != d:
-        raise ConfigError(f"vector needs {d} entries, got {len(vals)}")
-    return vals
+    spec = {"name": name, "dimension": args.dim, "mu": args.mu, "kappa": args.kappa,
+            "b": args.b, "cbar": args.cbar, "c1": args.c1}
+    cfg = {"material": {k: v for k, v in spec.items() if v is not None}}
+    U = getattr(args, "Uplus", None)
+    if U and U.strip().lower() != "identity":
+        vals = _floats(U, "--Uplus")
+        d = math.isqrt(vals.size)
+        if d * d != vals.size:
+            raise ConfigError(f"--Uplus needs d * d entries (row-major), got {vals.size}")
+        cfg["U_plus"] = vals.reshape(d, d)
+    v = getattr(args, "vplus", None)
+    if v is not None and v.strip().lower() not in ("", "zero", "zeros"):
+        cfg["v_plus"] = _floats(v, "--vplus")
+    return cfg, cfg["material"]
 
 
 def _scenario_from_args(args, need_alpha: bool = True):
-    """Material, base state and intensity (None if not needed) from --config or inline flags."""
-    alpha = getattr(args, "alpha", None)
-    if getattr(args, "config", None):
-        cfg, spec = _load_config(args.config)
-        m = _material_from_spec(spec)
-        d = m.dimension or 3
-        U = _finite(cfg.get("U_plus", np.eye(d).tolist()), "U_plus")
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ConfigError(f"U_plus must be a square matrix, got shape {U.shape}")
-        v = _finite(cfg.get("v_plus", np.zeros(U.shape[0]).tolist()), "v_plus")
-        if v.shape != (U.shape[0],):
-            raise ConfigError(f"v_plus needs {U.shape[0]} entries, got shape {v.shape}")
-        alpha = cfg.get("alpha", alpha)
-    else:
-        m = _material_from_args(args)
-        d = m.dimension or args.dim or 3
-        U = _parse_matrix(args.Uplus or "identity", d)
-        v = _parse_vector(getattr(args, "vplus", None), d)
+    """Material, base state and intensity (None if not needed) of the command's config
+    object: U_plus defaults to the identity in the law's dimension, v_plus to zero and alpha
+    to --alpha.  The law's dimension must match U_plus's, which build checks."""
+    cfg, spec = _front_config(args)
+    m = _material_from_spec(spec)
+    U = _finite(cfg.get("U_plus", np.eye(m.dimension)), "U_plus")
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2:
+        raise ConfigError(f"U_plus must be a square matrix of side >= 2, got shape {U.shape}")
+    v = _finite(cfg.get("v_plus", np.zeros(U.shape[0])), "v_plus")
+    if v.shape != (U.shape[0],):
+        raise ConfigError(f"v_plus needs {U.shape[0]} entries, got shape {v.shape}")
+    alpha = cfg.get("alpha", getattr(args, "alpha", None))
     if alpha is not None:
         alpha = _number(alpha, "alpha")
     elif need_alpha:
@@ -267,12 +250,11 @@ def _cmd_material(args) -> int:
     if args.material_cmd == "list":
         _emit(to_json({"models": list(materials.CATALOG_NAMES)}), args.out)
         return 0
-    m = _material_from_args(args)
-    d = m.dimension or args.dim or 3
-    rep = materials.check_hypotheses(m, d)
+    m = _material_from_spec(_front_config(args)[1])
+    rep = materials.check_hypotheses(m, m.dimension)
     payload = {
         "name": m.name,
-        "dimension": d,
+        "dimension": m.dimension,
         "mu": m.mu,
         "declared_bulk": m.declared_bulk,
         "h2_positive": rep.h2_positive,
@@ -416,7 +398,9 @@ def _cmd_grid(args) -> int:
     n_re, n_im = (int(v) for v in nodes)
     if n_re < 2 or n_im < 2:
         raise ConfigError("grid needs at least 2 nodes per axis")
-    xi = _parse_vector(args.xi, sf.dim - 1) if args.xi else np.eye(sf.dim - 1)[0]
+    xi = _floats(args.xi, "--xi") if args.xi else np.eye(sf.dim - 1)[0]
+    if xi.shape != (sf.dim - 1,):
+        raise ConfigError(f"--xi needs {sf.dim - 1} entries, got {xi.size}")
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
     grid = res[None, :] + 1j * ims[:, None]  # row i holds Im = ims[i]
@@ -505,20 +489,11 @@ def _material_parsers(p):
     _add_out(msub.add_parser("list", help="list catalog models"))
 
 
-def _front_flags(p, alpha_help=None):
-    """The material and base-state flags and --alpha."""
+def _front_flags(p):
+    """The flags of shock and classify: material, base state, --alpha and --out."""
     _add_material_flags(p)
     _add_state_flags(p)
-    p.add_argument("--alpha", type=float, default=None, help=alpha_help)
-
-
-def _shock_flags(p):
-    _front_flags(p, "shock intensity")
-    _add_out(p)
-
-
-def _classify_flags(p):
-    _front_flags(p)
+    p.add_argument("--alpha", type=float, default=None, help="shock intensity")
     _add_out(p)
 
 
@@ -531,7 +506,9 @@ def _sweep_flags(p):
 
 
 def _grid_flags(p):
-    _front_flags(p)
+    _add_material_flags(p)
+    _add_state_flags(p)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--var", choices=("gamma", "lambda"), default="gamma")
     p.add_argument("--grid-re", default="0,2", help="lo,hi")
     p.add_argument("--grid-im", default="-2,2", help="lo,hi")
@@ -552,8 +529,8 @@ def _verify_flags(p):
 # (name, help, the function that adds its flags to its subparser, handler), in --help order
 COMMANDS = (
     ("material", "check a law's hypotheses, or list the catalog", _material_parsers, _cmd_material),
-    ("shock", "build a Lax front and report it", _shock_flags, _cmd_shock),
-    ("classify", "uniform/weak stability verdict", _classify_flags, _cmd_classify),
+    ("shock", "build a Lax front and report it", _front_flags, _cmd_shock),
+    ("classify", "uniform/weak stability verdict", _front_flags, _cmd_classify),
     ("sweep", "verdict sweep over an intensity range", _sweep_flags, _cmd_sweep),
     ("grid", "complex-plane grid of the stability function", _grid_flags, _cmd_grid),
     ("verify", "check the closed forms against brute-force identities", _verify_flags, _cmd_verify),

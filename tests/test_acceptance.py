@@ -14,33 +14,33 @@ import pytest
 from hadshock.classifier import (
     UNIFORM,
     WEAK,
-    cg_alpha_star,
     classify,
-    reference_delta,
     transition_alpha,
 )
 from hadshock.lopatinskii import (
     delta_v1_values,
     delta_v2_values,
-    delta_v3_values,
     freq_map_values,
     stable_beta_values,
-    v3_factors_values,
-    winding,
     winding_number,
 )
 from hadshock.materials import acoustic_spectrum, acoustic_tensor, b_blocks, catalog
 from hadshock.oracle import (
     assemble_calA,
+    cg_alpha_star,
     delta_hat_assembled,
+    delta_v3_values,
     dense_eig,
     fd_check_suite,
     formula_left_eigenvector,
     hersh_counts,
     jump_vector,
     random_shock,
+    reference_delta,
     stress_jump,
+    v3_factors_values,
     verify_suite,
+    winding,
 )
 from hadshock.shock import ElasticState, build
 

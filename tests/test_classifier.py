@@ -14,18 +14,17 @@ from hadshock.classifier import (
     _criterion_slope,
     _eigen_criterion,
     _unit,
-    cg_alpha_star,
     classify,
     classify_stack,
     criterion_values,
-    reference_delta,
     transition_alpha,
 )
 from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, HadshockError,
                              InvalidBracket)
-from hadshock.lopatinskii import delta_v1_values, delta_v2_values, winding
+from hadshock.lopatinskii import delta_v1_values, delta_v2_values
 from hadshock.materials import CATALOG_NAMES, catalog
-from hadshock.oracle import random_shock, sphere_min_reference
+from hadshock.oracle import (cg_alpha_star, random_shock, reference_delta, sphere_min_reference,
+                             winding)
 from hadshock.shock import H3_BLOCK_ROWS, ElasticState, FrontStack, alpha_max, build, build_stack
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import hadshock
 from hadshock import lopatinskii, shock
-from hadshock.classifier import reference_delta
 from hadshock.cli import COMMANDS, _csv_cell, build_parser, main, to_json
-from hadshock.errors import VerificationError
+from hadshock.errors import ConfigError, VerificationError
+from hadshock.oracle import reference_delta
 
 
 def run(capsys, *argv):
@@ -985,3 +985,83 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if parsed:  # a typed error is one stderr line and no output; a report, ok or not, none
         assert err.getvalue().count("\n") == (out.getvalue() == ""), (argv, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# config files: a fuzz over their fields, and the law's dimension against U+
+
+CONFIG_COMMANDS = (("shock",), ("classify",), ("sweep", "--alpha-range=-3,-0.1", "--steps=3"),
+                   ("grid", "--grid-n=3,3"), ("material", "check"))
+# admissible values are listed three times, so that a draw often builds a front
+CONFIG_NAMES = ("ciarlet-geymonat", "blatz", "ogden-foam", "simo-miehe") * 3 + ("nosuch", 5,
+                                                                               ["blatz"])
+CONFIG_DIMS = (None, 2, 3, 4) * 3 + (1, 9, 2.5, 1e300, "x")
+
+
+@st.composite
+def _config(draw):
+    """A config object: a material spec and optionally U_plus, v_plus and alpha."""
+    dim = draw(st.sampled_from(CONFIG_DIMS))
+    material = {"name": draw(st.sampled_from(CONFIG_NAMES)), "mu": 1.0, "kappa": 2.0}
+    if dim is not None:
+        material["dimension"] = dim
+    cfg = {"material": material}
+    side = dim if dim in (2, 3, 4) else 3  # U+ of the law's dimension, or of the default 3
+    U = draw(st.sampled_from(("absent", "match") * 3 + ("other", "flat", "ragged", "nan", "text")))
+    if U != "absent":
+        n = side + 1 if U == "other" else side
+        eye = (np.eye(n) + 0.1 * np.triu(np.ones((n, n)), 1)).tolist()
+        cfg["U_plus"] = {"flat": sum(eye, []), "ragged": eye[:-1] + [eye[-1][:-1]],
+                         "nan": eye[:-1] + [eye[-1][:-1] + [math.nan]],
+                         "text": "identity"}.get(U, eye)
+    v = draw(st.sampled_from(("absent", "match") * 3 + ("short",)))
+    if v != "absent":
+        cfg["v_plus"] = [0.1] * (side if v == "match" else side - 1)
+    alpha = draw(st.sampled_from(("absent", -0.5, -8.0) * 3 + (math.nan, "x")))
+    if alpha != "absent":
+        cfg["alpha"] = alpha
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(CONFIG_COMMANDS), cfg=_config())
+def test_cli_config_fuzz_exits_cleanly(tmp_path_factory, command, cfg):
+    # every config file ends in a report or a typed error, as every flag vector does
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, f"--config={path}"])
+    assert code in (0, 2, 3, 4), (cfg, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (out.getvalue() == ""), (cfg, err.getvalue())
+
+
+def test_law_of_another_dimension_than_uplus_is_config_error(capsys, tmp_path):
+    # a d = 3 law with a 2 x 2 U+ is refused the same way from a config file and from flags
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps({
+        "material": {"name": "ciarlet-geymonat", "dimension": 3, "mu": 1.0, "kappa": 2.0},
+        "U_plus": [[1.0, 0.0], [0.0, 1.0]], "alpha": -0.3}))
+    errors = []
+    for argv in (["shock", f"--config={path}"],
+                 ["shock", *CG2[:-1], "3", "--Uplus=1,0,0,1", "--alpha=-0.3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "config error: the law is calibrated for d = 3, but U+ is 2 x 2\n"
+    m = hadshock.catalog("ciarlet-geymonat", {"d": 3, "mu": 1.0, "kappa": 2.0})
+    with pytest.raises(ConfigError, match="calibrated for d = 3"):
+        shock.build(m, shock.ElasticState(np.eye(2)), -0.3)
+
+
+@pytest.mark.parametrize("command", [["shock"], ["material", "check"]])
+def test_config_dimension_beyond_eight_is_config_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"material": {"name": "blatz", "dimension": 1e300, "mu": 1.0, "kappa": 2.0},'
+                    ' "alpha": -0.3}')
+    code = main([*command, f"--config={path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: dimension must lie in 2..8, got 1")

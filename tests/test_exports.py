@@ -90,3 +90,44 @@ def test_record_fields_keep_their_order():
         "Witness": ("xi_t", "t_root", "criterion_value"),
         "StabilityVerdict": ("kind", "rho", "min_criterion", "witness", "marginal"),
     }
+
+
+VERDICT_PATH = ("materials", "shock", "lopatinskii", "classifier", "linalg")
+# references that only the oracle's cross-checks and the tests use
+ORACLE_ONLY = {"delta_v3_values", "v3_factors_values", "winding", "beta_residual",
+               "_require_negative_rho", "cg_alpha_star", "reference_delta"}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((pathlib.Path(hadshock.__file__).parent / f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", VERDICT_PATH)
+def test_verdict_path_neither_imports_the_oracle_nor_names_its_references(module):
+    names = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    assert "oracle" not in names and not names & ORACLE_ONLY, names & (ORACLE_ONLY | {"oracle"})
+
+
+@pytest.mark.parametrize("module", ["__init__"] + MODULES)
+def test_every_imported_name_is_used(module):
+    # an import that nothing reads is left over from code that moved or went away
+    tree = _tree(module)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    name = "hadshock" if module == "__init__" else f"hadshock.{module}"
+    exported = getattr(importlib.import_module(name), "__all__", [])
+    assert sorted(imported - used - set(exported)) == []

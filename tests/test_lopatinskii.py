@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 
-from hadshock.classifier import classify, reference_delta
+from hadshock.classifier import classify
 from hadshock.errors import ContourThroughZero, RhoNotNegative
 from hadshock.lopatinskii import (
-    beta_residual,
     delta_v1_values,
     delta_v2_values,
-    delta_v3_values,
     freq_map_values,
     freq_unmap_values,
     _imag_roots,
     stable_beta_values,
-    v3_factors_values,
-    winding,
     winding_number,
 )
 from hadshock.materials import catalog
-from hadshock.oracle import _stack_fronts, delta_v1_raw, sample_frequency
+from hadshock.oracle import (
+    _stack_fronts,
+    beta_residual,
+    delta_v1_raw,
+    delta_v3_values,
+    reference_delta,
+    sample_frequency,
+    v3_factors_values,
+    winding,
+)
 from hadshock.shock import ElasticState, build, build_stack, freq_coeffs
 
 

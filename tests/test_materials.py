@@ -10,6 +10,7 @@ from hadshock.errors import (AlphaOutOfRange, BadModuli, BadParams, NonPositiveJ
 from hadshock.linalg import cofactor
 from hadshock.materials import (
     CATALOG_NAMES,
+    MAX_DIM,
     acoustic_spectrum,
     acoustic_tensor,
     b_blocks,
@@ -165,6 +166,13 @@ def test_catalog_errors():
         catalog("mooney-rivlin", {"d": 3, "mu": 1.0})
     with pytest.raises(BadModuli):
         catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 0.9})  # kappa <= 2 mu / d
+
+
+@pytest.mark.parametrize("d", [1, 9, 10**300])
+def test_catalog_serves_dimensions_two_to_eight(d):
+    assert catalog("blatz", {"d": MAX_DIM, "mu": 1.0, "kappa": 2.0}).dimension == MAX_DIM == 8
+    with pytest.raises(BadModuli, match="dimension must lie in 2..8"):
+        catalog("blatz", {"d": d, "mu": 1.0, "kappa": 2.0})
 
 
 def test_poisson_and_lame(cg2):
@@ -399,10 +407,11 @@ def test_custom_h3_overflow_has_no_sign(monkeypatch, capsys, alpha):
     with np.errstate(over="ignore"):  # math.pow raises the flag that numpy's would
         assert np.isnan(m.h3(1e120))
     assert build(m, ElasticState(np.eye(2)), -1e3).speed < 0
-    monkeypatch.setattr(hadshock.cli, "_material_from_args", lambda args: m)
+    monkeypatch.setattr(hadshock.materials, "catalog", lambda name, params: m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hadshock.cli.main(["shock", "--dim=2", f"--alpha={alpha!r}"]) == 3
+        assert hadshock.cli.main(["shock", "--material=ciarlet-geymonat", "--dim=2",
+                                  f"--alpha={alpha!r}"]) == 3
     assert capsys.readouterr().err.startswith(
         "AlphaOutOfRange: h''' is not a number on the jump interval (1, ")
 
