@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, InvalidBracket
-from .lopatinskii import _imag_roots, _root_error
+from .errors import AlphaOutOfRange, InvalidBracket, VerificationError
+from .lopatinskii import _imag_roots
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
                     _live, _surface_term, build, freq_coeffs)
@@ -341,10 +341,12 @@ def classify_stack(fronts: FrontStack) -> list:
     t = np.where(np.isnan(t), np.sqrt(coeffs.zeta), t)[:, 0]
     for i, x, v, t_root, f in zip(searched[weak], x_weak, v_weak.tolist(), t.tolist(),
                                   failed[:, 0].tolist()):
-        out[i] = _root_error(f) if f else StabilityVerdict(
-            kind=WEAK, rho=float(fronts.rho[i, 0]), min_criterion=v,
-            witness=Witness(xi_t=x, t_root=t_root, criterion_value=v),
-            marginal=abs(v) < MARGINAL_BAND)
+        if f:
+            out[i] = VerificationError("imaginary-axis root refinement exceeded tolerance")
+            continue
+        out[i] = StabilityVerdict(kind=WEAK, rho=float(fronts.rho[i, 0]), min_criterion=v,
+                                  witness=Witness(xi_t=x, t_root=t_root, criterion_value=v),
+                                  marginal=abs(v) < MARGINAL_BAND)
     return out
 
 

@@ -11,7 +11,6 @@ __all__ = [
     "BadModuli",
     "BadParams",
     "DomainError",
-    "DegenerateQuadratic",
     "NonPositiveJacobian",
     "ZeroFrequency",
     "AlphaOutOfRange",
@@ -49,10 +48,6 @@ class BadParams(ConfigError):
 
 class DomainError(HadshockError):
     """Input is outside the mathematical domain of an operation."""
-
-
-class DegenerateQuadratic(DomainError):
-    """Leading quadratic coefficient is negligibly small."""
 
 
 class NonPositiveJacobian(DomainError):

@@ -1,8 +1,7 @@
 """Small dense matrix kernel.
 
-Cofactors of a matrix or a stack of them, and the test for a quadratic
-whose leading coefficient is too small to divide by.  Everything operates
-on plain numpy arrays; matrices are tiny (d <= a few), so clarity beats
+Cofactors of a matrix or a stack of them.  Everything operates on plain
+numpy arrays; matrices are tiny (d <= a few), so clarity beats
 asymptotics.
 """
 
@@ -12,10 +11,7 @@ import numpy as np
 
 __all__ = [
     "cofactor",
-    "degenerate_leading",
 ]
-
-ABS_FLOOR = 1e-14
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +40,3 @@ def cofactor(a: np.ndarray) -> np.ndarray:
         # C order, as one matrix's, so that a later matmul rounds the same on a stack
         return np.ascontiguousarray(sign * np.linalg.det(a[..., rows, cols]))
 
-
-def degenerate_leading(a, b, c):
-    """Whether a*x**2 + b*x + c has too small a leading coefficient; arrays broadcast."""
-    return np.abs(a) <= ABS_FLOOR * np.maximum(np.maximum(np.abs(b), np.abs(c)), 1.0)

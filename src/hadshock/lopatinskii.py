@@ -36,8 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContourThroughZero, DegenerateQuadratic, VerificationError
-from .linalg import degenerate_leading
+from .errors import ContourThroughZero
 from .shock import FrequencyCoefficients, ShockFront, _criterion, _surface_term, freq_coeffs
 
 __all__ = [
@@ -176,9 +175,9 @@ def delta_v2_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
 # imaginary-axis roots
 
 def _imag_roots(sf, coeffs) -> tuple:
-    """G, the imaginary-axis root t (NaN where none exists: rho <= 0 or G > 0) and the check
-    that failed (0 for none; see _root_error), for frequency coefficients of unit
-    transverse vectors that broadcast against the fields of a front or a stack.
+    """G, the imaginary-axis root t (NaN where none exists: rho <= 0 or G > 0) and whether
+    t failed its residual check, for frequency coefficients of unit transverse vectors that
+    broadcast against the fields of a front or a stack.
 
     A zero gamma = i t of the stability function exists iff G <= 0 and rho > 0; it has
     t >= sqrt(zeta) and is unique, because the restriction to the axis is strictly
@@ -193,7 +192,7 @@ def _imag_roots(sf, coeffs) -> tuple:
     a = np.sqrt(R) - sf.tau * coeffs.eta
     c = np.sqrt(sf.kappa2_plus) / sf.speed
     qa, qb, qc = c * c - 1.0, 2.0 * a * c, a * a - coeffs.zeta
-    with np.errstate(all="ignore"):  # a degenerate row fails its check instead
+    with np.errstate(all="ignore"):  # a row that overflows fails its check instead
         sq = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))  # >= 4 (c^2 - 1) zeta
         q = -0.5 * np.where(qb * sq >= 0.0, qb + sq, qb - sq)
         u = np.maximum(np.where(q == 0.0, 0.0, np.minimum(q / qa, qc / q)), 0.0)
@@ -204,17 +203,8 @@ def _imag_roots(sf, coeffs) -> tuple:
         a_sq = a_t * a_t
         # relative to the size of its terms, which grow with |alpha|
         off = ~(np.abs(R - a_sq) <= 1e-10 * np.maximum(1.0, np.maximum(R, a_sq)))
-        quad = ~none & (bv != 0.0)
-        failed = np.where(quad & degenerate_leading(qa, qb, qc), 1, np.where(quad & off, 2, 0))
     t = np.where(none, np.nan, np.where(bv == 0.0, np.sqrt(coeffs.zeta), t))
-    return bv, t, failed
-
-
-def _root_error(failed: int) -> Exception:
-    """The typed error of a check that _imag_roots failed."""
-    if failed == 1:
-        return DegenerateQuadratic("leading coefficient of the imaginary-root quadratic too small")
-    return VerificationError("imaginary-axis root refinement exceeded tolerance")
+    return bv, t, off & ~none & (bv != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,6 @@ def _ogden_foam(mu, kappa, d, params):
             raise BadModuli("ogden-foam requires c1 or kappa")
         _require_poisson_positive("ogden-foam", mu, kappa, d)
         c1 = (d * kappa - 2.0 * mu) / (2.0 * d * mu)
-    c1 = float(c1)
     if not (c1 > 0):
         raise BadModuli(f"ogden-foam requires c1 > 0, got {c1}")
     if kappa is None:
@@ -174,7 +173,7 @@ def _simo_taylor(mu, kappa, d, params):
 
 
 def _ogden_hill(mu, kappa, d, params):
-    b = float(params.get("b", 0.0))
+    b = params.get("b", 0.0)
     if not (b > 0):
         raise BadModuli(f"ogden-hill requires b > 0, got {b}")
     # b is an empirical coefficient, not a declared bulk modulus
@@ -188,7 +187,7 @@ def _simo_miehe(mu, kappa, d, params):
 
 
 def _bischoff_arruda_grosh(mu, kappa, d, params):
-    cbar, b = float(params.get("cbar", 0.0)), float(params.get("b", 0.0))
+    cbar, b = params.get("cbar", 0.0), params.get("b", 0.0)
     if not (cbar > 0 and b > 0):
         raise BadModuli(f"bischoff-arruda-grosh requires cbar, b > 0, got {cbar}, {b}")
     c = cbar / b**2
@@ -207,6 +206,29 @@ _LAWS = {
 }
 CATALOG_NAMES = tuple(_LAWS)
 MAX_DIM = 8  # the largest dimension served: what the classifier's tests cover
+
+
+def _modulus(key: str, value) -> float:
+    """value as a finite float; BadModuli, naming the value as given, otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise BadModuli(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise BadModuli(f"{key} must be finite, got {value!r}")
+    return x
+
+
+def _dimension(value) -> int:
+    """value as an integer in 2..MAX_DIM; BadModuli, naming the value as given, otherwise."""
+    try:
+        d = int(value)
+        whole = d == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and 2 <= d <= MAX_DIM):
+        raise BadModuli(f"dimension must lie in 2..{MAX_DIM}, got {value!r}")
+    return d
 
 
 def _ensure_vectorized(f):
@@ -232,10 +254,12 @@ def _ensure_vectorized(f):
 def catalog(name: str, params: dict) -> MaterialModel:
     """Build a catalog material (or wrap a custom one) from parameters.
 
-    ``params`` carries the dimension ``d`` in 2..MAX_DIM plus the moduli
-    the requested form needs: ``mu`` always; ``kappa`` for the nearly
-    incompressible forms; ``c1`` (or ``kappa``) for the Ogden foam; ``b``
-    for Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  Each catalog
+    ``params`` carries the dimension ``d``, an integer in 2..MAX_DIM, plus
+    the moduli the requested form needs: ``mu`` always; ``kappa`` for the
+    nearly incompressible forms; ``c1`` (or ``kappa``) for the Ogden foam;
+    ``b`` for Ogden-Hill; ``cbar``/``b`` for Bischoff-Arruda-Grosh.  A
+    parameter given as None counts as absent; a dimension or any of these
+    five moduli that is not a finite number is BadModuli.  Each catalog
     law is h(J) = -d mu/2 plus
 
         ciarlet-geymonat       -mu log J + c2 (J-1)^2                  c2 = kappa/2 - mu/d
@@ -253,15 +277,14 @@ def catalog(name: str, params: dict) -> MaterialModel:
     writes its value and derivatives once.  For ``custom``, params supply
     all four callables ``h, h1, h2, h3``, or ``catalog`` raises BadParams.
     """
-    params = dict(params)
-    d = int(params.get("d", params.get("dimension", 3)))
-    if not 2 <= d <= MAX_DIM:
-        raise BadModuli(f"dimension must lie in 2..{MAX_DIM}, got {d}")
-    mu = float(params.get("mu", 1.0))
+    params = {key: v for key, v in params.items() if v is not None}
+    d = _dimension(params.get("d", params.get("dimension", 3)))
+    for key in ("mu", "kappa", "c1", "b", "cbar"):
+        if key in params:
+            params[key] = _modulus(key, params[key])
+    mu, kappa = params.get("mu", 1.0), params.get("kappa")
     if not (mu > 0):
         raise BadModuli(f"mu must be positive, got {mu}")
-    kappa = params.get("kappa")
-    kappa = None if kappa is None else float(kappa)
 
     if name == "custom":
         missing = [key for key in ("h", "h1", "h2", "h3") if params.get(key) is None]

@@ -22,8 +22,8 @@ from .linalg import cofactor
 from .lopatinskii import (_beta_from_gamma, _product, _sqrt_anchored, _square, _v2_base,
                           delta_v1_values, delta_v2_values, freq_map_values, freq_unmap_values,
                           stable_beta_values, winding_number)
-from .materials import (MaterialModel, acoustic_spectrum, acoustic_tensor, b_blocks, catalog,
-                        char_speeds, energy, piola_kirchhoff)
+from .materials import (MAX_DIM, MaterialModel, acoustic_spectrum, acoustic_tensor, b_blocks,
+                        catalog, char_speeds, energy, piola_kirchhoff)
 from .shock import ElasticState, ShockFront, build, freq_coeffs, genuine_nonlinearity
 
 __all__ = [
@@ -182,9 +182,9 @@ def jump_vector(sf: ShockFront, jump_sig: np.ndarray, lam, xi_t) -> np.ndarray:
 def _eig_and_norm(A: np.ndarray):
     """dense_eig's eigenvalues and the 2-norms of A."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[-1]
-    if n > 30:
-        raise DomainError(f"dense_eig is limited to dim <= 30, got {n}")
+    n, most = A.shape[-1], MAX_DIM * (MAX_DIM + 1)  # the symbol's side at the largest d served
+    if n > most:
+        raise DomainError(f"dense_eig is limited to dim <= {most}, got {n}")
     try:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -289,16 +289,16 @@ def _require_negative_rho(sf: ShockFront, what: str):
 
 
 def beta_residual(sf: ShockFront, lams, xi_t, betas) -> np.ndarray:
-    """Absolute residual of beta in its defining quadratic, over frequencies (...)."""
+    """Residual of beta in its defining quadratic relative to the size of its three terms,
+    |sum| / max(1, |each term|), over frequencies (...)."""
     lams, betas = np.asarray(lams, dtype=complex), np.asarray(betas, dtype=complex)
     coeffs = freq_coeffs(sf, np.asarray(xi_t, dtype=float))
     s, k2 = sf.speed, sf.kappa2_plus
-    val = (
-        _product((k2 - s * s) * betas, betas)
-        - _product(2.0 * (lams * s + 1j * sf.h2_plus * coeffs.eta), betas)
-        - (_square(lams) + coeffs.omega)
-    )
-    return np.hypot(val.real, val.imag)
+    quad = _product((k2 - s * s) * betas, betas)
+    lin = _product(2.0 * (lams * s + 1j * sf.h2_plus * coeffs.eta), betas)
+    const = _square(lams) + coeffs.omega
+    scale = np.maximum(1.0, np.maximum.reduce([_abs(quad), _abs(lin), _abs(const)]))
+    return _abs(quad - lin - const) / scale
 
 
 def delta_v3_values(sf: ShockFront, gammas, xi_t) -> np.ndarray:
@@ -515,7 +515,7 @@ def _fd_hessian_btensor_err(ms: list, U: np.ndarray, B: np.ndarray) -> np.ndarra
     """Worst relative error of the B-blocks B (S, d, d, d, d) at each U (S, d, d) against the
     FD Hessian of W, (S,)."""
     d = U.shape[-1]
-    H = _fd_hessian(ms, U, 1e-4 * (1.0 + np.abs(U).max(axis=(1, 2))))
+    H = _fd_hessian(ms, U, 3e-5 * (1.0 + np.abs(U).max(axis=(1, 2))))
     # entry (p, q) of B_i^j is d2 W / dU_{p, j} dU_{q, i}: H[p d + j, q d + i]
     fd = H.reshape(-1, d, d, d, d).transpose(0, 4, 2, 1, 3)
     return np.abs(fd - B).max(axis=(1, 2, 3, 4)) / np.abs(B).max(axis=(1, 2, 3, 4))
@@ -594,14 +594,11 @@ def random_material(rng: "np.random.Generator", d: int) -> MaterialModel:
 
 
 def random_shock(rng: "np.random.Generator", d: int) -> ShockFront:
-    """Random well-conditioned Lax front: U+ = I + 0.5 G, alpha in [-3, -0.05].
+    """Random Lax front: U+ = I + 0.5 G with G uniform in [-1, 1] and det U+ > 0.2, a
+    random_material, alpha uniform in [-3, -0.05] and v+ uniform in [-1, 1].
 
-    Scenarios whose transverse stiffness kappa2+ exceeds 150 are
-    rejected: very stiff volumetric responses at small J+ blow up the
-    coefficient scale of the frequency symbol, and the absolute residual
-    contracts assume well-conditioned coverage.  A draw that ``build``
-    rejects with a ``HadshockError`` is drawn again; any other exception
-    propagates, and SHOCK_TRIES rejected draws raise ``NoConvergence``.
+    A draw that ``build`` rejects with a ``HadshockError`` is drawn again; any other
+    exception propagates, and SHOCK_TRIES rejected draws raise ``NoConvergence``.
     """
     for _ in range(SHOCK_TRIES):
         U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
@@ -610,12 +607,9 @@ def random_shock(rng: "np.random.Generator", d: int) -> ShockFront:
         m = random_material(rng, d)
         alpha = float(rng.uniform(-3.0, -0.05))
         try:
-            sf = build(m, ElasticState(U, rng.uniform(-1.0, 1.0, size=d)), alpha)
+            return build(m, ElasticState(U, rng.uniform(-1.0, 1.0, size=d)), alpha)
         except HadshockError:
             continue
-        if sf.kappa2_plus > 150.0:
-            continue
-        return sf
     raise NoConvergence(f"no admissible d={d} shock scenario in {SHOCK_TRIES} draws")
 
 
@@ -680,7 +674,7 @@ SCENARIO_CHECKS = (
     *((f"fd_{name}", 1e-5) for name in FD_CHECKS))
 # the last two, the rho < 0 factorization's, only for a front with rho < 0
 FREQUENCY_CHECKS = (
-    ("beta_residual", 1e-11), ("beta_stable_halfplane", 0.5), ("beta_not_curl_artifact", 0.5),
+    ("beta_residual", 1e-13), ("beta_stable_halfplane", 0.5), ("beta_not_curl_artifact", 0.5),
     ("map_roundtrip", 1e-13), ("P_nonnegative", 0.5), ("zeta_nonnegative", 0.5),
     ("zeta_tau_margin", 0.5), ("v1_raw_vs_completed", 1e-12), ("v1_vs_v2_mapped", 1e-10),
     ("v1_vs_assembled", 1e-10), ("left_eigvec_residual", 1e-10),
@@ -894,19 +888,23 @@ def _per_scenario(drawn: list, size: int):
 def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     """Run every oracle identity over randomized scenarios per dimension.
 
-    Each dimension in 2..5, given at most once, draws its scenarios first, then checks them
-    in chunks of as many as fit STACK_BYTES at one scenario's share of the largest stacked
-    array (56 at d = 2, 44 at d = 3, 7 at d = 4, 2 at d = 5), each chunk as one stack, then
+    Each dimension in 2..MAX_DIM, given at most once, draws its scenarios first, then checks
+    them in chunks of as many as fit STACK_BYTES at one scenario's share of the largest stacked
+    array (56 at d = 2, 44 at d = 3, 7 at d = 4, 2 at d = 5, 1 from d = 6), each as one stack, then
     records scenario by scenario: SCENARIO_CHECKS, FREQUENCY_CHECKS at each of its three
     frequencies (the rho < 0 pair only where its rho < 0), interior_nonvanishing and (once
     per dimension, at the first rho < 0 front) winding_interior_zeros.  A value above its
     tolerance or NaN violates its identity, and recording stops after the first scenario
     with a violated identity.  An exception raised for a scenario propagates unless an
     earlier scenario violated an identity.  The report carries the seed, scenario counts,
-    worst error per identity and the failure context if any.
+    worst error per identity and the failure context if any.  A negative seed, fewer than
+    one scenario or no dimension is a ConfigError, raised before any draw.
     """
-    if not all(2 <= d <= 5 for d in dims) or len(set(dims)) < len(dims):
-        raise ConfigError(f"verify_suite checks dims 2..5, each once, got {tuple(dims)!r}")
+    if not dims or not all(2 <= d <= MAX_DIM for d in dims) or len(set(dims)) < len(dims):
+        raise ConfigError(f"verify_suite checks dims 2..{MAX_DIM}, each once, got {tuple(dims)!r}")
+    if seed < 0 or scenarios < 1:
+        raise ConfigError(f"verify_suite needs seed >= 0 and scenarios >= 1, got seed={seed}, "
+                          f"scenarios={scenarios}")
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for d in dims:

@@ -25,7 +25,8 @@ from hadshock.lopatinskii import delta_v1_values, delta_v2_values
 from hadshock.materials import CATALOG_NAMES, catalog
 from hadshock.oracle import (cg_alpha_star, random_shock, reference_delta, sphere_min_reference,
                              winding)
-from hadshock.shock import H3_BLOCK_ROWS, ElasticState, FrontStack, alpha_max, build, build_stack
+from hadshock.shock import (H3_BLOCK_ROWS, ElasticState, FrontStack, _surface_term, alpha_max,
+                            build, build_stack, freq_coeffs)
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -44,6 +45,43 @@ def test_classify_cg_weak(cg2_weak_shock):
     assert v.witness.criterion_value <= 0
     val = delta_v2_values(cg2_weak_shock, 1j * v.witness.t_root, v.witness.xi_t)
     assert abs(val) <= 1e-8
+
+
+# the strongest fronts of each law that build on the identity base (mu 1, kappa 2): the
+# root quadratic's terms grow with |alpha| there, and its small root has no cancellation
+STRONG_WEAK_ROWS = {("ciarlet-geymonat", 2): (14, 15), ("ciarlet-geymonat", 3): (14, 15),
+                    ("ciarlet-geymonat", 4): (14, 15), ("simo-taylor", 2): (15,),
+                    ("simo-taylor", 3): (14, 15, 16), ("simo-taylor", 4): (14, 15),
+                    ("simo-miehe", 2): (14, 15), ("simo-miehe", 3): (14, 15),
+                    ("simo-miehe", 4): (14, 15)}
+
+
+@pytest.mark.parametrize("name, d", sorted(STRONG_WEAK_ROWS))
+def test_strong_fronts_that_build_get_a_verdict(name, d):
+    m = catalog(name, {"d": d, "mu": 1.0, "kappa": 2.0})
+    weak = []
+    for k in range(8, 20):
+        try:
+            sf = build(m, ElasticState(np.eye(d)), -10.0**k)
+        except HadshockError:
+            continue
+        assert classify(sf).kind == WEAK, k
+        weak.append(k)
+    assert set(STRONG_WEAK_ROWS[name, d]) <= set(weak)
+
+
+@pytest.mark.parametrize("k", [14, 15])
+def test_strong_cg2_witness_is_a_zero_of_the_closed_form(k):
+    # the witness i t_root zeroes the worked example's determinant to rounding in the size
+    # R = rho kappa2+ P / (s^2 theta11) of its terms
+    alpha = -10.0**k
+    sf = build(catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0}),
+               ElasticState(np.eye(2)), alpha)
+    w = classify(sf).witness
+    R = _surface_term(sf, freq_coeffs(sf, w.xi_t).P)
+    ref = reference_delta("CG2D", {"mu": 1.0, "kappa": 2.0, "alpha": alpha}, 1j * w.t_root,
+                          w.xi_t)
+    assert R > 1e13 and abs(ref) <= 1e-14 * R
 
 
 def test_classify_rho_nonpositive_short_circuit(foam_shock):

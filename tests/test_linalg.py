@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hadshock.errors import DegenerateQuadratic
-from hadshock.linalg import cofactor, degenerate_leading
-from hadshock.lopatinskii import _imag_roots, _root_error, _sqrt_anchored
+from hadshock.linalg import cofactor
+from hadshock.lopatinskii import _imag_roots, _sqrt_anchored
 from hadshock.materials import catalog
 from hadshock.shock import ElasticState, _surface_term, build, freq_coeffs
 
@@ -69,15 +68,6 @@ def test_cofactor_large_dimension_paths():
     B[:, 0] = B[:, 1]
     C2 = cofactor(B)
     assert np.allclose(C2.T @ B, np.zeros((5, 5)), atol=1e-9)
-
-
-def test_quad_roots_degenerate_leading():
-    # the imaginary-axis root refuses a quadratic whose leading coefficient it cannot divide by
-    assert degenerate_leading(1e-16, 1.0, 1.0)
-    assert not degenerate_leading(1e-13, 1.0, 1.0)
-    flags = degenerate_leading(np.array([1e-16, 1.0, 1.0]), 1.0, np.array([1.0, 1.0, 1e15]))
-    assert flags.tolist() == [True, False, True]
-    assert isinstance(_root_error(1), DegenerateQuadratic)
 
 
 @settings(max_examples=80, deadline=None)

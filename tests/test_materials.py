@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,33 @@ def test_catalog_serves_dimensions_two_to_eight(d):
     assert catalog("blatz", {"d": MAX_DIM, "mu": 1.0, "kappa": 2.0}).dimension == MAX_DIM == 8
     with pytest.raises(BadModuli, match="dimension must lie in 2..8"):
         catalog("blatz", {"d": d, "mu": 1.0, "kappa": 2.0})
+
+
+@pytest.mark.parametrize("name, params, shown", [
+    ("blatz", {"d": 2.5}, "2.5"),
+    ("blatz", {"d": "x"}, "'x'"),
+    ("blatz", {"d": 1e300}, "1e+300"),
+    ("blatz", {"d": math.inf}, "inf"),
+    ("blatz", {"d": [2]}, "[2]"),
+    ("blatz", {"mu": "x"}, "'x'"),
+    ("blatz", {"kappa": [2]}, "[2]"),
+    ("blatz", {"kappa": math.inf}, "inf"),
+    ("blatz", {"kappa": math.nan}, "nan"),
+    ("ciarlet-geymonat", {"b": math.inf}, "inf"),  # a modulus the law does not read
+    ("bischoff-arruda-grosh", {"cbar": math.inf, "b": 1.0}, "inf"),
+    ("simo-miehe", {"kappa": math.inf}, "inf"),
+])
+def test_catalog_rejects_a_parameter_that_is_not_a_finite_number(name, params, shown):
+    # each of these built a law (d = 2 from 2.5, or h''(1) NaN or inf) or raised untyped
+    with pytest.raises(BadModuli, match=f"got {re.escape(shown)}$"):
+        catalog(name, {"d": 2, "mu": 1.0, "kappa": 2.0, **params})
+
+
+def test_catalog_takes_numbers_in_any_form_float_converts():
+    m = catalog("blatz", {"d": 3.0, "mu": "1.5", "kappa": 2, "b": None})
+    assert (m.dimension, m.mu, m.declared_bulk) == (3, 1.5, 2.0)
+    with pytest.raises(BadModuli, match="got '3.5'$"):  # a whole number only
+        catalog("blatz", {"d": "3.5", "mu": 1.0, "kappa": 2.0})
 
 
 def test_poisson_and_lame(cg2):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadshock import oracle
 from hadshock.cli import main
@@ -277,8 +279,9 @@ def python_complex_forms(sf, lam, xi, beta):
     verify computed them before the stacks; numpy's vector complex product may fuse."""
     c = freq_coeffs(sf, xi)
     s, k2, th11 = sf.speed, sf.kappa2_plus, sf.theta11
-    residual = abs((k2 - s * s) * beta * beta - 2.0 * (lam * s + 1j * sf.h2_plus * c.eta) * beta
-                   - (lam * lam + c.omega))
+    terms = ((k2 - s * s) * beta * beta, 2.0 * (lam * s + 1j * sf.h2_plus * c.eta) * beta,
+             lam * lam + c.omega)
+    residual = abs(terms[0] - terms[1] - terms[2]) / max(1.0, *(abs(t) for t in terms))
     ssum = (k2 - s * s) * c.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * float(
         xi @ sf.Theta[1:, 1:] @ xi)
     raw = (k2 - s * s) * th11 * beta * beta - 2j * beta * (k2 - s * s) * c.eta - ssum
@@ -348,7 +351,7 @@ def frequency_identities(sf, B, lams, xis):
     for lam, xi in zip(lams.tolist(), xis):
         v = _single_frequency_values(sf, B, lam, xi)
         beta = complex(v["beta"])
-        yield "beta_residual", float(v["beta_residual"]), 1e-11
+        yield "beta_residual", float(v["beta_residual"]), 1e-13
         yield "beta_stable_halfplane", 0.0 if beta.real < 0 else 1.0, 0.5
         yield "beta_not_curl_artifact", 0.0 if abs(lam + beta * sf.speed) > 1e-10 else 1.0, 0.5
         yield "map_roundtrip", abs(complex(v["back"]) - lam), 1e-13
@@ -681,17 +684,30 @@ def test_dense_eig_examples():
 
 
 def test_dense_eig_dimension_guard():
-    with pytest.raises(DomainError, match="dense_eig is limited to dim <= 30, got 31"):
-        dense_eig(np.eye(31, dtype=complex))
+    # the symbol of the largest dimension served, d = 8, is 72 x 72
+    assert dense_eig(np.eye(72, dtype=complex)).shape == (72,)
+    with pytest.raises(DomainError, match="dense_eig is limited to dim <= 72, got 73"):
+        dense_eig(np.eye(73, dtype=complex))
 
 
-@pytest.mark.parametrize("dims", [(6,), (9,), (2, 6), (2, 2), (3, 2, 3)])
+@pytest.mark.parametrize("dims", [(9,), (2, 9), (1,), (2, 2), (3, 2, 3)])
 def test_verify_suite_rejects_unserved_dims_before_drawing(monkeypatch, dims):
     def drawn(*args):
         raise AssertionError("verify_suite drew a scenario")
     monkeypatch.setattr(oracle, "random_shock", drawn)
-    with pytest.raises(ConfigError, match=r"verify_suite checks dims 2\.\.5"):
+    with pytest.raises(ConfigError, match=r"verify_suite checks dims 2\.\.8"):
         verify_suite(seed=1, scenarios=2, dims=dims)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"scenarios": 0}, {"scenarios": -3},
+                                    {"dims": ()}])
+def test_verify_suite_rejects_empty_or_negative_arguments_before_drawing(monkeypatch, kwargs):
+    # each would check nothing, or hand numpy a seed it rejects untyped
+    def drawn(*args):
+        raise AssertionError("verify_suite drew a scenario")
+    monkeypatch.setattr(oracle, "random_shock", drawn)
+    with pytest.raises(ConfigError):
+        verify_suite(**{"seed": 1, "scenarios": 2, "dims": (2,), **kwargs})
 
 
 def test_fd_check_suite_passes(cg2):
@@ -777,7 +793,7 @@ def fd_gnl_err_reference(m, U, direction):
 
 def fd_hessian_btensor_err_loop(m, U):
     d = U.shape[0]
-    step = 1e-4 * (1.0 + np.abs(U).max())
+    step = 3e-5 * (1.0 + np.abs(U).max())
 
     def W(*moves):
         X = U.copy()
@@ -914,6 +930,38 @@ def test_verify_suite_smoke():
     assert rep["ok"], rep.get("first_failure")
     assert rep["seed"] == 123
     assert rep["checks"]["beta_residual"]["count"] > 0
+
+
+def _assert_verified(rep, seed, scenarios, dims):
+    """What the benchmark requires of a verify report: ok, its arguments echoed, every
+    worst error within its tolerance, and interior_nonvanishing on every scenario."""
+    assert rep["ok"] and "first_failure" not in rep, rep.get("first_failure")
+    assert (rep["seed"], rep["scenarios_per_dim"], rep["dims"]) == (seed, scenarios, list(dims))
+    assert all(e["max_err"] <= e["tol"] for e in rep["checks"].values())
+    assert rep["checks"]["interior_nonvanishing"]["count"] == scenarios * len(dims)
+
+
+def test_verify_suite_serves_dimensions_six_to_eight():
+    rep = verify_suite(seed=3, scenarios=2, dims=(6, 7, 8))
+    _assert_verified(rep, 3, 2, (6, 7, 8))
+    # each scenario's three frequencies went through dense eig of its (d^2 + d)-square symbol
+    assert rep["checks"]["hersh_stable_count"]["count"] == 18
+    assert rep["checks"]["fd_hessian_vs_btensor"]["count"] == 6
+
+
+def test_verify_suite_checks_stiff_fronts():
+    # scenarios with kappa2+ > 150 are verified like any other, not drawn again
+    fronts = _verify_fronts(4, 3, (2, 3))
+    assert max(f.kappa2_plus for f in fronts) > 1000.0
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from((6, 7, 8)))
+def test_verify_suite_at_seeds_the_benchmark_draws(seed, d):
+    # the benchmark runs verify at seeds from [0, 2^31); a failing report there is a wrong output
+    for scenarios, dims in ((3, (2, 3, 4)), (1, (d,))):
+        _assert_verified(verify_suite(seed=seed, scenarios=scenarios, dims=dims), seed,
+                         scenarios, dims)
 
 
 def test_verify_tracker_fails_fast():
