@@ -170,12 +170,13 @@ def _front_config(args) -> tuple:
 def _scenario_from_args(args, need_alpha: bool = True):
     """Material, base state and intensity (None if not needed) of the command's config
     object: U_plus defaults to the identity in the law's dimension, v_plus to zero and alpha
-    to --alpha.  The law's dimension must match U_plus's, which build checks."""
+    to --alpha.  The law's dimension must match U_plus's, by the rule build checks."""
     cfg, spec = _front_config(args)
     m = _material_from_spec(spec)
     U = _finite(cfg.get("U_plus", np.eye(m.dimension)), "U_plus")
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2:
         raise ConfigError(f"U_plus must be a square matrix of side >= 2, got shape {U.shape}")
+    shock._check_dimension(m, U.shape[0])  # before ElasticState checks det U+
     v = _finite(cfg.get("v_plus", np.zeros(U.shape[0])), "v_plus")
     if v.shape != (U.shape[0],):
         raise ConfigError(f"v_plus needs {U.shape[0]} entries, got shape {v.shape}")
@@ -335,48 +336,60 @@ def _hemisphere_xi(sf, gammas: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
 
 GRID_KEYS = ("re", "im", "delta_re", "delta_im", "delta_abs", "delta_arg")
+GRID_BLOCK_CELLS = 8192  # cells a grid evaluates at a time: bounds its kernels' memory
 
 
-def _grid_rows(res: np.ndarray, ims: np.ndarray, vals: np.ndarray, fmt: str):
-    """CSV or JSON of the grid values vals (n_im, n_re) at res + i ims, a record per node with
-    Re varying fastest, as chunks of text: one chunk per Im row, filled by one %.
+def _grid_rows(res: np.ndarray, ims: np.ndarray, values, fmt: str):
+    """CSV or JSON of the grid values at res + i ims, a record per node with Re varying
+    fastest, as chunks of text: one chunk per Im row, filled by one %.
 
-    Each axis value is formatted once.  Each pattern of finite delta columns has its own
-    record template, with an empty CSV field or a JSON null where a value is not finite (its
-    ``%.0s`` takes the value and prints nothing); a row's format string joins the templates
-    of its records, and its arguments are the rows of one reused (n_re, 6) object array.
-    The patterns that occur are the nonzero bins of a bincount of the codes 0..15 (np.unique
-    would import numpy.ma).
+    values maps a block of Im values (r,) to the grid values (r, n_re) at its rows; it is
+    called on blocks of as many rows as fit GRID_BLOCK_CELLS (at least one), in order, so
+    the kernels' temporaries never span the whole grid.  Each axis value is formatted once.
+    Each of the 16 patterns of finite delta columns has its own record template, with the
+    empty CSV field or the JSON null written out where a value is not finite; a row's format
+    string joins the templates of its records, and its arguments are the finite cells of one
+    reused (n_re, 6) object array.
     """
-    deltas = np.stack([vals.real, vals.imag, np.hypot(vals.real, vals.imag), np.angle(vals)],
-                      axis=-1)
-    if fmt == "json":
-        cell, missing, sep = "%.17g", "null", ", "
-        res, ims, deltas = res + 0.0, ims + 0.0, deltas + 0.0  # no negative zeros, as in to_json
-    else:
-        cell, missing, sep = "%.9g", "", "\n"
-    re_text, im_text = ([cell % x if math.isfinite(x) else missing for x in axis.tolist()]
+    json_text = fmt == "json"
+    cell, missing, sep = ("%.17g", "null", ", ") if json_text else ("%.9g", "", "\n")
+    # + 0.0 writes no negative zeros in JSON, as in to_json
+    re_text, im_text = ([cell % x if math.isfinite(x) else missing
+                         for x in (axis + 0.0 if json_text else axis).tolist()]
                         for axis in (res, ims))
-    bits = [1 << i for i in range(deltas.shape[-1])]
-    codes = np.isfinite(deltas) @ bits  # which delta columns are finite, per node
-    templates = {}
-    for code in np.flatnonzero(np.bincount(codes.ravel())).tolist():
-        fields = ["%s", "%s"] + [cell if code & b else missing + "%.0s" for b in bits]
-        if fmt == "json":
+    bits = [1 << i for i in range(len(GRID_KEYS) - 2)]
+    templates = []
+    for code in range(1 << len(bits)):
+        fields = ["%s", "%s"] + [cell if code & b else missing for b in bits]
+        if json_text:
             fields = [f"{json.dumps(key)}: {f}" for key, f in zip(GRID_KEYS, fields)]
-            templates[code] = "{" + ", ".join(fields) + "}"
+            templates.append("{" + ", ".join(fields) + "}")
         else:
-            templates[code] = ",".join(fields)
+            templates.append(",".join(fields))
     args = np.empty((len(re_text), len(GRID_KEYS)), dtype=object)
     args[:, 0] = re_text
-    lead = "[" if fmt == "json" else ",".join(GRID_KEYS) + "\n"
-    for im, row_codes, row_deltas in zip(im_text, codes, deltas):
-        args[:, 1] = im
-        args[:, 2:] = row_deltas
-        yield lead + sep.join(map(templates.__getitem__, row_codes.tolist())) % tuple(
-            args.ravel().tolist())
-        lead = sep
-    if fmt == "json":
+    keep = np.ones(args.shape, dtype=bool)
+    lead = "[" if json_text else ",".join(GRID_KEYS) + "\n"
+    step = max(1, GRID_BLOCK_CELLS // len(re_text))
+    for start in range(0, len(im_text), step):
+        vals = values(ims[start : start + step])
+        deltas = np.stack([vals.real, vals.imag, np.hypot(vals.real, vals.imag),
+                           np.angle(vals)], axis=-1)
+        if json_text:
+            deltas += 0.0
+        finite = np.isfinite(deltas)
+        codes = finite @ bits  # which delta columns are finite, per node
+        for im, row_codes, row_finite, row_deltas in zip(im_text[start : start + step], codes,
+                                                         finite, deltas):
+            args[:, 1] = im
+            args[:, 2:] = row_deltas
+            keep[:, 2:] = row_finite
+            yield lead + sep.join(map(templates.__getitem__, row_codes.tolist())) % tuple(
+                args[keep].tolist())
+            lead = sep
+        # the block's arrays (the row names are views) go before the next block's kernels run
+        del vals, deltas, finite, codes, row_codes, row_finite, row_deltas
+    if json_text:
         yield "]"
 
 
@@ -394,19 +407,19 @@ def _cmd_grid(args) -> int:
     xi = _floats(args.xi, "--xi") if args.xi else np.eye(sf.dim - 1)[0]
     if xi.shape != (sf.dim - 1,):
         raise ConfigError(f"--xi needs {sf.dim - 1} entries, got {xi.size}")
+    restrict = args.var == "gamma" and args.restrict_gamma_tilde
+    if restrict and not np.any(xi):
+        raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
     res = np.linspace(re_lo, re_hi, n_re)
-    ims = np.linspace(im_lo, im_hi, n_im)
-    grid = res[None, :] + 1j * ims[:, None]  # row i holds Im = ims[i]
-    with np.errstate(all="ignore"):  # a node too large to evaluate is an empty cell
-        if args.var == "lambda":
-            vals = lopatinskii.delta_v1_values(sf, grid, xi)
-        else:
-            if args.restrict_gamma_tilde:
-                if not np.any(xi):
-                    raise ConfigError("--restrict-gamma-tilde needs a nonzero --xi direction")
-                xi = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi))
-            vals = lopatinskii.delta_v2_values(sf, grid, xi)
-    _emit(_grid_rows(res, ims, vals, args.format), args.out)
+
+    def values(ims):
+        grid = res[None, :] + 1j * ims[:, None]  # row i holds Im = ims[i]
+        with np.errstate(all="ignore"):  # a node too large to evaluate is an empty cell
+            if args.var == "lambda":
+                return lopatinskii.delta_v1_values(sf, grid, xi)
+            xi_t = _hemisphere_xi(sf, grid, xi / np.linalg.norm(xi)) if restrict else xi
+            return lopatinskii.delta_v2_values(sf, grid, xi_t)
+    _emit(_grid_rows(res, np.linspace(im_lo, im_hi, n_im), values, args.format), args.out)
     return 0
 
 

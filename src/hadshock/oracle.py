@@ -7,10 +7,11 @@ function is rebuilt from the raw jump vector.  The references that only
 cross-checks use live here too: the residual of the stable root, the
 rho < 0 factorization of the stability function with its winding count,
 and the closed forms of the worked examples.  The ``verify_suite`` entry
-point runs all identity checks over randomized Lax-front scenarios and
-reports the worst error per identity.
+point runs all identity checks over Lax-front scenarios drawn from Python's
+``random.Random(seed)`` and reports the worst error per identity.
 """
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -563,11 +564,11 @@ def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0
     derivative closed form, the B-blocks B (``b_blocks(m, U)``) against
     the Hessian of the stored energy, and the genuine-nonlinearity
     derivative along the extreme eigenvector, in a direction drawn from
-    seed.  Passes when every error is at most 1e-5.  verify runs the same
-    checks on its scenarios as one stack.
+    ``random.Random(seed)``.  Passes when every error is at most 1e-5.
+    verify runs the same checks on its scenarios as one stack.
     """
     U = np.asarray(U, dtype=float)
-    direction = np.random.default_rng(seed).standard_normal(U.shape[0])
+    direction = _normals(random.Random(seed), U.shape[0])
     values = _fd_values([m], U[None], cofactor(U)[None], np.asarray(B)[None], direction[None])
     report = {name: float(v[0]) for name, v in values.items()}
     report["pass"] = all(v <= 1e-5 for v in report.values())
@@ -580,45 +581,52 @@ def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0
 MATERIAL_POOL = ("ciarlet-geymonat", "blatz", "ogden-foam", "simo-taylor", "simo-miehe")
 
 
-# rng annotations are strings: evaluating np.random would import numpy.random
-def random_material(rng: "np.random.Generator", d: int) -> MaterialModel:
+def _uniforms(rng: random.Random, lo: float, hi: float, n: int) -> np.ndarray:
+    return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+
+def _normals(rng: random.Random, n: int) -> np.ndarray:
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+
+
+def random_material(rng: random.Random, d: int) -> MaterialModel:
     """A random catalog material with h''' < 0 everywhere."""
-    name = MATERIAL_POOL[rng.integers(len(MATERIAL_POOL))]
-    mu = float(rng.uniform(0.5, 2.0))
+    name = MATERIAL_POOL[rng.randrange(len(MATERIAL_POOL))]
+    mu = rng.uniform(0.5, 2.0)
     if name == "ogden-foam":
-        return catalog(name, {"d": d, "mu": mu, "c1": float(rng.uniform(0.5, 3.0))})
+        return catalog(name, {"d": d, "mu": mu, "c1": rng.uniform(0.5, 3.0)})
     if name == "simo-miehe":
-        return catalog(name, {"d": d, "mu": mu, "kappa": float(rng.uniform(0.5, 3.0))})
-    kappa = 2.0 * mu / d + float(rng.uniform(0.4, 2.5))
+        return catalog(name, {"d": d, "mu": mu, "kappa": rng.uniform(0.5, 3.0)})
+    kappa = 2.0 * mu / d + rng.uniform(0.4, 2.5)
     return catalog(name, {"d": d, "mu": mu, "kappa": kappa})
 
 
-def random_shock(rng: "np.random.Generator", d: int) -> ShockFront:
-    """Random Lax front: U+ = I + 0.5 G with G uniform in [-1, 1] and det U+ > 0.2, a
-    random_material, alpha uniform in [-3, -0.05] and v+ uniform in [-1, 1].
+def random_shock(rng: random.Random, d: int) -> ShockFront:
+    """Random Lax front: U+ = I + 0.5 G with G uniform in [-1, 1] (drawn row by row) and
+    det U+ > 0.2, a random_material, alpha uniform in [-3, -0.05] and v+ uniform in [-1, 1].
 
     A draw that ``build`` rejects with a ``HadshockError`` is drawn again; any other
     exception propagates, and SHOCK_TRIES rejected draws raise ``NoConvergence``.
     """
     for _ in range(SHOCK_TRIES):
-        U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
+        U = np.eye(d) + 0.5 * _uniforms(rng, -1.0, 1.0, d * d).reshape(d, d)
         if np.linalg.det(U) <= 0.2:
             continue
         m = random_material(rng, d)
-        alpha = float(rng.uniform(-3.0, -0.05))
+        alpha = rng.uniform(-3.0, -0.05)
         try:
-            return build(m, ElasticState(U, rng.uniform(-1.0, 1.0, size=d)), alpha)
+            return build(m, ElasticState(U, _uniforms(rng, -1.0, 1.0, d)), alpha)
         except HadshockError:
             continue
     raise NoConvergence(f"no admissible d={d} shock scenario in {SHOCK_TRIES} draws")
 
 
-def sample_frequency(rng: "np.random.Generator", d: int) -> tuple:
+def sample_frequency(rng: random.Random, d: int) -> tuple:
     """(lambda, xi_t): a uniform-ish point on the frequency hemisphere with Re lambda
     at least MIN_RE_LAMBDA."""
     while True:
-        lam = complex(abs(rng.standard_normal()), rng.standard_normal())
-        xi = rng.standard_normal(d - 1)
+        lam = complex(abs(rng.gauss(0.0, 1.0)), rng.gauss(0.0, 1.0))
+        xi = _normals(rng, d - 1)
         norm = np.sqrt(abs(lam) ** 2 + float(xi @ xi))
         lam, xi = lam / norm, xi / norm
         if lam.real >= MIN_RE_LAMBDA:
@@ -804,14 +812,14 @@ def _frequency_values(fronts: list, sf: SimpleNamespace, B: np.ndarray, jump_sig
     return out
 
 
-def _draw(rng: "np.random.Generator", d: int, k: int) -> SimpleNamespace:
-    """Scenario k of dimension d: its front and what its checks draw, in the order in which
-    verify has always drawn them: the material checks' direction xi, the FD suite's seed,
-    three frequencies and the control direction."""
+def _draw(rng: random.Random, d: int, k: int) -> SimpleNamespace:
+    """Scenario k of dimension d: its front and what its checks draw, in this order: the
+    material checks' direction xi, the FD suite's seed, three frequencies and the control
+    direction."""
     sf = random_shock(rng, d)
-    xi, fd_seed = rng.standard_normal(d), int(rng.integers(2**31))
+    xi, fd_seed = _normals(rng, d), rng.randrange(2**31)
     lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
-    control = rng.standard_normal(d - 1)
+    control = _normals(rng, d - 1)
     return SimpleNamespace(
         sf=sf, xi=xi, fd_seed=fd_seed, lams=np.array(lams), xis=np.array(xis),
         control_xi=control / np.linalg.norm(control),
@@ -849,8 +857,7 @@ def _scenario_values(drawn: list) -> dict:
     out = _shock_values(fronts, sf, jump_sig)
     out.update(_material_values(fronts, B, np.stack([sc.xi for sc in drawn])))
     fd = _fd_values([f.material for f in fronts], sf.plus.U[:, 0], sf.V[:, 0], B,
-                    np.stack([np.random.default_rng(sc.fd_seed).standard_normal(sc.sf.dim)
-                              for sc in drawn]))
+                    np.stack([_normals(random.Random(sc.fd_seed), sc.sf.dim) for sc in drawn]))
     out.update((f"fd_{name}", v) for name, v in fd.items())
     out.update(_frequency_values(fronts, sf, B[:, None], jump_sig,
                                  np.stack([sc.lams for sc in drawn]),
@@ -886,7 +893,8 @@ def _per_scenario(drawn: list, size: int):
 
 
 def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
-    """Run every oracle identity over randomized scenarios per dimension.
+    """Run every oracle identity over random scenarios per dimension, drawn from
+    ``random.Random(seed)``.
 
     Each dimension in 2..MAX_DIM, given at most once, draws its scenarios first, then checks
     them in chunks of as many as fit STACK_BYTES at one scenario's share of the largest stacked
@@ -905,7 +913,7 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     if seed < 0 or scenarios < 1:
         raise ConfigError(f"verify_suite needs seed >= 0 and scenarios >= 1, got seed={seed}, "
                           f"scenarios={scenarios}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     t = _Tracker()
     for d in dims:
         if not t.ok:

@@ -243,6 +243,12 @@ def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
     return M
 
 
+def _check_dimension(m: MaterialModel, d: int):
+    """ConfigError for a law calibrated for another dimension than d, the side of U+."""
+    if m.dimension is not None and m.dimension != d:
+        raise ConfigError(f"the law is calibrated for d = {m.dimension}, but U+ is {d} x {d}")
+
+
 def build(m: MaterialModel, plus: ElasticState, alpha: float) -> ShockFront:
     """The Lax front of intensity alpha through the base state: build_stack of the one
     intensity, raising its error."""
@@ -264,9 +270,7 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
     dimension than U+'s raises ConfigError.  Floating-point warnings are off: an
     overflowing row fails a check.
     """
-    if m.dimension is not None and m.dimension != plus.dim:
-        raise ConfigError(f"the law is calibrated for d = {m.dimension}, but U+ is "
-                          f"{plus.dim} x {plus.dim}")
+    _check_dimension(m, plus.dim)
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     n, U_plus = alphas.size, plus.U
     errors = [None] * n

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -29,14 +31,14 @@ def foam_shock():
 @pytest.fixture(scope="session")
 def shock_pool():
     """Random Lax fronts per dimension, shared across the suite."""
-    rng = np.random.default_rng(20240811)
+    rng = random.Random(20240811)
     return {d: [random_shock(rng, d) for _ in range(12)] for d in (2, 3, 4)}
 
 
 @pytest.fixture(scope="session")
 def frequency_sampler():
     def make(seed, d):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         return lambda: sample_frequency(rng, d)
 
     return make

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadshock
-from hadshock import lopatinskii, shock
+from hadshock import cli, lopatinskii, shock
 from hadshock.cli import COMMANDS, _csv_cell, build_parser, main, to_json
 from hadshock.errors import ConfigError, VerificationError
 from hadshock.oracle import reference_delta
@@ -358,18 +358,54 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
     assert code == 0 and target.read_bytes() == out.encode()
 
 
-def test_grid_text_is_never_held_whole():
-    # a 200 x 200 JSON grid is 7.5 MB of text; it is written one Im row at a time
-    argv = ["grid", *CG2, "--alpha=-3", "--grid-n=200,200", "--format=json"]
+def _grid_peak(argv):
+    """The tracemalloc peak of main(argv), after a warm-up run, with stdout discarded."""
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         assert main(argv) == 0  # warm-up: lazy imports and caches
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_grid_text_is_never_held_whole():
+    # a 200 x 200 JSON grid is 7.5 MB of text; it is written one Im row at a time
+    assert _grid_peak(["grid", *CG2, "--alpha=-3", "--grid-n=200,200", "--format=json"]) < 8 * 2**20
+
+
+def test_grid_memory_does_not_grow_with_the_im_rows():
+    # the kernels run on GRID_BLOCK_CELLS cells at a time, so ten times the Im rows add only
+    # their axis text (about 56 kB); the whole 200 x 400 restricted grid at once adds 10 MB
+    argv = ["grid", "--material=blatz", "--mu=1", "--kappa=1", "--dim=3", "--alpha=-5",
+            "--xi=1,0", "--restrict-gamma-tilde"]
+    peaks = [_grid_peak(argv + [f"--grid-n=200,{n_im}"]) for n_im in (40, 400)]
+    assert peaks[1] - peaks[0] < 200_000
+
+
+# (argv, n_re, n_im, text an empty cell leaves) of a CSV, a JSON, a restricted and a lambda
+# grid, the last two with empty cells: outside the remapped hemisphere, at the zero frequency
+BLOCK_CASES = [
+    (("grid", *CG2, "--alpha=-3", "--grid-n=7,5"), 7, 5, None),
+    (("grid", *CG2, "--alpha=-8", "--grid-n=7,5", "--format=json"), 7, 5, None),
+    (("grid", "--material=blatz", "--mu=1", "--kappa=1", "--dim=3", "--alpha=-5", "--xi=1,0",
+      "--restrict-gamma-tilde", "--grid-re=0,2", "--grid-n=9,7"), 9, 7, ",,,,"),
+    (("grid", *CG2, "--alpha=-1", "--var=lambda", "--xi=0", "--grid-re=0,1", "--grid-im=-1,1",
+      "--grid-n=3,5", "--format=json"), 3, 5, "null"),
+]
+
+
+@pytest.mark.parametrize("argv, n_re, n_im, empty", BLOCK_CASES,
+                         ids=["csv", "json", "restricted", "lambda"])
+def test_grid_bytes_do_not_depend_on_the_block(capsys, monkeypatch, argv, n_re, n_im, empty):
+    # one Im row per block, two (the last block short), and the whole grid at once
+    outs = [run(capsys, *argv)]
+    for cells in (1, 2 * n_re, n_re * n_im):
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", cells)
+        outs.append(run(capsys, *argv))
+    assert outs[0][0] == 0 and all(out == outs[0] for out in outs)
+    assert empty is None or empty in outs[0][1]
 
 
 def test_grid_n_needs_two_integers(capsys):
@@ -555,6 +591,19 @@ def test_verdict_path_imports_no_scipy():
         f" '--out={os.devnull}']) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "                        or m in ('numpy.random', 'numpy.ma', 'dataclasses', 'copy'))))\n"
+    )
+    assert json.loads(_fresh_python(code)) == []
+
+
+def test_verify_loads_neither_numpy_random_nor_openssl():
+    # verify draws from random.Random; numpy.random would load nine extension modules and
+    # OpenSSL's libcrypto (through secrets, hmac and _hashlib)
+    code = (
+        "import json, sys\n"
+        "from hadshock.cli import main\n"
+        f"assert main(['verify', '--seed=7', '--scenarios=2', '--dims=2',"
+        f" '--out={os.devnull}']) == 0\n"
+        "print(json.dumps(sorted(m for m in ('numpy.random', '_hashlib') if m in sys.modules)))\n"
     )
     assert json.loads(_fresh_python(code)) == []
 
@@ -1054,6 +1103,22 @@ def test_law_of_another_dimension_than_uplus_is_config_error(capsys, tmp_path):
     m = hadshock.catalog("ciarlet-geymonat", {"d": 3, "mu": 1.0, "kappa": 2.0})
     with pytest.raises(ConfigError, match="calibrated for d = 3"):
         shock.build(m, shock.ElasticState(np.eye(2)), -0.3)
+
+
+@pytest.mark.parametrize("first", ["1", "-1"])
+def test_dimension_mismatch_is_config_error_whatever_the_sign_of_det(capsys, tmp_path, first):
+    # a 3 x 3 U+ for a d = 2 law, with det U+ of either sign: the dimension is checked first
+    path = tmp_path / "mismatch.json"
+    U = [[float(first), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    path.write_text(json.dumps({"material": {"name": "ciarlet-geymonat", "dimension": 2,
+                                             "mu": 1.0, "kappa": 2.0},
+                                "U_plus": U, "alpha": -0.3}))
+    for argv in (["shock", f"--config={path}"],
+                 ["shock", *CG2, f"--Uplus={first},0,0,0,1,0,0,0,1", "--alpha=-0.3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "config error: the law is calibrated for d = 2, but U+ is 3 x 3\n"
 
 
 @pytest.mark.parametrize("command", [["shock"], ["material", "check"]])

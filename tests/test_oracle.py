@@ -1,6 +1,7 @@
 import cmath
 import collections
 import json
+import random
 import sys
 import tracemalloc
 
@@ -27,7 +28,8 @@ from hadshock.lopatinskii import (
     freq_unmap_values,
     stable_beta_values,
 )
-from hadshock.materials import CATALOG_NAMES, b_blocks, catalog, char_speeds, energy
+from hadshock.materials import (CATALOG_NAMES, acoustic_tensor, b_blocks, catalog, char_speeds,
+                                energy)
 from hadshock.oracle import (
     FREQUENCY_CHECKS,
     SCENARIO_CHECKS,
@@ -291,7 +293,7 @@ def python_complex_forms(sf, lam, xi, beta):
 def test_frequency_stack_equals_single_calls_bit_for_bit(shock_pool):
     # verify computes each scenario's frequencies as one stack; element i must be the
     # call on frequency i alone, as verify made it before, to the last bit
-    rng = np.random.default_rng(131)
+    rng = random.Random(131)
     checked = 0
     for d, pool in shock_pool.items():
         for sf in pool[:6]:
@@ -316,7 +318,7 @@ def test_frequency_stack_equals_single_calls_bit_for_bit(shock_pool):
 
 def _scenarios_with_both_rho_signs(d, count):
     """count verify scenarios of dimension d, among them fronts with rho < 0 and rho > 0."""
-    rng = np.random.default_rng(2000 + d)
+    rng = random.Random(2000 + d)
     drawn = [oracle._draw(rng, d, k) for k in range(count)]
     while len({bool(sc.sf.rho < 0) for sc in drawn}) < 2:
         drawn.append(oracle._draw(rng, d, len(drawn)))
@@ -608,11 +610,27 @@ def test_verify_exception_before_any_failure_propagates(monkeypatch, capsys):
 
 
 def test_verify_takes_the_acoustic_spectrum_from_the_symmetric_solver():
-    # complex geev does not converge on one d=4 acoustic tensor of this suite
-    rep = verify_suite(seed=175785237, scenarios=20, dims=(2, 3, 4))
-    assert rep["ok"], rep.get("first_failure")
-    assert rep["checks"]["acoustic_spectrum_vs_eig"]["count"] == 60
-    assert rep["checks"]["acoustic_spectrum_vs_eig"]["max_err"] <= 1e-14
+    # a d = 4 scenario whose acoustic tensor (eigenvalues 8.845 x3 and 23.12) complex geev
+    # does not converge on (numpy 2.4 on OpenBLAS 0.3.31); an earlier draw stream of verify
+    # drew it at seed 175785237
+    m = catalog("simo-miehe", {"d": 4, "mu": 1.342971760648683, "kappa": 1.2047507139291578})
+    U = np.array([
+        [1.2766210153648654, -0.15309224207077488, -0.24759015065052958, -0.03634786758048092],
+        [0.36438237109683924, 1.0220724572033268, 0.16733749450516144, 0.002668115737624821],
+        [-0.3281773280888415, 0.48392559075315456, 1.207237156508389, 0.2196925651120476],
+        [0.22990379317439635, -0.11260877833847605, 0.2914699132572146, 1.2467295330973578]])
+    v = np.array([-0.17694686783166902, -0.8805492613495145, 0.07951558989651875,
+                  -0.21770238158381816])
+    xi = np.array([-1.2290854416132173, 2.0959842058002827, 0.6976089768738789,
+                   0.44239872601234237])
+    sf = build(m, ElasticState(U, v), -2.4289309414795053)
+    assert np.array_equal(acoustic_tensor(m, U, xi), [
+        [14.621939315388252, -6.901347315636753, 0.31286656781229333, -1.1679462608375273],
+        [-6.901347315636753, 17.089723625256365, -0.3737651855675636, 1.3952837913214955],
+        [0.31286656781229333, -0.3737651855675636, 8.861992336641478, -0.06325397505003026],
+        [-1.1679462608375273, 1.3952837913214955, -0.06325397505003026, 9.081178212517852]])
+    values = oracle._material_values([sf], b_blocks(m, U)[None], xi[None])
+    assert values["acoustic_spectrum_vs_eig"][0] <= 1e-14
 
 
 def test_frequency_work_does_not_grow_with_the_stack(monkeypatch, cg2_shock):
@@ -702,7 +720,7 @@ def test_verify_suite_rejects_unserved_dims_before_drawing(monkeypatch, dims):
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"scenarios": 0}, {"scenarios": -3},
                                     {"dims": ()}])
 def test_verify_suite_rejects_empty_or_negative_arguments_before_drawing(monkeypatch, kwargs):
-    # each would check nothing, or hand numpy a seed it rejects untyped
+    # each would check nothing, or repeat the scenarios of -seed (random.Random takes |seed|)
     def drawn(*args):
         raise AssertionError("verify_suite drew a scenario")
     monkeypatch.setattr(oracle, "random_shock", drawn)
@@ -867,7 +885,7 @@ def test_batched_oracle_catches_a_wrong_block(monkeypatch):
             return B
         return wrong
 
-    sf = random_shock(np.random.default_rng(11), 3)
+    sf = random_shock(random.Random(11), 3)
     m, U = sf.material, sf.plus.U
     clean = fd_check_suite(m, U, oracle.b_blocks(m, U))["hessian_vs_btensor"]
     assert clean <= 1e-7
@@ -891,7 +909,7 @@ def test_random_shock_does_not_retry_programming_errors(monkeypatch):
 
     monkeypatch.setattr(oracle, "build", broken)
     with pytest.raises(TypeError):
-        random_shock(np.random.default_rng(1), 2)
+        random_shock(random.Random(1), 2)
     assert len(calls) == 1
 
 
@@ -901,7 +919,7 @@ def test_random_shock_exhaustion_is_typed(monkeypatch, capsys):
 
     monkeypatch.setattr(oracle, "build", rejected)
     with pytest.raises(NoConvergence):
-        random_shock(np.random.default_rng(1), 2)
+        random_shock(random.Random(1), 2)
     assert main(["verify", "--seed=1", "--scenarios=1", "--dims=2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -909,7 +927,7 @@ def test_random_shock_exhaustion_is_typed(monkeypatch, capsys):
 
 
 def test_random_shock_generator_properties():
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     for d in (2, 3, 4):
         sf = random_shock(rng, d)
         assert sf.dim == d
@@ -918,7 +936,7 @@ def test_random_shock_generator_properties():
 
 
 def test_sample_frequency_on_hemisphere():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for d in (2, 3, 4):
         lam, xi = sample_frequency(rng, d)
         assert lam.real >= 0.05
@@ -951,7 +969,7 @@ def test_verify_suite_serves_dimensions_six_to_eight():
 
 def test_verify_suite_checks_stiff_fronts():
     # scenarios with kappa2+ > 150 are verified like any other, not drawn again
-    fronts = _verify_fronts(4, 3, (2, 3))
+    fronts = _verify_fronts(12, 3, (2, 3))
     assert max(f.kappa2_plus for f in fronts) > 1000.0
 
 
