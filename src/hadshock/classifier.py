@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, InvalidBracket, VerificationError
+from .errors import AlphaOutOfRange, HadshockError, InvalidBracket, VerificationError
 from .lopatinskii import _imag_roots
 from .materials import MaterialModel
 from .shock import (ElasticState, FrontStack, ShockFront, _coeff_algebra, _criterion, _lax_margins,
@@ -359,9 +359,10 @@ def transition_alpha(
 ) -> Optional[float]:
     """Bisect the intensity at which the verdict flips inside a bracket.
 
-    Both endpoints must build valid fronts; returns None when the
-    verdict is the same at both ends, otherwise the flip location to
-    within TRANSITION_TOL.
+    Both endpoints must build valid fronts, or InvalidBracket carries the
+    HadshockError an end raised; any other exception propagates.  Returns
+    None when the verdict is the same at both ends, otherwise the flip
+    location to within TRANSITION_TOL.
     """
 
     def verdict_at(alpha: float) -> str:
@@ -371,7 +372,7 @@ def transition_alpha(
     try:
         k_lo = verdict_at(alpha_lo)
         k_hi = verdict_at(alpha_hi)
-    except Exception as exc:
+    except HadshockError as exc:
         raise InvalidBracket(f"bracket endpoint failed to build/classify: {exc}") from exc
     if k_lo == k_hi:
         return None

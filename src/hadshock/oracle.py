@@ -1,7 +1,7 @@
 """Brute-force verification routes for every closed form in the package.
 
 Nothing here reuses the simplified expressions under test: fluxes are
-differentiated numerically, the full (d^2+d)-dimensional frequency
+differentiated by complex step, the full (d^2+d)-dimensional frequency
 symbol is assembled and diagonalized densely, and the stability
 function is rebuilt from the raw jump vector.  The references that only
 cross-checks use live here too: the residual of the stable root, the
@@ -37,7 +37,7 @@ __all__ = [
     "g_matrices",
     "formula_left_eigenvector",
     "delta_hat_assembled",
-    "delta_v1_raw",
+    "delta_v1_raw_terms",
     "left_eigvec_residual",
     "hersh_counts",
     "beta_residual",
@@ -58,7 +58,7 @@ EIG_CLUSTER_TOL = 1e-7
 SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_reference polishes
 MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
 CONTROL_NODES = 24  # nodes per axis of the negative-control grid
-STACK_BYTES = 1 << 19  # 512 KiB, verify's largest array per stacked call: bounds its memory
+STACK_BYTES = 1 << 19  # 512 KiB, about what one stacked verify call holds: bounds its memory
 SHOCK_TRIES = 200  # draws random_shock makes before it gives up
 
 # The assembly functions take the B-blocks ``b_blocks(m, U)`` (at U+ for a
@@ -252,17 +252,18 @@ def delta_hat_assembled(sf: ShockFront, B: np.ndarray, jump_sig: np.ndarray, xi_
     return (_q_vector(sf, beta, xi_t)[..., None, :] @ vec[..., :, None])[..., 0, 0]
 
 
-def delta_v1_raw(sf: ShockFront, lam, xi_t) -> np.ndarray:
+def delta_v1_raw_terms(sf: ShockFront, lam, xi_t) -> tuple:
     """delta_v1 as the raw double sum over transverse indices, before the square is
-    completed: (kappa2+ - s^2)(theta11 beta^2 - 2i beta eta - Nsq)
-    - alpha (s^2 - mu)/J+ xi_t.Theta_TT xi_t."""
+    completed, in its three terms (sq, lin, ssum), delta_v1 = sq - lin - ssum:
+    (kappa2+ - s^2) theta11 beta^2, 2i beta (kappa2+ - s^2) eta and
+    (kappa2+ - s^2) Nsq + alpha (s^2 - mu)/J+ xi_t.Theta_TT xi_t."""
     xi = np.asarray(xi_t, dtype=float)
     coeffs = freq_coeffs(sf, xi)
     beta = stable_beta_values(sf, lam, xi)
     k2, s, th11 = sf.kappa2_plus, sf.speed, sf.theta11
     quad = (xi[..., None, :] @ sf.Theta[..., 1:, 1:] @ xi[..., :, None])[..., 0, 0]
     ssum = (k2 - s * s) * coeffs.Nsq + sf.alpha * (s * s - sf.material.mu) / sf.Jplus * quad
-    return _product((k2 - s * s) * th11 * beta, beta) - 2j * beta * (k2 - s * s) * coeffs.eta - ssum
+    return _product((k2 - s * s) * th11 * beta, beta), 2j * beta * (k2 - s * s) * coeffs.eta, ssum
 
 
 def hersh_counts(sf: ShockFront, B: np.ndarray, lam, xi_t):
@@ -455,123 +456,84 @@ def sphere_min_reference(sf: ShockFront) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference identity checks
+# complex-step identity checks
 
-def _moves(U: np.ndarray, step) -> np.ndarray:
-    """U (..., d, d) with entry (p, q) moved by step (...) at [..., 0, p, q] and by -step at
-    [..., 1, p, q]: (..., 2, d, d, d, d)."""
-    lead, n = U.shape[:-2], U.shape[-1] ** 2
-    X = np.broadcast_to(U.reshape(lead + (1, 1, n)), lead + (2, n, n)).copy()
-    X[..., 0, range(n), range(n)] += step[..., None]
-    X[..., 1, range(n), range(n)] -= step[..., None]
-    return X.reshape(lead + (2,) + U.shape[-2:] * 2)
+STEP = 1e-30  # the complex step t: f'(x) = Im f(x + i t) / t to rounding, as nothing is subtracted
 
-
-def _fd_det_cofactor(U: np.ndarray, V: np.ndarray):
-    """(central-difference gradient of det at U, worst error of the closed-form derivative
-    of Cof U over all indices) for U or a stack (..., d, d), from one stencil; V is Cof U."""
-    step = 1e-6 * (1.0 + np.abs(U).max(axis=(-2, -1)))
-    X = _moves(U, step)
-    det, C, J, h = np.linalg.det(X), cofactor(X), np.linalg.det(U), (2.0 * step)[..., None, None]
-    fd = (C[..., 0, :, :, :, :] - C[..., 1, :, :, :, :]) / h[..., None, None]
-    scale = np.maximum(1.0, np.float_power(np.abs(V).max(axis=(-2, -1)), 2) / J)
-    # the derivative along entry (q, i) is (V_qi V - V_i x V^q) / J
-    closed = (V[..., :, :, None, None] * V[..., None, None, :, :]
-              - np.swapaxes(V, -1, -2)[..., None, :, :, None] * V[..., :, None, None, :])
-    err = np.abs(fd - closed / J[..., None, None, None, None]).max(axis=(-4, -3, -2, -1))
-    return (det[..., 0, :, :] - det[..., 1, :, :]) / h, err / scale
-
-
-def _fd_hessian(ms: list, U: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Central-difference Hessians of W over the row-major entries of each U (S, d, d) in
-    its material ms[k] with its step[k], (S, d^2, d^2).
-
-    The (a, b) and (b, a) stencils share their four states, so the distinct states of a
-    matrix (U, every single and every pair move) go to ``energy`` as one stack.
-    """
-    S, n = U.shape[0], U.shape[-1] ** 2
-    a, b = np.triu_indices(n, 1)
-    X = np.broadcast_to(U.reshape(S, 1, n), (S, 1 + 2 * n + 4 * a.size, n)).copy()
-    X[:, 1 : 1 + 2 * n].reshape(S, 2, n, n)[:, :, range(n), range(n)] += np.stack(
-        (step, -step), axis=1)[:, :, None]
-    pairs = X[:, 1 + 2 * n :].reshape(S, 2, 2, a.size, n)  # [sign of a, sign of b, pair, entry]
-    k, h = range(a.size), step[:, None, None, None]
-    pairs[:, :1, :, k, a] += h
-    pairs[:, 1:, :, k, a] -= h
-    pairs[:, :, :1, k, b] += h
-    pairs[:, :, 1:, k, b] -= h
-    W = np.stack([energy(m, x.reshape((-1,) + U.shape[1:])) for m, x in zip(ms, X)])
-    single = W[:, 1 : 1 + 2 * n].reshape(S, 2, n)
-    # Sab[:, sa, sb][a, b] = W at U with a moved by sa and b by sb, for a != b
-    Sab = np.zeros((S, 2, 2, n, n))
-    Sab[..., a, b] = W[:, 1 + 2 * n :].reshape(S, 2, 2, a.size)
-    Sab[..., b, a] = Sab[..., a, b].transpose(0, 2, 1, 3)
-    step_sq = np.float_power(step, 2)[:, None, None]  # libm pow, as step**2 of one matrix
-    H = (Sab[:, 0, 0] - Sab[:, 0, 1] - Sab[:, 1, 0] + Sab[:, 1, 1]) / (4.0 * step_sq)
-    H[:, range(n), range(n)] = (single[:, 0] - 2.0 * W[:, :1] + single[:, 1]) / step_sq[:, 0]
-    return H
-
-
-def _fd_hessian_btensor_err(ms: list, U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Worst relative error of the B-blocks B (S, d, d, d, d) at each U (S, d, d) against the
-    FD Hessian of W, (S,)."""
-    d = U.shape[-1]
-    H = _fd_hessian(ms, U, 3e-5 * (1.0 + np.abs(U).max(axis=(1, 2))))
-    # entry (p, q) of B_i^j is d2 W / dU_{p, j} dU_{q, i}: H[p d + j, q d + i]
-    fd = H.reshape(-1, d, d, d, d).transpose(0, 4, 2, 1, 3)
-    return np.abs(fd - B).max(axis=(1, 2, 3, 4)) / np.abs(B).max(axis=(1, 2, 3, 4))
-
-
-def _fd_gnl_err(ms: list, U: np.ndarray, V: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Directional derivative of the extreme speed against the closed form at each U (S, d, d)
-    along its direction (S, d), (S,); V is Cof U."""
-    nu = directions / _norms(directions)[:, None]
-    mu = np.array([m.mu for m in ms])
-
-    def a1(X, cof):  # at X (S, k, d, d) with its Cof
-        w = (cof @ nu[:, None, :, None])[..., 0]
-        h2 = np.stack([m.h2(J) for m, J in zip(ms, np.linalg.det(X))])
-        return -np.sqrt(mu[:, None] + h2 * (w[..., None, :] @ w[..., :, None])[..., 0, 0])
-
-    # the deformation part of the right eigenvector
-    z = -(1.0 / a1(U[:, None], V[:, None])) * (V @ nu[..., None])[..., 0]
-    step = 1e-5 * (1.0 + np.abs(U).max(axis=(1, 2)))
-    move = step[:, None, None] * (z[:, :, None] * nu[:, None, :])
-    X = np.stack((U + move, U - move), axis=1)
-    speeds = a1(X, cofactor(X))
-    fd = (speeds[:, 0] - speeds[:, 1]) / (2.0 * step)
-    closed = np.array([genuine_nonlinearity(*args) for args in zip(ms, U, nu)])
-    return np.abs(fd - closed) / np.maximum(1.0, np.abs(closed))
-
-
-FD_CHECKS = ("grad_det_vs_cofactor", "cofactor_derivative", "hessian_vs_btensor",
-             "genuine_nonlinearity")
+FD_CHECKS = ("grad_det_vs_cofactor", "cofactor_derivative", "grad_energy_vs_piola",
+             "hessian_vs_btensor", "genuine_nonlinearity")
 
 
 def _fd_values(ms: list, U: np.ndarray, V: np.ndarray, B: np.ndarray, directions) -> dict:
     """fd_check_suite's errors at each U (S, d, d) in its material, with its Cof V, B-blocks
-    B and GNL direction, (S,) each, as one stack."""
-    grad, err_cof = _fd_det_cofactor(U, V)
-    err_grad = np.abs(grad - V).max(axis=(1, 2)) / np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
-    return dict(zip(FD_CHECKS, (err_grad, err_cof, _fd_hessian_btensor_err(ms, U, B),
-                                _fd_gnl_err(ms, U, V, directions))))
+    B and GNL direction, (S,) each, as one stack.
+
+    Every derivative is a complex step, from the d^2 + 1 states U + i t E_pq, one per entry
+    (p, q), and U + i t z x nu along the extreme eigenvector z.  ``energy``,
+    ``piola_kirchhoff`` and ``cofactor`` take real U only, so at these states the oracle
+    forms its own W = mu/2 sum X*X + h(det X), which must be ``energy`` at U,
+    P = mu X + h'(det X) Cof X and Cof X = det X X^-T.  X*X, not |X|^2, keeps each
+    analytic; so must h be, as every catalog law is.
+    """
+    S, d = U.shape[:2]
+    n = d * d
+    J = np.linalg.det(U)
+    mu = np.array([m.mu for m in ms])
+    nu = directions / _norms(directions)[:, None]
+    w = (V @ nu[..., None])[..., 0]
+    a1 = -np.sqrt(mu + np.array([m.h2(j) for m, j in zip(ms, J)]) * (w * w).sum(axis=-1))
+    z = -w / a1[:, None]  # the deformation part of the extreme right eigenvector
+    moves = np.concatenate((np.broadcast_to(np.eye(n).reshape(n, d, d), (S, n, d, d)),
+                            (z[:, :, None] * nu[:, None, :])[:, None]), axis=1)
+    X = U[:, None] + (1j * STEP) * moves
+    det = np.linalg.det(X)
+    cof = det[..., None, None] * np.swapaxes(np.linalg.inv(X), -1, -2)
+    h, h1, h2 = map(np.stack, zip(*[(m.h(j), m.h1(j), m.h2(j)) for m, j in zip(ms, det)]))
+    W = 0.5 * mu[:, None] * (X * X)[:, :n].reshape(S, n, n).sum(axis=-1) + h[:, :n]
+    P = mu[:, None, None, None] * X[:, :n] + h1[:, :n, None, None] * cof[:, :n]
+    wz = (cof[:, n] * nu[:, None, :]).sum(axis=-1)
+    speed = -np.sqrt(mu + h2[:, n] * (wz * wz).sum(axis=-1))
+    # each derivative with the entry moved, (q, i), first: dP_pj / dU_qi is (B_i^j)_pq
+    grad_det, dcof, grad_W, dP, dspeed = (np.imag(f) / STEP for f in
+                                          (det[:, :n], cof[:, :n], W, P, speed))
+    dP = dP.reshape(S, d, d, d, d).transpose(0, 2, 4, 3, 1)
+
+    def err(a, b, scale):  # the largest |a - b| of each scenario, relative to scale
+        return np.abs(a.reshape(S, -1) - b.reshape(S, -1)).max(axis=1) / scale
+
+    Vmax = np.abs(V).max(axis=(1, 2))
+    # the derivative of Cof along entry (q, i) is (V_qi V - V_i x V^q) / J
+    closed = (V[..., :, :, None, None] * V[..., None, None, :, :]
+              - np.swapaxes(V, -1, -2)[..., None, :, :, None] * V[..., :, None, None, :])
+    W0 = np.array([energy(m, u) for m, u in zip(ms, U)])
+    piola = np.stack([piola_kirchhoff(m, u) for m, u in zip(ms, U)])
+    gnl = np.array([genuine_nonlinearity(*args) for args in zip(ms, U, nu)])
+    return dict(zip(FD_CHECKS, (
+        err(grad_det, V, np.maximum(1.0, Vmax)),
+        err(dcof, closed / J[:, None, None, None, None],
+            np.maximum(1.0, np.float_power(Vmax, 2) / J)),
+        np.maximum(err(W.real, W0, np.maximum(1.0, np.abs(W0))),
+                   err(grad_W, piola, np.maximum(1.0, np.abs(piola).max(axis=(1, 2))))),
+        err(dP, B, np.abs(B).max(axis=(1, 2, 3, 4))),
+        err(dspeed, gnl, np.maximum(1.0, np.abs(gnl))))))
 
 
 def fd_check_suite(m: MaterialModel, U: np.ndarray, B: np.ndarray, seed: int = 0) -> dict:
-    """Finite-difference validation of the derivative identities at U.
+    """Complex-step validation of the derivative identities at U.
 
-    Checks the determinant gradient against Cof U, the cofactor
-    derivative closed form, the B-blocks B (``b_blocks(m, U)``) against
-    the Hessian of the stored energy, and the genuine-nonlinearity
-    derivative along the extreme eigenvector, in a direction drawn from
-    ``random.Random(seed)``.  Passes when every error is at most 1e-5.
-    verify runs the same checks on its scenarios as one stack.
+    Checks the determinant gradient against Cof U, the cofactor derivative closed form, the
+    stored energy (``energy``) and its gradient against P (``piola_kirchhoff``), the
+    derivative of P against the B-blocks B (``b_blocks(m, U)``), and the
+    genuine-nonlinearity derivative along the extreme eigenvector, in a direction drawn from
+    ``random.Random(seed)``.  Passes when every error is at most 1e-12.  m's h must be
+    analytic, as every catalog law's is.  verify runs the same checks on its scenarios as
+    one stack.
     """
     U = np.asarray(U, dtype=float)
     direction = _normals(random.Random(seed), U.shape[0])
     values = _fd_values([m], U[None], cofactor(U)[None], np.asarray(B)[None], direction[None])
     report = {name: float(v[0]) for name, v in values.items()}
-    report["pass"] = all(v <= 1e-5 for v in report.values())
+    report["pass"] = all(v <= 1e-12 for v in report.values())
     return report
 
 
@@ -679,7 +641,7 @@ SCENARIO_CHECKS = (
     ("rho_identity", 1e-13), ("speed_supersonic", 0.5), ("acoustic_double_sum", 1e-11),
     ("acoustic_spectrum_vs_eig", 1e-9), ("acoustic_eigvec", 1e-11),
     ("btensor_transpose_symmetry", 1e-12), ("char_speeds_vs_eig", 1e-8),
-    *((f"fd_{name}", 1e-5) for name in FD_CHECKS))
+    *((f"fd_{name}", 1e-12) for name in FD_CHECKS))
 # the last two, the rho < 0 factorization's, only for a front with rho < 0
 FREQUENCY_CHECKS = (
     ("beta_residual", 1e-13), ("beta_stable_halfplane", 0.5), ("beta_not_curl_artifact", 0.5),
@@ -777,6 +739,7 @@ def _frequency_values(fronts: list, sf: SimpleNamespace, B: np.ndarray, jump_sig
     gammas = freq_map_values(sf, lams, xis)
     coeffs = freq_coeffs(sf, xis)
     v1c = delta_v1_values(sf, lams, xis)
+    sq, lin, ssum = delta_v1_raw_terms(sf, lams, xis)
     hat = delta_hat_assembled(sf, B, jump_sig, xis, betas)
     l = formula_left_eigenvector(sf, B, lams, xis, betas)
     lk = (l[..., None, :] @ jump_vector(sf, jump_sig, lams, xis)[..., :, None])[..., 0, 0]
@@ -791,7 +754,8 @@ def _frequency_values(fronts: list, sf: SimpleNamespace, B: np.ndarray, jump_sig
         "P_nonnegative": _flag(coeffs.P >= 0),
         "zeta_nonnegative": _flag(coeffs.zeta >= 0),
         "zeta_tau_margin": _flag(coeffs.zeta - np.float_power(sf.tau * coeffs.eta, 2) >= -1e-13),
-        "v1_raw_vs_completed": _rel(_abs(v1c - delta_v1_raw(sf, lams, xis)), 1.0 + _abs(v1c)),
+        "v1_raw_vs_completed": _abs(v1c - (sq - lin - ssum)) / np.maximum(
+            1.0, np.maximum.reduce([_abs(sq), _abs(lin), np.abs(ssum)])),
         "v1_vs_v2_mapped": _rel(_abs(v1c - v2), 1.0 + _abs(v1c)),
         "v1_vs_assembled": _rel(_abs(v1c - _product(1j / sf.alpha, hat)), 1.0 + _abs(v1c)),
         "left_eigvec_residual": left_eigvec_residual(sf, B, lams, xis, l, betas),
@@ -814,8 +778,8 @@ def _frequency_values(fronts: list, sf: SimpleNamespace, B: np.ndarray, jump_sig
 
 def _draw(rng: random.Random, d: int, k: int) -> SimpleNamespace:
     """Scenario k of dimension d: its front and what its checks draw, in this order: the
-    material checks' direction xi, the FD suite's seed, three frequencies and the control
-    direction."""
+    material checks' direction xi, the derivative checks' seed, three frequencies and the
+    control direction."""
     sf = random_shock(rng, d)
     xi, fd_seed = _normals(rng, d), rng.randrange(2**31)
     lams, xis = zip(*(sample_frequency(rng, d) for _ in range(3)))
@@ -897,8 +861,8 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
     ``random.Random(seed)``.
 
     Each dimension in 2..MAX_DIM, given at most once, draws its scenarios first, then checks
-    them in chunks of as many as fit STACK_BYTES at one scenario's share of the largest stacked
-    array (56 at d = 2, 44 at d = 3, 7 at d = 4, 2 at d = 5, 1 from d = 6), each as one stack, then
+    them in chunks of as many as fit STACK_BYTES at one scenario's share of a stacked call
+    (11 at d = 2 and 3, 5 at d = 4, 2 at d = 5, 1 from d = 6), each as one stack, then
     records scenario by scenario: SCENARIO_CHECKS, FREQUENCY_CHECKS at each of its three
     frequencies (the rho < 0 pair only where its rho < 0), interior_nonvanishing and (once
     per dimension, at the first rho < 0 front) winding_interior_zeros.  A value above its
@@ -925,9 +889,10 @@ def verify_suite(seed: int = 0, scenarios: int = 50, dims=(2, 3, 4)) -> dict:
             except Exception as exc:  # raised once the recording reaches scenario k
                 error = exc
                 break
-        # a scenario's bytes in the largest stacked array: its three complex frequency symbols
-        # of side d^2 + d, its complex control grid or its FD Hessian's 2 d^4 + 1 real d x d states
-        size = max(48 * (d * d + d) ** 2, 16 * CONTROL_NODES**2, 8 * d * d * (2 * d**4 + 1))
+        # a scenario's bytes in a stacked call: about 5 times its largest array, its three
+        # complex frequency symbols of side d^2 + d or its complex control grid (its d^2 + 1
+        # complex d x d states for the derivative checks are smaller)
+        size = 5 * max(48 * (d * d + d) ** 2, 16 * CONTROL_NODES**2)
         values, exc = _per_scenario(drawn, size)
         if exc is not None:
             drawn, error = drawn[: len(values)], exc

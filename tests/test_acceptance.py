@@ -189,15 +189,15 @@ def test_criterion_06_full_assembly_oracle(shock_pool, frequency_sampler):
 
 
 def test_criterion_07_tensor_identities():
-    with criterion(7, "tensor identities against finite differences and dense eig"):
+    with criterion(7, "tensor identities against complex-step derivatives and dense eig"):
         rng = random.Random(77)
         for d in (2, 3, 4):
             for _ in range(50):
                 sf = random_shock(rng, d)
                 m, U = sf.material, sf.plus.U
                 fd = fd_check_suite(m, U, b_blocks(m, U))
-                assert fd["hessian_vs_btensor"] <= 1e-5
-                assert fd["cofactor_derivative"] <= 1e-6
+                assert fd.pop("pass")
+                assert max(fd.values()) <= 1e-13, fd
                 xi = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
                 spec = acoustic_spectrum(m, U, xi)
                 Q = acoustic_tensor(m, U, xi)

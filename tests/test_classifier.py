@@ -555,6 +555,29 @@ def test_transition_alpha_invalid_bracket(cg2):
         transition_alpha(cg2, np.eye(2), np.zeros(2), -1.0, 0.5)  # upper end not buildable
 
 
+def test_transition_alpha_lets_programming_errors_at_a_bracket_end_propagate(monkeypatch, cg2):
+    # a domain error at a bracket end is an invalid bracket; a bug in build is not
+    from hadshock import classifier
+
+    real_build = classifier.build
+
+    def build_failing_at(alpha, exc):
+        def patched(m, state, a):
+            if a == alpha:
+                raise exc
+            return real_build(m, state, a)
+        return patched
+
+    monkeypatch.setattr(classifier, "build", build_failing_at(-0.1, TypeError("a bug in build")))
+    with pytest.raises(TypeError, match="a bug in build"):
+        transition_alpha(cg2, np.eye(2), np.zeros(2), -10.0, -0.1)
+    monkeypatch.setattr(classifier, "build",
+                        build_failing_at(-0.1, AlphaOutOfRange("no front at this intensity")))
+    with pytest.raises(InvalidBracket, match="no front at this intensity") as info:
+        transition_alpha(cg2, np.eye(2), np.zeros(2), -10.0, -0.1)
+    assert isinstance(info.value.__cause__, AlphaOutOfRange)
+
+
 # --------------------------------------------------------------------------
 # closed-form reference determinants
 

@@ -17,7 +17,7 @@ NOT_CALLED_INSIDE = {
     "transition_alpha",  # bisection of the verdict over an intensity bracket
     "reference_delta",  # closed-form CG2D / Blatz3D stability functions
     "sphere_min_reference",  # dense sphere covering plus compass search, for tests only
-    "fd_check_suite",  # the FD checks at one state; verify runs them on stacks
+    "fd_check_suite",  # the derivative checks at one state; verify runs them on stacks
 }
 
 

@@ -18,7 +18,7 @@ from hadshock.materials import catalog
 from hadshock.oracle import (
     _stack_fronts,
     beta_residual,
-    delta_v1_raw,
+    delta_v1_raw_terms,
     delta_v3_values,
     reference_delta,
     sample_frequency,
@@ -107,7 +107,8 @@ def test_delta_v1_raw_equals_completed(shock_pool, frequency_sampler):
         for sf in pool[:6]:
             lam, xi = sample()
             a = delta_v1_values(sf, lam, xi)
-            b = delta_v1_raw(sf, lam, xi)
+            sq, lin, ssum = delta_v1_raw_terms(sf, lam, xi)
+            b = sq - lin - ssum
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
