@@ -127,10 +127,6 @@ def _material_from_spec(spec: dict) -> materials.MaterialModel:
     if name is None:
         raise ConfigError("material config needs a 'name'")
     params = dict(spec.pop("params", {}) or {})
-    if name == "custom":
-        name = params.pop("form", None)
-        if name is None:
-            raise ConfigError("custom material config needs params.form naming a built-in h-form")
     if not isinstance(name, str):
         raise ConfigError(f"a material name must be a string, got {name!r}")
     for key in ("dimension", "dim", "d"):
@@ -259,8 +255,6 @@ def _cmd_material(args) -> int:
         "lame_first": rep.lame_first,
         "effective_bulk": rep.effective_bulk,
         "h_nonincreasing": rep.h_nonincreasing,
-        "fd_consistent": rep.fd_consistent,
-        "fd_max_rel_err": rep.fd_max_rel_err,
         "all_ok": rep.all_ok,
     }
     _emit(to_json(payload), args.out)

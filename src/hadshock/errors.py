@@ -43,7 +43,7 @@ class BadModuli(ConfigError):
 
 
 class BadParams(ConfigError):
-    """Parameters of a reference determinant or a custom law are missing or out of range."""
+    """Parameters of a reference determinant or a term table are missing or out of range."""
 
 
 class DomainError(HadshockError):

@@ -14,7 +14,7 @@ deformation, which is what the shock machinery relies on.
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,27 +39,44 @@ __all__ = [
 
 
 class MaterialModel:
-    """Shear modulus plus volumetric energy h with three derivatives.
+    """Shear modulus plus a volumetric energy h written as a table of terms.
 
-    ``h, h1, h2, h3`` accept a float or a numpy array of J > 0 values; for
-    a catalog law a float J gives the same value, bit for bit, as the same
-    J inside an array, since every term is evaluated with numpy's ufuncs.
-    ``declared_bulk`` records the bulk modulus the model was built from,
-    when it was; the hypothesis report compares it with the small-strain
-    bulk modulus implied by h''(1).
+    h(J) = const + the sum of the rows, each a term kind with its coefficients:
+    ``("log", c)`` is c log J, ``("power", c, a, p)`` is c (J - a)^p and
+    ``("cosh", c, b)`` is c cosh b(J - 1).  ``h, h1, h2, h3`` evaluate h and its
+    first three derivatives at a float or a numpy array of J > 0 (complex J too, for
+    the oracle's complex steps); a float J gives the same value, bit for bit, as the
+    same J inside an array, since every term is evaluated with numpy's ufuncs.
+    ``derivative_sign`` reads the sign of a derivative on an interval from the rows
+    alone.  The moduli are taken as given (``catalog`` validates its own); a row of
+    another kind is BadParams.  ``declared_bulk`` records the bulk modulus the model
+    was built from, when it was; the hypothesis report compares it with the
+    small-strain bulk modulus implied by h''(1).
     """
 
-    def __init__(self, name: str, mu: float, h: Callable, h1: Callable, h2: Callable,
-                 h3: Callable, declared_bulk: Optional[float] = None,
-                 dimension: Optional[int] = None):
-        if not (mu > 0):
-            raise BadModuli(f"shear modulus must be positive, got {mu}")
-        self.name, self.mu, self.h, self.h1, self.h2, self.h3 = name, mu, h, h1, h2, h3
+    def __init__(self, name: str, mu: float, rows, const: float = 0.0,
+                 declared_bulk: Optional[float] = None, dimension: Optional[int] = None):
+        self.name, self.mu, self.rows = name, mu, tuple(rows)
+        if any(not row or row[0] not in _TERMS for row in self.rows):
+            raise BadParams(f"a term row is (kind, c, *args) with kind in {list(_TERMS)}, "
+                            f"got {list(rows)!r}")
+        self.h, self.h1, self.h2, self.h3 = (
+            functools.partial(_law, n=n, const=const if n == 0 else 0.0, rows=self.rows)
+            for n in range(4))
         self.declared_bulk, self.dimension = declared_bulk, dimension
+
+    def derivative_sign(self, n: int, lo, hi):
+        """Sign of h's n-th derivative (n >= 1) on each [lo, hi], from the rows alone: -1, 0
+        or +1 where every nonzero row has that sign there, and 2 (undecided) otherwise."""
+        out = np.zeros(np.shape(lo))
+        for kind, c, *args in self.rows:
+            s = _TERMS[kind][1](n, lo, hi, c, *args)
+            out = np.where((s == 0) | (out == s), out, np.where(out == 0, s, 2))
+        return out
 
 
 class HypothesisReport(NamedTuple):
-    """Outcome of sampling the material hypotheses on a J-grid."""
+    """The material hypotheses on a J-grid."""
 
     h2_positive: bool
     h3_negative: bool
@@ -68,8 +85,6 @@ class HypothesisReport(NamedTuple):
     poisson: float
     lame_first: float
     J_grid: np.ndarray
-    fd_consistent: bool
-    fd_max_rel_err: float
     effective_bulk: float
     h_nonincreasing: bool
 
@@ -80,7 +95,6 @@ class HypothesisReport(NamedTuple):
             and self.h3_negative
             and self.free_stress
             and self.bulk_relation
-            and self.fd_consistent
         )
 
 
@@ -115,11 +129,36 @@ def _cosh(J, n, c, b):
     return c * b**n * (np.sinh if n % 2 else np.cosh)(b * (J - 1.0))
 
 
+def _log_sign(n, lo, hi, c):
+    """sign(c) (-1)^(n-1), for every J > 0."""
+    return np.sign(c) * (-1) ** (n - 1)
+
+
+def _power_sign(n, lo, hi, c, a, p):
+    """The coefficient's sign where p = n or lo >= a, so that (J - a)^(p-n) > 0 past lo;
+    else 2."""
+    k = np.sign(c * math.prod(p - i for i in range(n)))
+    return k if k == 0 or p == n else np.where(lo >= a, k, 2)
+
+
+def _cosh_sign(n, lo, hi, c, b):
+    """sign(c) for even n; sign(c) sign(J - 1) for odd n, decided where lo >= 1 or hi <= 1."""
+    s = np.sign(c)
+    if n % 2 == 0 or s == 0:
+        return s
+    return np.where(lo >= 1, np.sign(hi - 1) * s, np.where(hi <= 1, -s, 2))
+
+
+# each term kind: its n-th derivative at J, and that derivative's sign on [lo, hi]
+_TERMS = {"log": (_log, _log_sign), "power": (_power, _power_sign), "cosh": (_cosh, _cosh_sign)}
+
+
 def _law(J, n, const, rows):
-    """const plus the n-th derivatives of c phi(J) over the rows (phi, c, *args)."""
+    """const plus the n-th derivatives of the rows (kind, c, *args)."""
     out = const
-    for phi, c, *args in rows:
-        out += phi(J, n, c, *args)  # in place once out is an array: one temporary fewer
+    for kind, c, *args in rows:
+        # in place once out is an array: one temporary fewer
+        out += _TERMS[kind][0](J, n, c, *args)
     return out
 
 
@@ -136,13 +175,13 @@ def _require_poisson_positive(name, mu, kappa, d):
 
 def _ciarlet_geymonat(mu, kappa, d, params):
     _require_poisson_positive("ciarlet-geymonat", mu, kappa, d)
-    return kappa, 0.0, ((_log, -mu), (_power, 0.5 * kappa - mu / d, 1.0, 2.0))
+    return kappa, 0.0, (("log", -mu), ("power", 0.5 * kappa - mu / d, 1.0, 2.0))
 
 
 def _blatz(mu, kappa, d, params):
     _require_poisson_positive("blatz", mu, kappa, d)
     lin, logc = kappa - 2.0 * mu / d, kappa + (d - 2.0) * mu / d
-    return kappa, 0.0, ((_power, lin, 1.0, 1.0), (_log, -logc))
+    return kappa, 0.0, (("power", lin, 1.0, 1.0), ("log", -logc))
 
 
 def _ogden_foam(mu, kappa, d, params):
@@ -157,19 +196,19 @@ def _ogden_foam(mu, kappa, d, params):
     if kappa is None:
         kappa = mu * (2.0 * c1 * d + 2.0) / d  # invert c1 = (d k - 2 mu)/(2 d mu)
     c = 0.5 * mu / c1
-    return kappa, -c, ((_power, c, 0.0, -2.0 * c1),)
+    return kappa, -c, (("power", c, 0.0, -2.0 * c1),)
 
 
 def _levinson_burgess(mu, kappa, d, params):
     _require_poisson_positive("levinson-burgess", mu, kappa, d)
     cbar = kappa / mu - 2.0 / d + 1.0
-    return kappa, 0.0, ((_power, 0.5 * mu * cbar, 1.0, 2.0), (_power, -mu, 1.0, 1.0))
+    return kappa, 0.0, (("power", 0.5 * mu * cbar, 1.0, 2.0), ("power", -mu, 1.0, 1.0))
 
 
 def _simo_taylor(mu, kappa, d, params):
     _require_poisson_positive("simo-taylor", mu, kappa, d)
     lam = kappa - 2.0 * mu / d
-    return kappa, -0.25 * lam, ((_log, -(mu + 0.5 * lam)), (_power, 0.25 * lam, 0.0, 2.0))
+    return kappa, -0.25 * lam, (("log", -(mu + 0.5 * lam)), ("power", 0.25 * lam, 0.0, 2.0))
 
 
 def _ogden_hill(mu, kappa, d, params):
@@ -177,13 +216,13 @@ def _ogden_hill(mu, kappa, d, params):
     if not (b > 0):
         raise BadModuli(f"ogden-hill requires b > 0, got {b}")
     # b is an empirical coefficient, not a declared bulk modulus
-    return None, 0.0, ((_power, 1.0 / b, 1.0, 2.0),)
+    return None, 0.0, (("power", 1.0 / b, 1.0, 2.0),)
 
 
 def _simo_miehe(mu, kappa, d, params):
     if kappa is None or not (kappa > 0):
         raise BadModuli("simo-miehe requires kappa > 0")
-    return kappa, -0.25 * kappa, ((_power, 0.25 * kappa, 0.0, 2.0), (_log, -0.5 * kappa))
+    return kappa, -0.25 * kappa, (("power", 0.25 * kappa, 0.0, 2.0), ("log", -0.5 * kappa))
 
 
 def _bischoff_arruda_grosh(mu, kappa, d, params):
@@ -191,7 +230,7 @@ def _bischoff_arruda_grosh(mu, kappa, d, params):
     if not (cbar > 0 and b > 0):
         raise BadModuli(f"bischoff-arruda-grosh requires cbar, b > 0, got {cbar}, {b}")
     c = cbar / b**2
-    return None, -c, ((_cosh, c, b),)
+    return None, -c, (("cosh", c, b),)
 
 
 _LAWS = {
@@ -231,28 +270,8 @@ def _dimension(value) -> int:
     return d
 
 
-def _ensure_vectorized(f):
-    """Make a user-supplied scalar callable accept numpy arrays of J; where it raises
-    OverflowError (as Python's float arithmetic does) its value is NaN: the true value
-    overflows, but its sign is unknown."""
-    try:
-        probe = np.asarray(f(np.array([0.5, 2.0])), dtype=float)
-        if probe.shape == (2,):
-            return f
-    except Exception:
-        pass
-
-    def scalar(J):
-        try:
-            return f(J)
-        except OverflowError:
-            return np.nan
-
-    return np.vectorize(scalar, otypes=[float])
-
-
 def catalog(name: str, params: dict) -> MaterialModel:
-    """Build a catalog material (or wrap a custom one) from parameters.
+    """Build a catalog material from parameters.
 
     ``params`` carries the dimension ``d``, an integer in 2..MAX_DIM, plus
     the moduli the requested form needs: ``mu`` always; ``kappa`` for the
@@ -272,10 +291,10 @@ def catalog(name: str, params: dict) -> MaterialModel:
         simo-miehe             (kappa/4) (J^2 - 1) - (kappa/2) log J
         bischoff-arruda-grosh  (cbar/b^2) (cosh b(J-1) - 1)
 
-    held in ``_LAWS`` as a constant plus rows c phi(J) of three term
-    kinds, ``log J``, ``(J - a)^p`` and ``cosh b(J - 1)``, each of which
-    writes its value and derivatives once.  For ``custom``, params supply
-    all four callables ``h, h1, h2, h3``, or ``catalog`` raises BadParams.
+    held in ``_LAWS`` as a constant plus rows of the three term kinds of
+    MaterialModel, ``log J``, ``(J - a)^p`` and ``cosh b(J - 1)``, each of
+    which writes its value, its derivatives and their signs once.  Any other
+    name is UnknownModel; a law of other terms is a MaterialModel of its own rows.
     """
     params = {key: v for key, v in params.items() if v is not None}
     d = _dimension(params.get("d", params.get("dimension", 3)))
@@ -286,24 +305,12 @@ def catalog(name: str, params: dict) -> MaterialModel:
     if not (mu > 0):
         raise BadModuli(f"mu must be positive, got {mu}")
 
-    if name == "custom":
-        missing = [key for key in ("h", "h1", "h2", "h3") if params.get(key) is None]
-        if missing:
-            raise BadParams(f"custom law needs the callables h, h1, h2 and h3; missing {missing}")
-        h, h1, h2, h3 = (_ensure_vectorized(params[key]) for key in ("h", "h1", "h2", "h3"))
-        return MaterialModel(name=params.get("label", "custom"), mu=mu, h=h, h1=h1, h2=h2,
-                             h3=h3, declared_bulk=kappa, dimension=d)
-
     law = _LAWS.get(name)
     if law is None:
         raise UnknownModel(f"unknown material model {name!r}")
     kappa, const, rows = law(mu, kappa, d, params)
-    h, h1, h2, h3 = (
-        functools.partial(_law, n=n, const=-0.5 * d * mu + const if n == 0 else 0.0, rows=rows)
-        for n in range(4)
-    )
-    return MaterialModel(name=name, mu=mu, h=h, h1=h1, h2=h2, h3=h3,
-                         declared_bulk=kappa, dimension=d)
+    return MaterialModel(name, mu, rows, const=-0.5 * d * mu + const, declared_bulk=kappa,
+                         dimension=d)
 
 
 # ---------------------------------------------------------------------------
@@ -314,47 +321,20 @@ def default_J_grid() -> np.ndarray:
     return np.geomspace(1e-3, 1e3, 400)
 
 
-def _fd_chain_error(g, g_prime, J):
-    """Max relative error of g' against Richardson central differences of g.
-
-    The step is proportional to J, so the check is scale invariant; the
-    denominator mixes |g'| with |g|/J so identically-zero derivatives
-    (e.g. a constant h'') are judged against the parent scale instead of
-    against roundoff noise.  Points where g overflows are skipped.
-    """
-    rel = 1e-5
-    e = rel * J
-    with np.errstate(over="ignore", invalid="ignore"):
-        def cd(step):
-            return (g(J + step) - g(J - step)) / (2.0 * step)
-
-        d1, d2 = cd(e), cd(e / 2.0)
-        fd = (4.0 * d2 - d1) / 3.0
-        an = g_prime(J)
-        gj = np.abs(g(J))
-    denom = np.maximum(np.abs(an), gj / J)
-    ok = np.isfinite(fd) & np.isfinite(an) & np.isfinite(denom) & (denom > 0)
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(np.abs(fd[ok] - an[ok]) / denom[ok]))
-
-
 def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
-    """Sample the convexity hypotheses and small-strain relations of m.
+    """The convexity hypotheses and small-strain relations of m.
 
-    Verifies on default_J_grid(): h'' > 0, h''' < 0, the stress-free reference
-    h'(1) = -mu, the bulk relation kappa = mu(2/d - 1) + h''(1) against
-    the declared bulk modulus, and consistency of h1..h3 with finite
-    differences.  Poisson ratio and first Lame parameter are derived
-    from the effective (h''-implied) bulk modulus.
+    Reads h'' > 0 and h''' < 0 on the span of default_J_grid() from m's rows
+    (MaterialModel.derivative_sign), samples h' <= 0 on the grid, and checks the
+    stress-free reference h'(1) = -mu and the bulk relation kappa = mu(2/d - 1)
+    + h''(1) against the declared bulk modulus.  Poisson ratio and first Lame
+    parameter are derived from the effective (h''-implied) bulk modulus.
     """
     J = default_J_grid()
+    h2_positive = bool(m.derivative_sign(2, J[0], J[-1]) == 1)
+    h3_negative = bool(m.derivative_sign(3, J[0], J[-1]) == -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        h2_vals = np.asarray(m.h2(J), dtype=float)
-        h3_vals = np.asarray(m.h3(J), dtype=float)
         h1_vals = np.asarray(m.h1(J), dtype=float)
-    h2_positive = bool(np.all(h2_vals > 0))
-    h3_negative = bool(np.all(h3_vals < 0))
     h_nonincreasing = bool(np.all(h1_vals[np.isfinite(h1_vals)] <= 0))
 
     free_stress = bool(abs(float(m.h1(1.0)) + m.mu) <= 1e-9 * m.mu)
@@ -370,12 +350,6 @@ def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
     poisson = (d * kap - 2.0 * m.mu) / (2.0 * m.mu + d * (d - 1.0) * kap)
     lame_first = kap - 2.0 * m.mu / d
 
-    errs = [
-        _fd_chain_error(m.h, m.h1, J),
-        _fd_chain_error(m.h1, m.h2, J),
-        _fd_chain_error(m.h2, m.h3, J),
-    ]
-    fd_max = max(errs)
     return HypothesisReport(
         h2_positive=h2_positive,
         h3_negative=h3_negative,
@@ -384,8 +358,6 @@ def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
         poisson=float(poisson),
         lame_first=float(lame_first),
         J_grid=J,
-        fd_consistent=bool(fd_max <= 1e-6),
-        fd_max_rel_err=fd_max,
         effective_bulk=float(effective_bulk),
         h_nonincreasing=h_nonincreasing,
     )

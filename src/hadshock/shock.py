@@ -46,10 +46,6 @@ __all__ = [
     "freq_coeffs",
 ]
 
-H3_SAMPLES = 256
-H3_BLOCK_ROWS = 65536 // (8 * (H3_SAMPLES + 2))  # rows per _h3_signs call: 64 KiB of samples
-
-
 class ElasticState:
     """Deformation gradient with positive determinant plus a velocity."""
 
@@ -218,22 +214,6 @@ def _live(errors: list) -> np.ndarray:
     return np.array([e is None for e in errors], dtype=bool)
 
 
-def _h3_signs(m: MaterialModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sign of h''' on each [lo, hi] at the 258 points np.linspace puts there (-1, 0 or +1),
-    2 where both strict signs occur, or 3 where a sample is NaN and has no sign to read.
-    build_stack passes at most H3_BLOCK_ROWS rows, so a call's samples stay within 64 KiB."""
-    t, width = np.arange(H3_SAMPLES + 2.0), (hi - lo)[:, None]
-    step = width / (H3_SAMPLES + 1)
-    J = t * step
-    tiny = step[:, 0] == 0  # width / (H3_SAMPLES + 1) underflowed: scale t first
-    J[tiny] = t / (H3_SAMPLES + 1) * width[tiny]
-    J += lo[:, None]
-    J[:, -1] = hi
-    vals = np.asarray(m.h3(J.ravel()), dtype=float).reshape(J.shape)
-    pos, neg = np.any(vals > 0, axis=1), np.any(vals < 0, axis=1)
-    return np.where(np.isnan(vals).any(axis=1), 3, np.where(pos & neg, 2, pos.astype(int) - neg))
-
-
 def _m_matrix(U_plus: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cofactor-jump matrix: signed minors of (V1, U2, ..., Ud), first column zero."""
     A = U_plus.copy()
@@ -263,12 +243,13 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
 
     A front needs alpha in (-inf, 0) U (0, alpha_max) and h''' of one strict sign on
     the volume-ratio interval of the jump (negative for alpha < 0, positive for alpha
-    > 0), then passes the jump conditions and strict Lax margins; a row keeps the typed
-    error of the first check it fails.  J+, V, theta, Theta, M, kappa2+ and h''(J+) are
-    computed once; a base state whose alpha_max is zero or not finite, or whose h''(J+) or
-    kappa2+ is not finite, raises AlphaOutOfRange, and a law calibrated for another
-    dimension than U+'s raises ConfigError.  Floating-point warnings are off: an
-    overflowing row fails a check.
+    > 0), read from the law's terms (MaterialModel.derivative_sign) at no J, then passes
+    the jump conditions and strict Lax margins; a row keeps the typed error of the first
+    check it fails, HtripleSignChange where the terms fix no sign.  J+, V, theta, Theta,
+    M, kappa2+ and h''(J+) are computed once; a base state whose alpha_max is zero or not
+    finite, or whose h''(J+) or kappa2+ is not finite, raises AlphaOutOfRange, and a law
+    calibrated for another dimension than U+'s raises ConfigError.  Floating-point
+    warnings are off: an overflowing row fails a check.
     """
     _check_dimension(m, plus.dim)
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
@@ -289,13 +270,10 @@ def build_stack(m: MaterialModel, plus: ElasticState, alphas) -> FrontStack:
                     f"alpha must lie in (-inf, 0) U (0, {a_max:.6g}), got {alphas[i]}"))
         Jm = Jp - alphas * th11
         lo, hi = np.minimum(Jp, Jm), np.maximum(Jp, Jm)
-        live, sign = np.flatnonzero(_live(errors)), np.zeros(n, dtype=int)
-        for rows in np.split(live, range(H3_BLOCK_ROWS, live.size, H3_BLOCK_ROWS)):
-            sign[rows] = _h3_signs(m, lo[rows], hi[rows])
-        _reject(errors, sign == 3, lambda i: AlphaOutOfRange(
-            f"h''' is not a number on the jump interval ({lo[i]:.6g}, {hi[i]:.6g})"))
+        sign = m.derivative_sign(3, lo, hi)
         _reject(errors, sign == 2, lambda i: HtripleSignChange(
-            f"h''' changes sign on ({lo[i]:.6g}, {hi[i]:.6g}); unsupported shock regime"))
+            f"the terms of h''' fix no one sign on ({lo[i]:.6g}, {hi[i]:.6g}); unsupported "
+            "shock regime"))
         _reject(errors, sign != np.where(alphas < 0, -1, 1), lambda i: WrongSignForMaterial(
             f"alpha = {alphas[i]} requires h''' {'<' if alphas[i] < 0 else '>'} 0 on the jump "
             f"interval ({lo[i]:.6g}, {hi[i]:.6g})"))

@@ -23,11 +23,11 @@ from hadshock.classifier import (
 from hadshock.errors import (AlphaOutOfRange, BadParams, DegenerateModuli, HadshockError,
                              InvalidBracket)
 from hadshock.lopatinskii import delta_v1_values, delta_v2_values
-from hadshock.materials import CATALOG_NAMES, catalog
+from hadshock.materials import CATALOG_NAMES, MaterialModel, catalog
 from hadshock.oracle import (cg_alpha_star, random_shock, reference_delta, sphere_min_reference,
                              winding)
-from hadshock.shock import (H3_BLOCK_ROWS, ElasticState, FrontStack, _surface_term, alpha_max,
-                            build, build_stack, freq_coeffs)
+from hadshock.shock import (ElasticState, FrontStack, _surface_term, alpha_max, build,
+                            build_stack, freq_coeffs)
 
 
 def test_classify_cg_uniform(cg2_shock):
@@ -389,12 +389,12 @@ def test_sweep_rows_equal_per_front_errors_and_edges():
     names = {type(v).__name__ for v in rows}
     assert {"HtripleSignChange", "AlphaOutOfRange", "WrongSignForMaterial",
             "StabilityVerdict"} <= names
-    # more rows than two h''' sampling blocks; the first block edge falls among the sign changes
+    # the cosh row fixes no h''' sign exactly where the jump interval (0.81, 0.81 (1 - alpha))
+    # holds J = 1 inside, and only there
     alphas = np.linspace(-3.0, 0.6, 73)
-    assert alphas.size > 2 * H3_BLOCK_ROWS
     rows = _rows_match_per_front(bag, 0.9 * np.eye(2), alphas)
-    assert {type(v).__name__ for v in rows[H3_BLOCK_ROWS - 1:H3_BLOCK_ROWS + 1]} == {
-        "HtripleSignChange"}
+    assert [type(v).__name__ == "HtripleSignChange" for v in rows] == list(
+        0.81 - alphas * 0.81 > 1.0)
     # alpha > 0 fronts, and intensities past alpha_max = 1.5
     rows = _rows_match_per_front(bag, np.diag([1.5, 1.0]), np.linspace(0.05, 1.8, 15))
     assert {"AlphaOutOfRange", "StabilityVerdict"} <= {type(v).__name__ for v in rows}
@@ -493,7 +493,7 @@ def test_positive_alpha_stack_is_uniform():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(law=st.sampled_from(["bischoff-arruda-grosh", "custom"]), d=st.integers(2, 6),
+@given(law=st.sampled_from(["bischoff-arruda-grosh", "cubic"]), d=st.integers(2, 6),
        moduli=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
        stretch=st.lists(st.floats(1e-3, 0.1), min_size=6, max_size=6),
        seed=st.integers(0, 2**32 - 1), lowest=st.floats(-12.0, -1.0))
@@ -501,12 +501,14 @@ def test_every_positive_alpha_row_is_uniform_with_negative_rho(law, d, moduli, s
                                                                lowest):
     # build admits alpha > 0 only where h''' > 0 on the jump interval, so J- < J+ and
     # rho = (J- - J+)([h'; J+, J+, J-] + [h'; J+, J-]/J+) < 0: every built row is uniform
-    # with no sphere search.  BAG's h''' > 0 at J > 1 and exp's everywhere; the base is a
-    # rotation times stretches 10^[1e-3, 0.1], so J+ > 1, and the intensities run
-    # geometrically from 10^lowest to 0.999 of alpha_max
+    # with no sphere search.  BAG's h''' > 0 at J > 1, and the power row b J^3 has h'' > 0
+    # and h''' > 0 at every J > 0; the base is a rotation times stretches 10^[1e-3, 0.1], so
+    # J+ > 1, and the intensities run geometrically from 10^lowest to 0.999 of alpha_max
     mu, cbar, b = (10.0 ** e for e in moduli)
-    m = catalog(law, {"d": d, "mu": mu, "cbar": cbar, "b": b, "h": np.exp, "h1": np.exp,
-                      "h2": np.exp, "h3": np.exp})
+    if law == "cubic":
+        m = MaterialModel(law, mu, [("power", b, 0.0, 3.0)], dimension=d)
+    else:
+        m = catalog(law, {"d": d, "mu": mu, "cbar": cbar, "b": b})
     U = _rotation(seed, d) * 10.0 ** np.array(stretch[:d])[None, :]
     alphas = np.geomspace(10.0 ** lowest, 0.999, 25) * alpha_max(U)
     with warnings.catch_warnings():
@@ -515,6 +517,39 @@ def test_every_positive_alpha_row_is_uniform_with_negative_rho(law, d, moduli, s
     for row in rows:
         if not isinstance(row, HadshockError):
             assert (row.kind, row.min_criterion) == (UNIFORM, None) and row.rho < 0, row
+
+
+def test_terms_of_mixed_h3_sign_give_no_verdict():
+    # -log J has h''' = -2/J^3 < 0 and J^3 has h''' = 6 > 0: their sum's sign is not fixed by
+    # the rows, so every row of a sweep ends as a typed error, on either side of alpha = 0
+    m = MaterialModel("mixed", 1.0, [("log", -1.0), ("power", 1.0, 0.0, 3.0)], dimension=2)
+    assert m.derivative_sign(2, 1e-3, 1e3) == 1
+    for U in (np.eye(2), np.diag([0.7, 1.0]), np.diag([1.5, 1.2])):
+        alphas = np.linspace(-5.0, 1.2 * alpha_max(U), 41)
+        rows = classify_stack(build_stack(m, ElasticState(U), alphas))
+        assert all(isinstance(row, HadshockError) for row in rows)
+        assert {type(row).__name__ for row in rows} == {"HtripleSignChange", "AlphaOutOfRange"}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_verdicts_sample_no_h3(d):
+    # the h''' sign comes from the law's rows, so an h3 that cannot be called changes nothing
+    def unsampled(J):
+        raise AssertionError("h''' was sampled")
+
+    def outcomes(m):
+        return [repr(v) if isinstance(v, HadshockError) else (v.kind, _bits(v.min_criterion))
+                for U in bases for v in classify_stack(build_stack(
+                    m, ElasticState(U), np.linspace(-4.0, 0.9 * alpha_max(U), 9)))]
+
+    # a rotated base, and a stretched one where BAG builds alpha > 0 fronts
+    bases = (_rotation(d, d) * np.random.default_rng(d).uniform(0.8, 1.3, d)[None, :],
+             np.diag([1.5] + [1.0] * (d - 1)))
+    for name in CATALOG_NAMES:
+        m = catalog(name, {"d": d, "mu": 1.2, "kappa": 2.5, "c1": 1.5, "b": 0.8, "cbar": 1.1})
+        want = outcomes(m)
+        m.h3 = unsampled
+        assert outcomes(m) == want, name
 
 
 def test_cg_alpha_star_value():

@@ -96,10 +96,11 @@ def test_config_errors(capsys, tmp_path):
 @pytest.mark.parametrize("cfg", [
     '[1, 2]', '"abc"', '{"material": 5}', '{"material": null}',
     '{"material": {"name": "blatz", "params": [1]}}', '{"material": {"name": ["blatz"]}}',
-    '{"material": {"name": "custom", "params": {"form": [1]}}}'])
+    '{"material": {"name": "custom", "params": {"form": "blatz"}}}'])
 @pytest.mark.parametrize("command", [["shock", "--alpha=-0.5"], ["material", "check"]])
 def test_config_of_the_wrong_json_shape_is_config_error(capsys, tmp_path, cfg, command):
     # the file, its material and the material's params must be objects, the name a string
+    # that names a catalog law ("custom" names none)
     path = tmp_path / "cfg.json"
     path.write_text(cfg)
     code = main([*command, f"--config={path}"])
@@ -312,10 +313,9 @@ def test_deterministic_output(capsys):
 
 
 def test_custom_material_config(capsys, tmp_path):
-    # custom materials name a built-in h-form plus its raw coefficients
+    # a config names its catalog law and gives the law's raw coefficients as params
     cfg = {
-        "material": {"name": "custom", "dimension": 2, "mu": 1.0,
-                     "params": {"form": "ogden-foam", "c1": 2.0}},
+        "material": {"name": "ogden-foam", "dimension": 2, "mu": 1.0, "params": {"c1": 2.0}},
         "U_plus": [[1.0, 0.0], [0.0, 1.0]],
         "alpha": -1.0,
     }

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import hadshock.cli
-from hadshock.errors import (AlphaOutOfRange, BadModuli, BadParams, NonPositiveJacobian,
-                             UnknownModel, ZeroFrequency)
+from hadshock.errors import (BadModuli, BadParams, DomainError, NonPositiveJacobian, UnknownModel,
+                             ZeroFrequency)
 from hadshock.linalg import cofactor
 from hadshock.materials import (
     CATALOG_NAMES,
     MAX_DIM,
+    MaterialModel,
     acoustic_spectrum,
     acoustic_tensor,
     b_blocks,
@@ -77,7 +78,6 @@ def test_every_catalog_model_builds_and_is_convex():
         m = catalog(name, {"d": 3, "mu": 1.0, **params[name]})
         rep = check_hypotheses(m, 3)
         assert rep.h2_positive, name
-        assert rep.fd_consistent, (name, rep.fd_max_rel_err)
 
 
 FORM_PARAMS = {
@@ -125,7 +125,6 @@ def test_term_table_matches_closed_form(name, d):
         assert isinstance(f(2.0), float), (name, n)
         assert f(J).shape == J.shape
         assert f(2.0) == f(J)[5]
-    assert check_hypotheses(m, d).fd_consistent
 
 
 @pytest.mark.parametrize("name", ["levinson-burgess", "ogden-hill"])
@@ -210,11 +209,59 @@ def test_poisson_and_lame(cg2):
     assert rep.lame_first == pytest.approx(kap - 2 * mu / d)
 
 
-def test_custom_law_needs_all_four_callables():
-    # no derivative is synthesized: a custom law gives h, h', h'' and h''' itself
-    for given in [("h",), ("h", "h1", "h2"), ("h1", "h2", "h3")]:
-        with pytest.raises(BadParams, match="custom law needs the callables h, h1, h2 and h3"):
-            catalog("custom", {"d": 2, "mu": 1.0, **{key: np.exp for key in given}})
+def test_a_law_is_its_term_table():
+    # no law is given as callables: "custom" names no law, each row is one of the three term
+    # kinds, and a catalog law is the model of its rows, h to h''' alike
+    with pytest.raises(UnknownModel):
+        catalog("custom", {"d": 2, "mu": 1.0, "h": np.exp, "h1": np.exp, "h2": np.exp,
+                           "h3": np.exp})
+    for rows in ([("exp", 1.0)], [()], [("log", -1.0), ("Power", 1.0, 1.0, 2.0)]):
+        with pytest.raises(BadParams, match="a term row is"):
+            MaterialModel("bad", 1.0, rows)
+    cg = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0})
+    table = MaterialModel("cg", 1.0, [("log", -1.0), ("power", 0.5, 1.0, 2.0)], const=-1.0)
+    J = np.geomspace(0.05, 20.0, 9)
+    for f, g in zip((cg.h, cg.h1, cg.h2, cg.h3), (table.h, table.h1, table.h2, table.h3)):
+        assert f(J).tobytes() == g(J).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+def test_term_signs_match_dense_samples(d):
+    # on random intervals, some ending at J = 1 and some of zero width, the sign a law's rows
+    # give its h'' and h''' is the one that 1001 samples of h2 and h3 show (2: both signs)
+    rng = np.random.default_rng(d)
+    lo = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 300))
+    hi = lo * np.exp(rng.uniform(0.0, 2.0, 300))
+    lo[:60], hi[:60] = np.minimum(lo[:60], 1.0), np.maximum(lo[:60], 1.0)
+    hi[60:90] = lo[60:90]
+    lo[90] = hi[90] = 1.0
+    J = lo[:, None] + np.linspace(0.0, 1.0, 1001) * (hi - lo)[:, None]
+    J[:, -1] = hi
+    mu = rng.uniform(0.5, 2.0)
+    params = {"d": d, "mu": mu, "kappa": 2.0 * mu / d + rng.uniform(0.1, 3.0),
+              "c1": rng.uniform(0.2, 3.0), "b": rng.uniform(0.2, 2.0),
+              "cbar": rng.uniform(0.2, 2.0)}
+    for name in CATALOG_NAMES:
+        m = catalog(name, params)
+        for n, f in ((2, m.h2), (3, m.h3)):
+            v = f(J)
+            pos, neg = (v > 0).any(axis=1), (v < 0).any(axis=1)
+            sampled = np.where(pos & neg, 2, pos.astype(int) - neg)
+            assert np.array_equal(m.derivative_sign(n, lo, hi), sampled), (name, n)
+
+
+@pytest.mark.parametrize("row", [
+    ("log", -1.3), ("power", 0.7, 1.0, 2.0), ("power", -0.4, 1.0, 1.0), ("power", 0.9, 0.0, -3.4),
+    ("power", 0.25, 0.0, 2.0), ("power", 1.1, 0.0, 3.0), ("cosh", 0.8, 1.7)])
+def test_term_derivatives_are_complex_steps_of_each_other(row):
+    # each term kind writes its derivatives once: Im f_n(J + i e)/e = f_(n+1)(J) up to e^2
+    m = MaterialModel("row", 1.0, [row])
+    J = np.geomspace(0.05, 20.0, 60)
+    step = 1e-20 * J
+    fs = (m.h, m.h1, m.h2, m.h3)
+    for n in range(3):
+        np.testing.assert_allclose(fs[n](J + 1j * step).imag / step, fs[n + 1](J), rtol=1e-12,
+                                   atol=0, err_msg=f"{row} n={n}")
 
 
 # --------------------------------------------------------------------------
@@ -401,47 +448,22 @@ def test_laws_round_the_same_for_floats_and_arrays():
             assert law(J).tobytes() == single.tobytes(), (name, n)
 
 
-def test_custom_law_overflow_is_domain_error():
-    # a 2-D Ciarlet-Geymonat law whose h'' uses math.pow, which raises OverflowError
-    # where numpy returns inf: the huge jump ends as a typed error, not a traceback
-    m = catalog("custom", {
-        "d": 2, "mu": 1.0,
-        "h": lambda J: -math.log(J) + 0.5 * (J - 1.0) ** 2 - 1.0,
-        "h1": lambda J: -1.0 / J + (J - 1.0),
-        "h2": lambda J: 1.0 / math.pow(J, 2) + 1.0,
-        "h3": lambda J: -2.0 / J**3,
-    })
-    assert m.h2(2.0) == 1.25
-    with np.errstate(over="ignore"):  # the overflow raises the flag that numpy's would
-        assert np.isnan(m.h2(1e300))  # it overflows, but its sign is unknown
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(AlphaOutOfRange):
-            build(m, ElasticState(np.eye(2)), -1e300)
-        assert build(m, ElasticState(np.eye(2)), -0.3).speed < 0
-
-
 @pytest.mark.parametrize("alpha", [-1e120, -1e300])
-def test_custom_h3_overflow_has_no_sign(monkeypatch, capsys, alpha):
-    # h''' = -2/J^3 through math.pow overflows on the jump interval; an overflow has no
-    # known sign, so the front is out of range, not one where h''' changes sign
-    m = catalog("custom", {
-        "d": 2, "mu": 1.0,
-        "h": lambda J: -math.log(J) + 0.5 * (J - 1.0) ** 2 - 1.0,
-        "h1": lambda J: -1.0 / J + (J - 1.0),
-        "h2": lambda J: 1.0 / J**2 + 1.0,
-        "h3": lambda J: -2.0 / math.pow(J, 3),
-    })
-    with np.errstate(over="ignore"):  # math.pow raises the flag that numpy's would
-        assert np.isnan(m.h3(1e120))
-    assert build(m, ElasticState(np.eye(2)), -1e3).speed < 0
-    monkeypatch.setattr(hadshock.materials, "catalog", lambda name, params: m)
+def test_huge_jump_is_domain_error(capsys, alpha):
+    # h''' = -2/J^3 underflows to -0 at the far end of the jump interval, yet the log row
+    # gives it its sign there; the huge jump ends as a typed error, not a traceback
+    m = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0})
+    with np.errstate(over="ignore"):
+        assert m.h3(1.0 - alpha) == 0.0
+    assert m.derivative_sign(3, 1.0, 1.0 - alpha) == -1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hadshock.cli.main(["shock", "--material=ciarlet-geymonat", "--dim=2",
-                                  f"--alpha={alpha!r}"]) == 3
-    assert capsys.readouterr().err.startswith(
-        "AlphaOutOfRange: h''' is not a number on the jump interval (1, ")
+        with pytest.raises(DomainError):
+            build(m, ElasticState(np.eye(2)), alpha)
+        assert build(m, ElasticState(np.eye(2)), -0.3).speed < 0
+        assert hadshock.cli.main(["shock", "--material=ciarlet-geymonat", "--kappa=2",
+                                  "--dim=2", f"--alpha={alpha!r}"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_energy_stack_with_one_nonpositive_det_raises(cg2):
