@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hadshock.cli
-from hadshock.errors import (BadModuli, BadParams, DomainError, NonPositiveJacobian, UnknownModel,
+from hadshock.errors import (AlphaOutOfRange, BadModuli, BadParams, DomainError,
+                             NonPositiveJacobian, UnknownModel, WrongSignForMaterial,
                              ZeroFrequency)
 from hadshock.linalg import cofactor
 from hadshock.materials import (
@@ -23,7 +24,7 @@ from hadshock.materials import (
     piola_kirchhoff,
 )
 from hadshock.oracle import dense_eig
-from hadshock.shock import ElasticState, build
+from hadshock.shock import ElasticState, build, build_stack
 
 
 def fd_gradient(f, U, step):
@@ -464,6 +465,24 @@ def test_huge_jump_is_domain_error(capsys, alpha):
         assert hadshock.cli.main(["shock", "--material=ciarlet-geymonat", "--kappa=2",
                                   "--dim=2", f"--alpha={alpha!r}"]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_huge_jump_overflow_is_alpha_out_of_range():
+    # h(J-) = -log J + (J - 1)^2 / 2 overflows to inf at J- = 1e300 but not at 1e120: the
+    # overflowing jump is AlphaOutOfRange, the finite one fails the Lax margins, a small one
+    # builds, and a stack keeps each row's own error
+    m = catalog("ciarlet-geymonat", {"d": 2, "mu": 1.0, "kappa": 2.0})
+    with np.errstate(over="ignore"):
+        assert m.h(1.0 + 1e300) == np.inf and np.isfinite(m.h(1.0 + 1e120))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlphaOutOfRange, match="overflows"):
+            build(m, ElasticState(np.eye(2)), -1e300)
+        with pytest.raises(WrongSignForMaterial):
+            build(m, ElasticState(np.eye(2)), -1e120)
+        errors = build_stack(m, ElasticState(np.eye(2)), [-0.3, -1e300, -1e120]).errors
+    assert errors[0] is None
+    assert [type(e) for e in errors[1:]] == [AlphaOutOfRange, WrongSignForMaterial]
 
 
 def test_energy_stack_with_one_nonpositive_det_raises(cg2):
