@@ -39,8 +39,6 @@ def _fmt_json_value(x):
         return json.dumps(bool(x) if isinstance(x, np.bool_) else x)
     if isinstance(x, float):
         return f"{x + 0.0:.17g}" if math.isfinite(x) else json.dumps(None)
-    if isinstance(x, complex):
-        return _fmt_json_value({"re": x.real, "im": x.imag})
     if isinstance(x, np.ndarray):
         return _fmt_json_value(x.tolist())
     if isinstance(x, (list, tuple)):
@@ -48,10 +46,6 @@ def _fmt_json_value(x):
     if isinstance(x, dict):
         items = (f"{json.dumps(str(k))}: {_fmt_json_value(v)}" for k, v in x.items())
         return "{" + ", ".join(items) + "}"
-    if isinstance(x, (np.floating,)):
-        return _fmt_json_value(float(x))
-    if isinstance(x, (np.integer,)):
-        return json.dumps(int(x))
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -242,21 +236,8 @@ def _cmd_material(args) -> int:
         return 0
     m = _material_from_spec(_front_config(args)[1])
     rep = materials.check_hypotheses(m, m.dimension)
-    payload = {
-        "name": m.name,
-        "dimension": m.dimension,
-        "mu": m.mu,
-        "declared_bulk": m.declared_bulk,
-        "h2_positive": rep.h2_positive,
-        "h3_negative": rep.h3_negative,
-        "free_stress": rep.free_stress,
-        "bulk_relation": rep.bulk_relation,
-        "poisson": rep.poisson,
-        "lame_first": rep.lame_first,
-        "effective_bulk": rep.effective_bulk,
-        "h_nonincreasing": rep.h_nonincreasing,
-        "all_ok": rep.all_ok,
-    }
+    payload = {"name": m.name, "dimension": m.dimension, "mu": m.mu,
+               "declared_bulk": m.declared_bulk, **rep._asdict(), "all_ok": rep.all_ok}
     _emit(to_json(payload), args.out)
     return 0 if rep.all_ok else 4
 

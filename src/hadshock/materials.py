@@ -34,7 +34,6 @@ __all__ = [
     "acoustic_tensor",
     "acoustic_spectrum",
     "char_speeds",
-    "default_J_grid",
 ]
 
 
@@ -47,11 +46,11 @@ class MaterialModel:
     first three derivatives at a float or a numpy array of J > 0 (complex J too, for
     the oracle's complex steps); a float J gives the same value, bit for bit, as the
     same J inside an array, since every term is evaluated with numpy's ufuncs.
-    ``derivative_sign`` reads the sign of a derivative on an interval from the rows
-    alone.  The moduli are taken as given (``catalog`` validates its own); a row of
-    another kind is BadParams.  ``declared_bulk`` records the bulk modulus the model
-    was built from, when it was; the hypothesis report compares it with the
-    small-strain bulk modulus implied by h''(1).
+    ``derivative_sign`` reads the sign of a derivative on an interval of J > 0, or on
+    all of J > 0, from the rows alone.  The moduli are taken as given (``catalog``
+    validates its own); a row of another kind is BadParams.  ``declared_bulk`` records
+    the bulk modulus the model was built from, when it was; the hypothesis report
+    compares it with the small-strain bulk modulus implied by h''(1).
     """
 
     def __init__(self, name: str, mu: float, rows, const: float = 0.0,
@@ -66,8 +65,9 @@ class MaterialModel:
         self.declared_bulk, self.dimension = declared_bulk, dimension
 
     def derivative_sign(self, n: int, lo, hi):
-        """Sign of h's n-th derivative (n >= 1) on each [lo, hi], from the rows alone: -1, 0
-        or +1 where every nonzero row has that sign there, and 2 (undecided) otherwise."""
+        """Sign of h's n-th derivative (n >= 1) on each [lo, hi] of J > 0 (lo = 0 and
+        hi = inf give all J > 0), from the rows alone: -1, 0 or +1 where every nonzero row
+        has that sign there, and 2 (undecided) otherwise."""
         out = np.zeros(np.shape(lo))
         for kind, c, *args in self.rows:
             s = _TERMS[kind][1](n, lo, hi, c, *args)
@@ -76,7 +76,7 @@ class MaterialModel:
 
 
 class HypothesisReport(NamedTuple):
-    """The material hypotheses on a J-grid."""
+    """The signs of h', h'' and h''' on every J > 0, and the small-strain relations at J = 1."""
 
     h2_positive: bool
     h3_negative: bool
@@ -84,7 +84,6 @@ class HypothesisReport(NamedTuple):
     bulk_relation: bool
     poisson: float
     lame_first: float
-    J_grid: np.ndarray
     effective_bulk: float
     h_nonincreasing: bool
 
@@ -316,27 +315,17 @@ def catalog(name: str, params: dict) -> MaterialModel:
 # ---------------------------------------------------------------------------
 # hypothesis checks
 
-def default_J_grid() -> np.ndarray:
-    """Log-spaced sampling grid for the pointwise hypotheses on h."""
-    return np.geomspace(1e-3, 1e3, 400)
-
-
 def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
     """The convexity hypotheses and small-strain relations of m.
 
-    Reads h'' > 0 and h''' < 0 on the span of default_J_grid() from m's rows
-    (MaterialModel.derivative_sign), samples h' <= 0 on the grid, and checks the
-    stress-free reference h'(1) = -mu and the bulk relation kappa = mu(2/d - 1)
-    + h''(1) against the declared bulk modulus.  Poisson ratio and first Lame
-    parameter are derived from the effective (h''-implied) bulk modulus.
+    Reads h' <= 0, h'' > 0 and h''' < 0 on every J > 0 from m's rows
+    (MaterialModel.derivative_sign on (0, inf)), and checks the stress-free
+    reference h'(1) = -mu and the bulk relation kappa = mu(2/d - 1) + h''(1)
+    against the declared bulk modulus: h is evaluated at J = 1 only.  Poisson
+    ratio and first Lame parameter are derived from the effective (h''-implied)
+    bulk modulus.
     """
-    J = default_J_grid()
-    h2_positive = bool(m.derivative_sign(2, J[0], J[-1]) == 1)
-    h3_negative = bool(m.derivative_sign(3, J[0], J[-1]) == -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h1_vals = np.asarray(m.h1(J), dtype=float)
-    h_nonincreasing = bool(np.all(h1_vals[np.isfinite(h1_vals)] <= 0))
-
+    h1_sign, h2_sign, h3_sign = (m.derivative_sign(n, 0.0, np.inf) for n in (1, 2, 3))
     free_stress = bool(abs(float(m.h1(1.0)) + m.mu) <= 1e-9 * m.mu)
     effective_bulk = m.mu * (2.0 / d - 1.0) + float(m.h2(1.0))
     if m.declared_bulk is None:
@@ -351,15 +340,14 @@ def check_hypotheses(m: MaterialModel, d: int) -> HypothesisReport:
     lame_first = kap - 2.0 * m.mu / d
 
     return HypothesisReport(
-        h2_positive=h2_positive,
-        h3_negative=h3_negative,
+        h2_positive=bool(h2_sign == 1),
+        h3_negative=bool(h3_sign == -1),
         free_stress=free_stress,
         bulk_relation=bulk_relation,
         poisson=float(poisson),
         lame_first=float(lame_first),
-        J_grid=J,
         effective_bulk=float(effective_bulk),
-        h_nonincreasing=h_nonincreasing,
+        h_nonincreasing=bool(h1_sign <= 0),
     )
 
 

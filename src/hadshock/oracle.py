@@ -54,7 +54,7 @@ __all__ = [
     "verify_suite",
 ]
 
-EIG_CLUSTER_TOL = 1e-7
+EIG_CLUSTER_TOL = 1e-10  # hersh_counts' -lambda/s cluster window, times max(||calA||, 1)
 SPHERE_POINTS = 8192  # the covering of the unit sphere that sphere_min_reference polishes
 MIN_RE_LAMBDA = 0.05  # sample_frequency's least Re lambda
 CONTROL_NODES = 24  # nodes per axis of the negative-control grid

@@ -58,9 +58,7 @@ class ElasticState:
         if self.v.shape != (d,):
             raise ValueError("v must be a d-vector")
         with np.errstate(all="ignore"):  # a det that overflows is inf, which build rejects
-            det = np.linalg.det(self.U)
-        if det <= 0:
-            raise NonPositiveJacobian(f"det U = {det} <= 0")
+            _jacobian(self.U)
 
     @property
     def dim(self) -> int:
@@ -185,9 +183,7 @@ def alpha_max(U_plus: np.ndarray) -> float:
     """Upper limit of admissible positive intensities: J+ / |V1|^2."""
     U_plus = np.asarray(U_plus, dtype=float)
     with np.errstate(all="ignore"):
-        J = float(np.linalg.det(U_plus))
-        if J <= 0:
-            raise NonPositiveJacobian(f"det U = {J} <= 0")
+        J = _jacobian(U_plus)
         v1 = cofactor(U_plus)[:, 0]
         return _alpha_max(J, float(v1 @ v1))
 
@@ -363,9 +359,7 @@ def genuine_nonlinearity(m: MaterialModel, U: np.ndarray, direction=None) -> flo
     """
     U = np.asarray(U, dtype=float)
     d = U.shape[0]
-    J = float(np.linalg.det(U))
-    if J <= 0:
-        raise NonPositiveJacobian(f"det U = {J} <= 0")
+    J = _jacobian(U)
     nu = np.eye(d)[0] if direction is None else np.asarray(direction, dtype=float)
     nu = nu / np.linalg.norm(nu)
     w = cofactor(U) @ nu

@@ -423,6 +423,19 @@ def test_overflowing_criterion_is_typed_error_row(cg2):
     assert (uniform.kind, uniform.min_criterion) == (UNIFORM, None)
 
 
+def test_fronts_without_lax_margins_or_finite_rho_are_typed_errors(cg2_shock):
+    # classify checks the front it is given: a speed that breaks the Lax margins is
+    # InvalidBracket, and a rho that is not a number is AlphaOutOfRange, never a verdict
+    slow = copy.copy(cg2_shock)
+    slow.speed = -10.0
+    with pytest.raises(InvalidBracket, match="classify requires a front with strict Lax margins"):
+        classify(slow)
+    no_rho = copy.copy(cg2_shock)
+    no_rho.rho = np.nan
+    with pytest.raises(AlphaOutOfRange, match="gives rho = nan"):
+        classify(no_rho)
+
+
 def _property_base(family, exponent, seed, d):
     """One of four base-state families: a scaled identity, a near-identity and a scaled
     Gaussian matrix, whose magnitude exponent picks from [0, 1], and a diagonal matrix with

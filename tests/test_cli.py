@@ -18,7 +18,7 @@ import hadshock
 from hadshock import cli, lopatinskii, shock
 from hadshock.cli import COMMANDS, _csv_cell, build_parser, main, to_json
 from hadshock.errors import ConfigError, VerificationError
-from hadshock.oracle import reference_delta
+from hadshock.oracle import cg_alpha_star, reference_delta
 
 
 def run(capsys, *argv):
@@ -165,6 +165,21 @@ def test_classify_commands(capsys):
                     "--mu", "1", "--kappa", "1", "--dim", "3", "--alpha", "-5")
     assert code == 0
     assert json.loads(out)["kind"] == "uniform"
+
+
+def test_classify_at_the_threshold_reports_marginal(capsys):
+    # at the exact 2-D CG threshold the minimum is rounding noise inside the +/-1e-10 band:
+    # weak, flagged marginal; a weak front off the threshold has no marginal key
+    flags = ("classify", "--material=ciarlet-geymonat", "--mu=1", "--kappa=2", "--dim=2")
+    code, out = run(capsys, *flags, f"--alpha={float(cg_alpha_star(1.0, 2.0))!r}")
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["kind", "rho", "min_criterion", "witness", "marginal", "diagnostics"]
+    assert rep["kind"] == "weak" and rep["marginal"] is True
+    assert rep["min_criterion"] == pytest.approx(-1.78e-15, rel=0.01)
+    code, out = run(capsys, *flags, "--alpha=-8")
+    assert code == 0
+    assert "marginal" not in json.loads(out)
 
 
 @pytest.mark.parametrize("alpha", ["-1e6", "-1e9", "-1e12", "-1e13"])

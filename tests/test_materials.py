@@ -210,6 +210,27 @@ def test_poisson_and_lame(cg2):
     assert rep.lame_first == pytest.approx(kap - 2 * mu / d)
 
 
+def _with_logged_calls(m, calls: list):
+    """m, with each J its h, h1, h2 and h3 are called at appended to calls."""
+    for attr in ("h", "h1", "h2", "h3"):
+        setattr(m, attr, lambda J, f=getattr(m, attr): calls.append(J) or f(J))
+    return m
+
+
+def test_hypotheses_hold_on_every_J_and_evaluate_h_at_one_only():
+    # (J - 1e-4)^3 has h'' < 0 below J = 1e-4, which a window [1e-3, 1e3] never sees
+    hand = MaterialModel("hand", 1.0, [("power", 1.0, 1e-4, 3.0)])
+    assert float(hand.h2(5e-5)) < 0 < hand.derivative_sign(2, 1e-3, 1e3)
+    calls = []
+    rep = check_hypotheses(_with_logged_calls(hand, calls), 3)
+    assert not (rep.h2_positive or rep.h3_negative or rep.h_nonincreasing)
+    for name in CATALOG_NAMES:
+        check_hypotheses(_with_logged_calls(catalog(name, {"d": 3, **FORM_PARAMS[name]}),
+                                            calls), 3)
+    # the free stress and the bulk relation read h' and h'' at J = 1, and nothing else is read
+    assert len(calls) == 2 * (1 + len(CATALOG_NAMES)) and all(J == 1.0 for J in calls)
+
+
 def test_a_law_is_its_term_table():
     # no law is given as callables: "custom" names no law, each row is one of the three term
     # kinds, and a catalog law is the model of its rows, h to h''' alike
@@ -242,6 +263,7 @@ def test_term_signs_match_dense_samples(d):
     params = {"d": d, "mu": mu, "kappa": 2.0 * mu / d + rng.uniform(0.1, 3.0),
               "c1": rng.uniform(0.2, 3.0), "b": rng.uniform(0.2, 2.0),
               "cbar": rng.uniform(0.2, 2.0)}
+    wide = np.geomspace(1e-4, 1e4, 4001)
     for name in CATALOG_NAMES:
         m = catalog(name, params)
         for n, f in ((2, m.h2), (3, m.h3)):
@@ -249,6 +271,12 @@ def test_term_signs_match_dense_samples(d):
             pos, neg = (v > 0).any(axis=1), (v < 0).any(axis=1)
             sampled = np.where(pos & neg, 2, pos.astype(int) - neg)
             assert np.array_equal(m.derivative_sign(n, lo, hi), sampled), (name, n)
+        # and the hypotheses, read from the rows on all J > 0, are what samples show
+        rep = check_hypotheses(m, d)
+        with np.errstate(over="ignore"):  # cosh b(J - 1) is inf far out, of one sign
+            sampled = (bool(np.all(m.h1(wide) <= 0)), bool(np.all(m.h2(wide) > 0)),
+                       bool(np.all(m.h3(wide) < 0)))
+        assert (rep.h_nonincreasing, rep.h2_positive, rep.h3_negative) == sampled, name
 
 
 @pytest.mark.parametrize("row", [
